@@ -1,10 +1,13 @@
 //! Property-based tests of the application substrate: every generator
-//! yields matched, replayable traces for arbitrary rank counts, and the
-//! collective lowering is always balanced.
+//! yields matched, replayable traces for arbitrary rank counts, the
+//! collective lowering is always balanced, and every collective
+//! schedule delivers each rank's contribution exactly once for
+//! randomized rank counts and payloads.
 
 use prdrb_apps::{
-    analyze_phases, lammps, lower_collectives, nas_ft, nas_lu, nas_mg, pop, smg2000, sweep3d,
-    LammpsProblem, NasClass, Trace, TraceEvent,
+    analyze_phases, check_exactly_once, lammps, lower_collectives, nas_ft, nas_lu, nas_mg, pop,
+    smg2000, sweep3d, CollectiveKind, CollectiveSpec, LammpsProblem, NasClass, ScheduleShape,
+    Trace, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -79,5 +82,59 @@ proptest! {
         let w_short = short.phases.first().map(|p| p.weight).unwrap_or(0);
         let w_long = long.phases.first().map(|p| p.weight).unwrap_or(0);
         prop_assert!(w_long >= w_short, "more steps must not reduce repetition");
+    }
+}
+
+fn kind_strategy() -> impl Strategy<Value = CollectiveKind> {
+    prop_oneof![
+        Just(CollectiveKind::AllToAll),
+        Just(CollectiveKind::AllReduce)
+    ]
+}
+
+fn shape_strategy() -> impl Strategy<Value = ScheduleShape> {
+    prop_oneof![Just(ScheduleShape::Ring), Just(ScheduleShape::Tree)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Exactly-once delivery for every (kind, shape) on arbitrary rank
+    /// counts — including non-powers-of-two, where the tree all-to-all
+    /// falls back to the ring and the binomial tree goes ragged.
+    #[test]
+    fn collectives_deliver_exactly_once(
+        kind in kind_strategy(),
+        shape in shape_strategy(),
+        ranks in 2u32..65,
+        bytes in 1u32..1_000_000,
+    ) {
+        let spec = CollectiveSpec::new(kind, shape, ranks, bytes);
+        prop_assert!(
+            check_exactly_once(&spec).is_ok(),
+            "{}: {:?}", spec.label(), check_exactly_once(&spec)
+        );
+    }
+
+    /// Structural invariants every schedule must satisfy for the trace
+    /// player: no self-sends, at most one message per ordered (src,
+    /// dst) pair per round, ranks in range, payloads non-empty.
+    #[test]
+    fn schedules_are_player_safe(
+        kind in kind_strategy(),
+        shape in shape_strategy(),
+        ranks in 2u32..33,
+        bytes in 1u32..65_536,
+    ) {
+        let spec = CollectiveSpec::new(kind, shape, ranks, bytes);
+        for (rno, round) in spec.rounds().iter().enumerate() {
+            let mut seen = std::collections::HashSet::new();
+            for m in round {
+                prop_assert!(m.src < ranks && m.dst < ranks, "round {rno}: rank range");
+                prop_assert!(m.src != m.dst, "round {rno}: self-send");
+                prop_assert!(m.bytes >= 1, "round {rno}: empty payload");
+                prop_assert!(seen.insert((m.src, m.dst)), "round {rno}: dup pair");
+            }
+        }
     }
 }

@@ -14,11 +14,12 @@
 
 use super::{run_policies, run_replicated, Target};
 use crate::{write_artifact, FigureOutput};
+use prdrb_apps::{CollectiveKind, CollectiveSpec, ScheduleShape};
 use prdrb_core::PolicyKind;
 use prdrb_engine::{RunReport, SimConfig, TopologyKind};
 use prdrb_metrics::{Cell, Table};
 use prdrb_simcore::time::MILLISECOND;
-use prdrb_traffic::{CollectiveKind, CollectiveSpec, OpenLoopSpec, PhaseProgram, ScheduleShape};
+use prdrb_traffic::{OpenLoopSpec, PhaseProgram};
 
 /// Registry entries for this module.
 pub fn targets() -> Vec<Target> {

@@ -133,7 +133,6 @@ fn main() {
         sel
     };
     let started = std::time::Instant::now();
-    prdrb_engine::reset_cache_stats();
     let outputs: Vec<(String, String, bool, f64)> = selected
         .par_iter()
         .map(|t| {

@@ -21,14 +21,16 @@ pub fn timing_block(title: &str, rows: &[(String, f64, bool)]) -> String {
     out
 }
 
-/// The run-cache status line from the engine's global hit/miss counters.
+/// The run-cache status line from the process's one cache instance.
 pub fn cache_line() -> String {
-    let (hits, misses) = prdrb_engine::cache_stats();
     match crate::run_cache() {
-        Some(c) => format!(
-            "run cache: {hits} hit(s), {misses} miss(es) in {}",
-            c.dir().display()
-        ),
+        Some(c) => {
+            let (hits, misses) = c.stats();
+            format!(
+                "run cache: {hits} hit(s), {misses} miss(es) in {}",
+                c.dir().display()
+            )
+        }
         None => "run cache: disabled (PRDRB_CACHE=off)".into(),
     }
 }

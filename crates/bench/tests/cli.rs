@@ -13,12 +13,12 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 }
 
 /// `--shards N` with a collective workload must say — once, out loud —
-/// that collectives lower onto the serial player and the run falls
-/// back to serial (ISSUE 9 satellite; the silent fallback shipped in
-/// PR 7). With `--speculate` also in force, the commit/abort summary
-/// line must still print (all-zero here: serial fallbacks never
-/// speculate), so a reader sees both why the knob did nothing and that
-/// nothing was speculated.
+/// that trace replay (collective runs are lowered to traces) runs on
+/// the serial player and the run falls back to serial, instead of
+/// silently ignoring the knob. With `--speculate` also in force, the
+/// commit/abort summary line must still print (all-zero here: serial
+/// fallbacks never speculate), so a reader sees both why the knob did
+/// nothing and that nothing was speculated.
 #[test]
 fn shards_on_collectives_notices_serial_fallback() {
     let results = scratch("fallback");
@@ -37,7 +37,7 @@ fn shards_on_collectives_notices_serial_fallback() {
         "repro failed\nstdout:\n{stdout}\nstderr:\n{stderr}"
     );
     assert!(
-        stderr.contains("collective workloads lower onto the serial player")
+        stderr.contains("trace replay lower onto the serial player")
             && stderr.contains("--shards 2 falls back to serial"),
         "missing serial-fallback notice\nstderr:\n{stderr}"
     );

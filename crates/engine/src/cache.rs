@@ -26,10 +26,7 @@ use prdrb_network::{MonitorConfig, NetworkConfig, NotifyMode};
 use prdrb_simcore::stats::{RunningMean, TimeSeries};
 use prdrb_simcore::time::Time;
 use prdrb_simcore::StableHasher;
-use prdrb_traffic::{
-    BurstPattern, BurstSchedule, CollectiveKind, CollectiveSpec, OpenLoopSpec, PhaseSpec,
-    ScheduleShape, TrafficPattern,
-};
+use prdrb_traffic::{BurstPattern, BurstSchedule, OpenLoopSpec, PhaseSpec, TrafficPattern};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,20 +68,6 @@ const CACHE_FORMAT: u32 = 7;
 
 /// First line of every cache file.
 const MAGIC: &str = "prdrb-run-cache,v1";
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide cache counters: `(hits, misses)` since start/reset.
-pub fn cache_stats() -> (u64, u64) {
-    (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
-}
-
-/// Zero the process-wide cache counters.
-pub fn reset_cache_stats() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-}
 
 /// Stable 128-bit content hash of a [`SimConfig`] — the identity of a
 /// run. Two configs share a key iff every field (seed included) is
@@ -316,31 +299,8 @@ fn fold_config(cfg: &SimConfig, h: &mut StableHasher) {
                 }
             }
         }
-        Workload::Collective {
-            spec,
-            iterations,
-            compute_ns,
-        } => {
-            h.write_u8(3);
-            let CollectiveSpec {
-                kind,
-                shape,
-                ranks,
-                bytes,
-            } = *spec;
-            h.write_u8(match kind {
-                CollectiveKind::AllToAll => 0,
-                CollectiveKind::AllReduce => 1,
-            });
-            h.write_u8(match shape {
-                ScheduleShape::Ring => 0,
-                ScheduleShape::Tree => 1,
-            });
-            h.write_u32(ranks);
-            h.write_u32(bytes);
-            h.write_u32(*iterations);
-            h.write_u64(*compute_ns);
-        }
+        // Tag 3 is retired: collective runs are keyed as the traces they
+        // lower to.
         Workload::Phased {
             program,
             active_nodes,
@@ -755,9 +715,7 @@ pub fn report_from_csv(text: &str) -> Option<RunReport> {
 /// Each instance carries its own hit/miss counters (shared by clones,
 /// which are views of the same logical cache), so concurrent
 /// `run_many` calls over *different* caches can be observed
-/// independently; the process-wide [`cache_stats`] aggregate still
-/// sees every lookup, but tests no longer need to reset a global to
-/// read one cache's behavior.
+/// independently.
 #[derive(Debug, Clone)]
 pub struct RunCache {
     dir: PathBuf,
@@ -781,7 +739,7 @@ impl RunCache {
     }
 
     /// `(hits, misses)` of this cache instance (and its clones) alone,
-    /// unaffected by other caches and by [`reset_cache_stats`].
+    /// unaffected by other caches.
     pub fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -794,8 +752,7 @@ impl RunCache {
     }
 
     /// Replay the report stored under `key`, if any. Counts a hit or a
-    /// miss both here ([`Self::stats`]) and process-wide
-    /// ([`cache_stats`]).
+    /// miss ([`Self::stats`]).
     pub fn load(&self, key: RunKey) -> Option<RunReport> {
         let loaded = std::fs::read_to_string(self.path(key))
             .ok()
@@ -803,13 +760,11 @@ impl RunCache {
         match &loaded {
             Some(_) => {
                 prdrb_simcore::probe_count!(CacheHit, 0);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                HITS.fetch_add(1, Ordering::Relaxed)
+                self.hits.fetch_add(1, Ordering::Relaxed)
             }
             None => {
                 prdrb_simcore::probe_count!(CacheMiss, 0);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                MISSES.fetch_add(1, Ordering::Relaxed)
+                self.misses.fetch_add(1, Ordering::Relaxed)
             }
         };
         loaded
@@ -993,29 +948,29 @@ mod tests {
     /// variants (field-level sensitivity inside each payload).
     #[test]
     fn new_workload_families_hash_distinctly() {
+        use prdrb_apps::{CollectiveKind, CollectiveSpec, ScheduleShape};
         let with = |w: Workload| {
             let mut c = cfg();
             c.workload = w;
             RunKey::of(&c)
         };
+        let collective = |spec, iterations| {
+            RunKey::of(&SimConfig::collective(
+                TopologyKind::Mesh8x8,
+                PolicyKind::PrDrb,
+                spec,
+                iterations,
+            ))
+        };
         let spec = CollectiveSpec::new(CollectiveKind::AllToAll, ScheduleShape::Ring, 8, 4096);
         let keys = vec![
             RunKey::of(&cfg()),
-            with(Workload::Collective {
-                spec,
-                iterations: 2,
-                compute_ns: 1_000,
-            }),
-            with(Workload::Collective {
-                spec,
-                iterations: 3,
-                compute_ns: 1_000,
-            }),
-            with(Workload::Collective {
-                spec: CollectiveSpec::new(CollectiveKind::AllReduce, ScheduleShape::Tree, 8, 4096),
-                iterations: 2,
-                compute_ns: 1_000,
-            }),
+            collective(spec, 2),
+            collective(spec, 3),
+            collective(
+                CollectiveSpec::new(CollectiveKind::AllReduce, ScheduleShape::Tree, 8, 4096),
+                2,
+            ),
             with(Workload::Phased {
                 program: prdrb_traffic::PhaseProgram::mini_app(2, 10_000, 100.0),
                 active_nodes: 8,
@@ -1065,19 +1020,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = RunCache::new(&dir);
         let key = RunKey::of(&cfg());
-        let (global_hits, global_misses) = cache_stats();
         assert!(cache.load(key).is_none(), "cold cache misses");
         let fresh = crate::run(cfg());
         cache.store(key, &fresh);
         let replay = cache.load(key).expect("stored entry loads");
         assert_eq!(report_to_csv(key, &replay), report_to_csv(key, &fresh));
         // Exact counts come from this instance's own counters — immune
-        // to every other test's (parallel) cache traffic...
+        // to every other test's (parallel) cache traffic.
         assert_eq!(cache.stats(), (1, 1));
-        // ...while the process-wide aggregate still sees the lookups
-        // (only monotonicity can be asserted without serializing tests).
-        let (h, m) = cache_stats();
-        assert!(h >= global_hits + 1 && m >= global_misses + 1);
         // Clones are views of the same logical cache: counters shared.
         let clone = cache.clone();
         assert!(clone.load(key).is_some());

@@ -1,11 +1,11 @@
 //! Simulation configuration.
 
-use prdrb_apps::Trace;
+use prdrb_apps::{lower_collectives, CollectiveSpec, Trace};
 use prdrb_core::{DrbConfig, PolicyKind};
 use prdrb_network::NetworkConfig;
 use prdrb_simcore::time::{Time, MILLISECOND};
 use prdrb_topology::{AnyTopology, Dragonfly, FaultPlan, KAryNTree, Megafly, Mesh2D, NodeId};
-use prdrb_traffic::{BurstSchedule, CollectiveSpec, OpenLoopSpec, PhaseProgram};
+use prdrb_traffic::{BurstSchedule, OpenLoopSpec, PhaseProgram};
 use std::sync::Arc;
 
 /// Which topology to instantiate.
@@ -145,21 +145,11 @@ pub enum Workload {
         /// Message size in bytes.
         msg_bytes: u32,
     },
-    /// Replay an application logical trace (collectives must already be
-    /// lowered — [`crate::Simulation::new`] lowers them if present).
+    /// Replay a point-to-point logical trace, rank `r` on the `r`-th
+    /// NIC. The trace holds no collectives: [`SimConfig::trace`] and
+    /// [`SimConfig::collective`] lower them when the run is configured
+    /// (`prdrb_apps::collectives`), and the player rejects any left.
     Trace(Arc<Trace>),
-    /// An MPI-style collective schedule (DESIGN §12): `iterations`
-    /// repetitions of the spec's rounds, lowered onto the trace player
-    /// with rank `r` attached to the `r`-th NIC. Runs serial like
-    /// [`Workload::Trace`] (the player leaves zero host lookahead).
-    Collective {
-        /// The operation × schedule-shape instance.
-        spec: CollectiveSpec,
-        /// Back-to-back repetitions of the schedule.
-        iterations: u32,
-        /// Model computation between iterations (0 = none).
-        compute_ns: Time,
-    },
     /// Phase-structured mini-app loop: the first `active_nodes`
     /// terminals inject per the phase in force, and per-phase
     /// solution-store probes attribute policy activity to global phase
@@ -221,7 +211,8 @@ pub struct SimConfig {
     /// determinism cross-check that costs 1.1–1.5× the serial wall
     /// time, not part of the run's identity (excluded from the cache
     /// key).
-    /// Trace workloads and zero-latency links always run serial.
+    /// Trace workloads (collective runs included — they are traces
+    /// too) and zero-latency links always run serial.
     pub shards: u32,
     /// Optimistic shard execution (checkpoint/rollback speculation
     /// past the conservative window, `network::SpecConfig::default()`
@@ -261,35 +252,16 @@ impl SimConfig {
         }
     }
 
-    /// A collective workload run: `iterations` repetitions of `spec`
-    /// with a small compute gap between them, running to completion
-    /// like a trace.
+    /// A collective workload run (DESIGN §12): `iterations` repetitions
+    /// of `spec` with a 50 µs compute gap between them, lowered to a
+    /// point-to-point trace and run to completion like one.
     pub fn collective(
         topology: TopologyKind,
         policy: PolicyKind,
         spec: CollectiveSpec,
         iterations: u32,
     ) -> Self {
-        Self {
-            label: format!("{}x{iterations}", spec.label()),
-            topology,
-            policy,
-            drb: DrbConfig::default(),
-            net: NetworkConfig::default(),
-            workload: Workload::Collective {
-                spec,
-                iterations,
-                compute_ns: 50_000,
-            },
-            seed: 1,
-            duration_ns: Time::MAX / 4,
-            max_ns: 30_000 * MILLISECOND,
-            series_bucket_ns: 100_000,
-            preload_profile: Vec::new(),
-            faults: FaultPlan::none(),
-            shards: 1,
-            speculate: false,
-        }
+        Self::trace(topology, policy, spec.lower(iterations, 50_000))
     }
 
     /// A mini-app phase-loop run: injection ends with the program.
@@ -347,7 +319,8 @@ impl SimConfig {
         }
     }
 
-    /// A trace-replay run (§4.8 application experiments).
+    /// A trace-replay run (§4.8 application experiments). The trace's
+    /// collectives are lowered here, once per configuration.
     pub fn trace(topology: TopologyKind, policy: PolicyKind, trace: Trace) -> Self {
         Self {
             label: trace.name.clone(),
@@ -355,7 +328,7 @@ impl SimConfig {
             policy,
             drb: DrbConfig::default(),
             net: NetworkConfig::default(),
-            workload: Workload::Trace(Arc::new(trace)),
+            workload: Workload::Trace(Arc::new(lower_collectives(&trace))),
             seed: 1,
             duration_ns: Time::MAX / 4,
             max_ns: 30_000 * MILLISECOND,
@@ -371,6 +344,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prdrb_apps::{nas_mg, CollectiveKind, NasClass, ScheduleShape};
     use prdrb_topology::Topology;
     use prdrb_traffic::TrafficPattern;
 
@@ -433,5 +407,28 @@ mod tests {
             Workload::Synthetic { active_nodes, .. } => assert_eq!(active_nodes, 32),
             _ => panic!(),
         }
+    }
+
+    #[test]
+    fn trace_workloads_are_point_to_point_by_construction() {
+        let raw = nas_mg(NasClass::S, 8);
+        assert!(raw.ranks.iter().flatten().any(|e| e.is_collective()));
+        let cfg = SimConfig::trace(TopologyKind::FatTree443, PolicyKind::PrDrb, raw.clone());
+        let Workload::Trace(trace) = &cfg.workload else {
+            panic!("a trace run holds a trace workload");
+        };
+        assert!(trace.ranks.iter().flatten().all(|e| !e.is_collective()));
+        let lowered = lower_collectives(&raw);
+        assert_eq!(trace.name, lowered.name);
+        assert_eq!(trace.ranks, lowered.ranks);
+
+        let spec = CollectiveSpec::new(CollectiveKind::AllReduce, ScheduleShape::Tree, 8, 4096);
+        let cfg = SimConfig::collective(TopologyKind::FatTree443, PolicyKind::PrDrb, spec, 3);
+        assert_eq!(cfg.label, "allreduce-tree-8rx3");
+        let Workload::Trace(trace) = &cfg.workload else {
+            panic!("a collective run holds a trace workload");
+        };
+        assert_eq!(trace.name, cfg.label);
+        assert_eq!(trace.ranks, spec.lower(3, 50_000).ranks);
     }
 }

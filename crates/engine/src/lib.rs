@@ -3,8 +3,9 @@
 //! Ties the substrate together into the experiments of Chapter 4: a
 //! topology + fabric (`prdrb-network`), a source routing policy
 //! (`prdrb-core`), and a workload — synthetic traffic (`prdrb-traffic`)
-//! or an application logical trace replayed by the [`player`]
-//! (`prdrb-apps`) — producing the metrics the figures plot.
+//! or a point-to-point trace (`prdrb-apps` lowers application traces and
+//! collective schedules to one) replayed by the [`player`] — producing
+//! the metrics the figures plot.
 
 #![forbid(unsafe_code)]
 
@@ -14,7 +15,7 @@ pub mod player;
 pub mod report;
 pub mod runner;
 
-pub use cache::{cache_stats, reset_cache_stats, RunCache, RunKey};
+pub use cache::{RunCache, RunKey};
 pub use config::{SimConfig, TopologyKind, Workload, NAMED_TOPOLOGIES};
 pub use player::Player;
 pub use report::RunReport;
@@ -59,15 +60,6 @@ pub fn run_many(cfgs: Vec<SimConfig>, cache: Option<&RunCache>) -> Vec<RunReport
 /// different set of random seeds … averaged to estimate the typical
 /// behavior"). Equivalent to [`run_replicas_serial`], faster.
 pub fn run_replicas(cfg: &SimConfig, seeds: &[u64]) -> Vec<RunReport> {
-    run_replicas_cached(cfg, seeds, None)
-}
-
-/// [`run_replicas`] through a run cache.
-pub fn run_replicas_cached(
-    cfg: &SimConfig,
-    seeds: &[u64],
-    cache: Option<&RunCache>,
-) -> Vec<RunReport> {
     let cfgs = seeds
         .iter()
         .map(|&s| {
@@ -76,7 +68,7 @@ pub fn run_replicas_cached(
             c
         })
         .collect();
-    run_many(cfgs, cache)
+    run_many(cfgs, None)
 }
 
 /// Serial reference implementation of [`run_replicas`] — kept for the

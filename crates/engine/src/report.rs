@@ -1,7 +1,7 @@
 //! Run reports: everything a figure needs from one simulation.
 
 use prdrb_core::PolicyStats;
-use prdrb_metrics::{LatencyMap, LatencyQuantiles, ReportAggregate, SeriesSummary};
+use prdrb_metrics::{LatencyMap, LatencyQuantiles, SeriesSummary};
 use prdrb_simcore::stats::TimeSeries;
 use prdrb_simcore::time::Time;
 
@@ -52,62 +52,58 @@ pub struct RunReport {
 impl RunReport {
     /// Fold seeded replicas into one representative report (§4.3): the
     /// first replica's series/maps frame the figures, the headline
-    /// scalars become cross-seed means (min/max available through
-    /// [`ReportAggregate`] directly), quantile sketches merge losslessly
-    /// and event counters sum. Replica order is significant for f64
-    /// means, so callers must pass reports in a deterministic order —
-    /// the engine's sweep executor already does.
+    /// scalars and the per-router surface become cross-seed means,
+    /// quantile sketches merge losslessly and event counters sum.
+    /// Replica order is significant for f64 means, so callers must pass
+    /// reports in a deterministic order — the engine's sweep executor
+    /// already does.
     pub fn fold_replicas(replicas: Vec<RunReport>) -> RunReport {
         assert!(!replicas.is_empty(), "cannot fold zero replicas");
-        let mut agg = ReportAggregate::new();
+        let sum = |f: fn(&RunReport) -> u64| replicas.iter().map(f).sum::<u64>();
+        let stat =
+            |f: fn(&PolicyStats) -> u64| replicas.iter().map(|r| f(&r.policy_stats)).sum::<u64>();
+        let global_avg_latency_us = mean(replicas.iter().map(|r| r.global_avg_latency_us));
+        // Integer-truncating mean over the replicas that report one.
+        let execs: Vec<u64> = replicas.iter().filter_map(|r| r.exec_time_ns).collect();
+        let exec_time_ns = (!execs.is_empty())
+            .then(|| execs.iter().fold(0.0, |s, &t| s + t as f64) as u64 / execs.len() as u64);
+        let mut quantiles = LatencyQuantiles::new();
         for r in &replicas {
-            agg.push_scalars(r.global_avg_latency_us, r.exec_time_ns);
-            agg.merge_quantiles(&r.quantiles);
-            agg.push_map(&r.latency_map.values_us);
-            agg.add_counter("messages", r.messages);
-            agg.add_counter("offered", r.offered);
-            agg.add_counter("accepted", r.accepted);
-            agg.add_counter("dropped", r.dropped);
-            agg.add_counter("acks_sent", r.acks_sent);
-            agg.add_counter("notifications", r.notifications);
-            agg.add_counter("expansions", r.policy_stats.expansions);
-            agg.add_counter("shrinks", r.policy_stats.shrinks);
-            agg.add_counter("patterns_found", r.policy_stats.patterns_found);
-            agg.add_counter("patterns_reused", r.policy_stats.patterns_reused);
-            agg.add_counter("reuse_applications", r.policy_stats.reuse_applications);
-            agg.add_counter("watchdog_fires", r.policy_stats.watchdog_fires);
-            agg.add_counter("trend_predictions", r.policy_stats.trend_predictions);
-            agg.add_counter(
-                "solutions_invalidated",
-                r.policy_stats.solutions_invalidated,
-            );
-            agg.add_counter("store_lookups", r.policy_stats.store_lookups);
-            agg.add_counter("store_evictions", r.policy_stats.store_evictions);
+            quantiles.merge(&r.quantiles);
         }
-        let mut first = replicas.into_iter().next().expect("non-empty");
-        first.global_avg_latency_us = agg.latency_us().mean();
-        first.exec_time_ns = agg.exec_mean_ns();
-        first.quantiles = agg.quantiles().clone();
-        first.latency_map.values_us = agg.map_means();
-        first.messages = agg.counter("messages");
-        first.offered = agg.counter("offered");
-        first.accepted = agg.counter("accepted");
-        first.dropped = agg.counter("dropped");
-        first.acks_sent = agg.counter("acks_sent");
-        first.notifications = agg.counter("notifications");
-        first.policy_stats = PolicyStats {
-            expansions: agg.counter("expansions"),
-            shrinks: agg.counter("shrinks"),
-            patterns_found: agg.counter("patterns_found"),
-            patterns_reused: agg.counter("patterns_reused"),
-            reuse_applications: agg.counter("reuse_applications"),
-            watchdog_fires: agg.counter("watchdog_fires"),
-            trend_predictions: agg.counter("trend_predictions"),
-            solutions_invalidated: agg.counter("solutions_invalidated"),
-            store_lookups: agg.counter("store_lookups"),
-            store_evictions: agg.counter("store_evictions"),
+        let width = replicas.iter().map(|r| r.latency_map.values_us.len()).max();
+        let cell = |i| {
+            replicas
+                .iter()
+                .filter_map(move |r| r.latency_map.values_us.get(i).copied())
         };
-        first
+        let map_means = (0..width.unwrap_or(0)).map(|i| mean(cell(i))).collect();
+        let mut folded = RunReport {
+            global_avg_latency_us,
+            exec_time_ns,
+            quantiles,
+            messages: sum(|r| r.messages),
+            offered: sum(|r| r.offered),
+            accepted: sum(|r| r.accepted),
+            dropped: sum(|r| r.dropped),
+            acks_sent: sum(|r| r.acks_sent),
+            notifications: sum(|r| r.notifications),
+            policy_stats: PolicyStats {
+                expansions: stat(|p| p.expansions),
+                shrinks: stat(|p| p.shrinks),
+                patterns_found: stat(|p| p.patterns_found),
+                patterns_reused: stat(|p| p.patterns_reused),
+                reuse_applications: stat(|p| p.reuse_applications),
+                watchdog_fires: stat(|p| p.watchdog_fires),
+                trend_predictions: stat(|p| p.trend_predictions),
+                solutions_invalidated: stat(|p| p.solutions_invalidated),
+                store_lookups: stat(|p| p.store_lookups),
+                store_evictions: stat(|p| p.store_evictions),
+            },
+            ..replicas.into_iter().next().expect("non-empty")
+        };
+        folded.latency_map.values_us = map_means;
+        folded
     }
 
     /// Summary of the global latency curve.
@@ -150,5 +146,87 @@ impl RunReport {
             self.messages,
             self.notifications,
         )
+    }
+}
+
+/// Left-to-right mean from `0.0` (zero when empty): the same float
+/// operations as a hand-written `sum / n` loop, so replica order alone
+/// fixes the bits.
+fn mean(values: impl Iterator<Item = f64>) -> f64 {
+    let (sum, n) = values.fold((0.0, 0u64), |(s, n), v| (s + v, n + 1));
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prdrb_topology::{AnyTopology, Mesh2D};
+
+    fn replica(latency_us: f64, exec_time_ns: Option<Time>, map: [f64; 2]) -> RunReport {
+        let mut quantiles = LatencyQuantiles::new();
+        quantiles.push(1_000 + exec_time_ns.unwrap_or(0));
+        RunReport {
+            label: "replica".into(),
+            policy: "pr-drb".into(),
+            topology: "mesh".into(),
+            global_avg_latency_us: latency_us,
+            series: TimeSeries::new(100),
+            quantiles,
+            exec_time_ns,
+            messages: 10,
+            offered: 8,
+            accepted: 7,
+            dropped: 1,
+            acks_sent: 6,
+            notifications: 2,
+            latency_map: LatencyMap::new(&AnyTopology::Mesh(Mesh2D::new(2, 1)), map.to_vec()),
+            router_series: Vec::new(),
+            policy_stats: PolicyStats {
+                expansions: 3,
+                store_evictions: 4,
+                ..PolicyStats::default()
+            },
+            end_ns: 5,
+            truncated: false,
+        }
+    }
+
+    #[test]
+    fn fold_replicas_means_scalars_and_maps_and_sums_counters() {
+        let latencies = [0.1, 0.7, 13.9];
+        let folded = RunReport::fold_replicas(vec![
+            replica(latencies[0], Some(1_000), [1.0, 10.0]),
+            replica(latencies[1], None, [3.0, 30.0]),
+            replica(latencies[2], Some(2_001), [2.0, 20.0]),
+        ]);
+        // Bit-identical to a hand-written left-to-right `sum / n`.
+        let hand = (0.0 + latencies[0] + latencies[1] + latencies[2]) / 3.0;
+        assert_eq!(folded.global_avg_latency_us.to_bits(), hand.to_bits());
+        // Integer-truncating mean over the two reporting replicas.
+        assert_eq!(folded.exec_time_ns, Some(1_500));
+        assert_eq!(folded.latency_map.values_us, vec![2.0, 20.0]);
+        assert_eq!(folded.quantiles.total(), 3);
+        assert_eq!(
+            (
+                folded.messages,
+                folded.offered,
+                folded.accepted,
+                folded.dropped
+            ),
+            (30, 24, 21, 3)
+        );
+        assert_eq!((folded.acks_sent, folded.notifications), (18, 6));
+        assert_eq!(folded.policy_stats.expansions, 9);
+        assert_eq!(folded.policy_stats.store_evictions, 12);
+        assert_eq!(folded.policy_stats.shrinks, 0);
+        // The first replica frames everything that is not folded.
+        assert_eq!((folded.label.as_str(), folded.end_ns), ("replica", 5));
+
+        let untimed = RunReport::fold_replicas(vec![replica(1.0, None, [0.0; 2])]);
+        assert_eq!(untimed.exec_time_ns, None);
     }
 }

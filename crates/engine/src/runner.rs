@@ -10,7 +10,6 @@
 use crate::config::{SimConfig, Workload};
 use crate::player::{Player, SendOp};
 use crate::report::RunReport;
-use prdrb_apps::{lower_collectives, Trace, TraceEvent, COLLECTIVE_TAG_BASE};
 use prdrb_core::{make_policy, RoutingPolicy};
 use prdrb_metrics::{LatencyMap, LatencyQuantiles};
 use prdrb_network::{
@@ -21,9 +20,8 @@ use prdrb_simcore::stats::{RunningMean, TimeSeries};
 use prdrb_simcore::time::{interarrival_ns, ns_to_us, Time};
 use prdrb_simcore::{EventQueue, SimRng};
 use prdrb_topology::{AnyTopology, FaultState, NodeId, RouteState, RouterId, Topology};
-use prdrb_traffic::{exp_gap_ns, CollectiveSpec, TrafficPattern};
+use prdrb_traffic::{exp_gap_ns, TrafficPattern};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Host-side event kinds, ordered (time, kind, id) for determinism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,9 +160,9 @@ pub struct Simulation {
     phase_cursor: Option<(u32, u64, u64)>,
 }
 
-/// Trace replay and collective schedules lower onto the serial player
+/// Trace replay (collective runs included) runs on the serial player
 /// (zero host lookahead leaves no conservative window), so a
-/// `shards > 1` request cannot take effect on them. Say so explicitly —
+/// `shards > 1` request cannot take effect on it. Say so explicitly —
 /// once per process, on stderr — instead of silently running serial;
 /// the `repro` CLI test pins the wording.
 fn notice_serial_fallback(cfg: &SimConfig) {
@@ -172,7 +170,6 @@ fn notice_serial_fallback(cfg: &SimConfig) {
     ONCE.call_once(|| {
         let why = match cfg.workload {
             Workload::Trace(_) => "trace replay",
-            Workload::Collective { .. } => "collective workloads",
             _ => "zero-latency links",
         };
         eprintln!(
@@ -194,16 +191,12 @@ impl Simulation {
         }
         net.acks_enabled = policy.needs_acks();
         net.monitor.mode = policy.notify_mode();
-        // Trace replay (and collective schedules, which lower onto the
-        // same player) feeds deliveries straight back into sends (zero
-        // host lookahead), and zero-latency links leave no conservative
-        // window — both run serial regardless of the shard knob.
-        let sharded = cfg.shards > 1
-            && !matches!(
-                cfg.workload,
-                Workload::Trace(_) | Workload::Collective { .. }
-            )
-            && net.wire_delay_ns > 0;
+        // Trace replay (collective runs included) feeds deliveries
+        // straight back into sends (zero host lookahead), and
+        // zero-latency links leave no conservative window — both run
+        // serial regardless of the shard knob.
+        let sharded =
+            cfg.shards > 1 && !matches!(cfg.workload, Workload::Trace(_)) && net.wire_delay_ns > 0;
         if cfg.shards > 1 && !sharded {
             notice_serial_fallback(&cfg);
         }
@@ -289,24 +282,7 @@ impl Simulation {
                     trace.num_ranks() <= self.topo.num_terminals(),
                     "trace has more ranks than the topology has terminals"
                 );
-                let lowered = if trace.ranks.iter().flatten().any(|e| e.is_collective()) {
-                    Arc::new(lower_collectives(trace))
-                } else {
-                    trace.clone()
-                };
-                self.player = Some(Player::new(lowered));
-            }
-            Workload::Collective {
-                spec,
-                iterations,
-                compute_ns,
-            } => {
-                assert!(
-                    spec.ranks as usize <= self.topo.num_terminals(),
-                    "collective has more ranks than the topology has terminals"
-                );
-                let trace = lower_collective_workload(spec, *iterations, *compute_ns);
-                self.player = Some(Player::new(Arc::new(trace)));
+                self.player = Some(Player::new(trace.clone()));
             }
             Workload::Phased {
                 active_nodes,
@@ -769,49 +745,6 @@ impl Simulation {
     }
 }
 
-/// Lower a collective schedule onto the trace player: per round, every
-/// sender's `Send` (buffered, non-blocking) precedes every receiver's
-/// blocking `Recv`, so a rank enters round `r + 1` only after receiving
-/// everything round `r` addressed to it — the schedule's round barrier,
-/// independent of packet timing. Tags are `iteration * rounds + round`,
-/// kept below [`COLLECTIVE_TAG_BASE`] so they can never collide with
-/// the tag namespace of [`lower_collectives`].
-fn lower_collective_workload(spec: &CollectiveSpec, iterations: u32, compute_ns: Time) -> Trace {
-    assert!(iterations >= 1, "a collective workload needs iterations");
-    let rounds = spec.rounds();
-    let tags_per_iter = rounds.len() as u32;
-    assert!(
-        iterations.saturating_mul(tags_per_iter) < COLLECTIVE_TAG_BASE,
-        "collective tags must stay below the lowering namespace"
-    );
-    let mut trace = Trace::new(
-        format!("{}x{iterations}", spec.label()),
-        spec.ranks as usize,
-    );
-    for it in 0..iterations {
-        if it > 0 && compute_ns > 0 {
-            trace.push_all(TraceEvent::Compute { ns: compute_ns });
-        }
-        for (r, msgs) in rounds.iter().enumerate() {
-            let tag = it * tags_per_iter + r as u32;
-            for m in msgs {
-                trace.push(
-                    m.src,
-                    TraceEvent::Send {
-                        dst: m.dst,
-                        bytes: m.bytes,
-                        tag,
-                    },
-                );
-            }
-            for m in msgs {
-                trace.push(m.dst, TraceEvent::Recv { src: m.src, tag });
-            }
-        }
-    }
-    trace
-}
-
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
@@ -1068,7 +1001,7 @@ mod tests {
 
     #[test]
     fn collective_workloads_complete_losslessly() {
-        use prdrb_traffic::{CollectiveKind, ScheduleShape};
+        use prdrb_apps::{CollectiveKind, CollectiveSpec, ScheduleShape};
         for (kind, shape) in [
             (CollectiveKind::AllToAll, ScheduleShape::Ring),
             (CollectiveKind::AllToAll, ScheduleShape::Tree),
@@ -1082,39 +1015,6 @@ mod tests {
             assert!(r.exec_time_ns.expect("collectives report exec time") > 0);
             assert_eq!(r.offered, r.accepted, "{} lossless", spec.label());
             assert!(r.messages > 0);
-        }
-    }
-
-    #[test]
-    fn collective_lowering_respects_tag_namespace_and_rounds() {
-        let spec = CollectiveSpec::new(
-            prdrb_traffic::CollectiveKind::AllToAll,
-            prdrb_traffic::ScheduleShape::Ring,
-            8,
-            4096,
-        );
-        let trace = lower_collective_workload(&spec, 3, 1_000);
-        assert_eq!(trace.num_ranks(), 8);
-        let max_tag = trace
-            .ranks
-            .iter()
-            .flatten()
-            .filter_map(|e| match e {
-                TraceEvent::Send { tag, .. } | TraceEvent::Recv { tag, .. } => Some(*tag),
-                _ => None,
-            })
-            .max()
-            .unwrap();
-        assert!(max_tag < COLLECTIVE_TAG_BASE);
-        // 3 iterations × 7 rounds of an 8-rank ring all-to-all.
-        assert_eq!(max_tag, 3 * 7 - 1);
-        // Iteration gaps: every rank computes twice (before it 1 and 2).
-        for rank in &trace.ranks {
-            let computes = rank
-                .iter()
-                .filter(|e| matches!(e, TraceEvent::Compute { .. }))
-                .count();
-            assert_eq!(computes, 2);
         }
     }
 

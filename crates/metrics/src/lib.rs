@@ -8,13 +8,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod aggregate;
 pub mod export;
 pub mod latmap;
 pub mod quantiles;
 pub mod series;
 
-pub use aggregate::{Accum, ReportAggregate};
 pub use export::{probe_table, Cell, Table};
 pub use latmap::LatencyMap;
 pub use quantiles::LatencyQuantiles;

@@ -162,8 +162,10 @@ mod tests {
 
     #[test]
     fn link_delay_adds_per_class_extra() {
-        let mut c = NetworkConfig::default();
-        c.wire_class_extra_ns = [0, 160, 5];
+        let c = NetworkConfig {
+            wire_class_extra_ns: [0, 160, 5],
+            ..NetworkConfig::default()
+        };
         assert_eq!(c.link_delay_ns(0), c.wire_delay_ns);
         assert_eq!(c.link_delay_ns(1), c.wire_delay_ns + 160);
         assert_eq!(c.link_delay_ns(2), c.wire_delay_ns + 5);

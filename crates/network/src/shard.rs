@@ -955,8 +955,10 @@ mod tests {
 
     #[test]
     fn lookahead_matches_true_min_cut_latency() {
-        let mut cfg = NetworkConfig::default();
-        cfg.wire_class_extra_ns = [0, 160, 5];
+        let cfg = NetworkConfig {
+            wire_class_extra_ns: [0, 160, 5],
+            ..NetworkConfig::default()
+        };
         for topo in [
             AnyTopology::mesh8x8(),
             AnyTopology::fat_tree_64(),
@@ -986,8 +988,10 @@ mod tests {
     /// inter-board delay as lookahead, not the base wire delay.
     #[test]
     fn board_cuts_widen_the_lookahead_by_the_global_extra() {
-        let mut cfg = NetworkConfig::default();
-        cfg.wire_class_extra_ns = [0, 300, 0];
+        let cfg = NetworkConfig {
+            wire_class_extra_ns: [0, 300, 0],
+            ..NetworkConfig::default()
+        };
         let topo = AnyTopology::Mesh(Mesh2D::with_boards(4, 12, 4));
         for k in [2u32, 3] {
             let plan = ShardPlan::new(&topo, k);

@@ -134,7 +134,7 @@ proptest! {
             (events, offered, accepted, sched)
         };
         let serial = {
-            let mut f = Fabric::new(topo.clone(), cfg.clone());
+            let mut f = Fabric::new(topo.clone(), cfg);
             inject_batch(&mut f, &pkts);
             f.run_to_quiescence(4000 * MILLISECOND);
             let mut d = Vec::new();
@@ -142,7 +142,7 @@ proptest! {
             digest(f.events_processed(), f.stats.offered_data, f.stats.accepted_data, d)
         };
         for shards in [2u32, 4] {
-            let mut f = ShardedFabric::new(topo.clone(), cfg.clone(), shards);
+            let mut f = ShardedFabric::new(topo.clone(), cfg, shards);
             f.set_speculation(SpecConfig {
                 max_depth,
                 force_abort_period: if force { Some(abort_period) } else { None },

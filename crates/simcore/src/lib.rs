@@ -26,5 +26,5 @@ pub use event::{EventEntry, EventQueue, QueueKind};
 pub use hash::StableHasher;
 pub use probe::{ProbeKind, ProbeRow};
 pub use rng::SimRng;
-pub use stats::{Histogram, RunningMean, TimeSeries, WelfordVariance};
+pub use stats::{Histogram, RunningMean, TimeSeries};
 pub use time::{Time, MICROSECOND, MILLISECOND, NANOSECOND, SECOND};

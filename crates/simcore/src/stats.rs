@@ -54,53 +54,6 @@ impl RunningMean {
     }
 }
 
-/// Welford's online variance, for confidence reporting across seeds (§4.3).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WelfordVariance {
-    mean: f64,
-    m2: f64,
-    count: u64,
-}
-
-impl WelfordVariance {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one sample.
-    pub fn push(&mut self, sample: f64) {
-        self.count += 1;
-        let delta = sample - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (sample - self.mean);
-    }
-
-    /// Mean of the samples.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (zero with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Sample count.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
 /// Fixed-width time-bucketed series of means: the figures' latency curves.
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
@@ -261,17 +214,6 @@ mod tests {
         a.merge(&RunningMean::new());
         assert_eq!(a.mean(), 5.0);
         assert_eq!(a.count(), 1);
-    }
-
-    #[test]
-    fn welford_basic() {
-        let mut w = WelfordVariance::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            w.push(x);
-        }
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        // Population variance of this set is 4, sample variance 32/7.
-        assert!((w.variance() - 32.0 / 7.0).abs() < 1e-9);
     }
 
     #[test]

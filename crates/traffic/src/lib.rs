@@ -9,8 +9,6 @@
 //!   and variable-pattern bursts over a uniform background);
 //! * [`hotspot`] — the specific colliding-path scenarios of §4.5 used to
 //!   analyze the path-opening procedures (Figs 4.8/4.9);
-//! * [`collectives`] — MPI-style all-to-all / all-reduce round
-//!   schedules in ring and tree shapes (DESIGN §12);
 //! * [`phases`] — phase-structured mini-app loops, the repetitive
 //!   workload the solution store is built to learn;
 //! * [`openloop`] + [`sampler`] — Poisson arrivals with bounded-Pareto
@@ -20,7 +18,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bursty;
-pub mod collectives;
 pub mod hotspot;
 pub mod openloop;
 pub mod patterns;
@@ -28,7 +25,6 @@ pub mod phases;
 pub mod sampler;
 
 pub use bursty::{BurstPattern, BurstSchedule};
-pub use collectives::{check_exactly_once, CollMsg, CollectiveKind, CollectiveSpec, ScheduleShape};
 pub use hotspot::HotSpotScenario;
 pub use openloop::OpenLoopSpec;
 pub use patterns::TrafficPattern;

@@ -1,67 +1,13 @@
-//! Property-based tests of the workload layer (ISSUE 7 satellite):
-//! every collective schedule delivers each rank's contribution exactly
-//! once for randomized rank counts and payloads, and the deterministic
-//! samplers are pure functions of their seeds.
+//! Property-based tests of the workload layer: the deterministic
+//! samplers are pure functions of their seeds, and phase programs are
+//! total over their time span.
 
 use prdrb_simcore::rng::Splitmix64;
-use prdrb_traffic::{
-    check_exactly_once, exp_gap_ns, BoundedPareto, CollectiveKind, CollectiveSpec, PhaseProgram,
-    PhaseSpec, ScheduleShape, TrafficPattern,
-};
+use prdrb_traffic::{exp_gap_ns, BoundedPareto, PhaseProgram, PhaseSpec, TrafficPattern};
 use proptest::prelude::*;
-
-fn kind_strategy() -> impl Strategy<Value = CollectiveKind> {
-    prop_oneof![
-        Just(CollectiveKind::AllToAll),
-        Just(CollectiveKind::AllReduce)
-    ]
-}
-
-fn shape_strategy() -> impl Strategy<Value = ScheduleShape> {
-    prop_oneof![Just(ScheduleShape::Ring), Just(ScheduleShape::Tree)]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Exactly-once delivery for every (kind, shape) on arbitrary rank
-    /// counts — including non-powers-of-two, where the tree all-to-all
-    /// falls back to the ring and the binomial tree goes ragged.
-    #[test]
-    fn collectives_deliver_exactly_once(
-        kind in kind_strategy(),
-        shape in shape_strategy(),
-        ranks in 2u32..65,
-        bytes in 1u32..1_000_000,
-    ) {
-        let spec = CollectiveSpec::new(kind, shape, ranks, bytes);
-        prop_assert!(
-            check_exactly_once(&spec).is_ok(),
-            "{}: {:?}", spec.label(), check_exactly_once(&spec)
-        );
-    }
-
-    /// Structural invariants every schedule must satisfy for the trace
-    /// player: no self-sends, at most one message per ordered (src,
-    /// dst) pair per round, ranks in range, payloads non-empty.
-    #[test]
-    fn schedules_are_player_safe(
-        kind in kind_strategy(),
-        shape in shape_strategy(),
-        ranks in 2u32..33,
-        bytes in 1u32..65_536,
-    ) {
-        let spec = CollectiveSpec::new(kind, shape, ranks, bytes);
-        for (rno, round) in spec.rounds().iter().enumerate() {
-            let mut seen = std::collections::HashSet::new();
-            for m in round {
-                prop_assert!(m.src < ranks && m.dst < ranks, "round {rno}: rank range");
-                prop_assert!(m.src != m.dst, "round {rno}: self-send");
-                prop_assert!(m.bytes >= 1, "round {rno}: empty payload");
-                prop_assert!(seen.insert((m.src, m.dst)), "round {rno}: dup pair");
-            }
-        }
-    }
 
     /// The sampler streams are pure functions of (seed, index): same
     /// inputs replay byte-identical sequences, different seeds diverge.

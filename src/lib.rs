@@ -41,7 +41,8 @@ pub use prdrb_traffic as traffic;
 /// Everything needed to configure and run simulations.
 pub mod prelude {
     pub use prdrb_apps::{
-        lammps, nas_ft, nas_lu, nas_mg, pop, smg2000, sweep3d, LammpsProblem, NasClass, Trace,
+        lammps, nas_ft, nas_lu, nas_mg, pop, smg2000, sweep3d, CollectiveKind, CollectiveSpec,
+        LammpsProblem, NasClass, ScheduleShape, Trace,
     };
     pub use prdrb_core::{DrbConfig, PolicyKind, Similarity};
     pub use prdrb_engine::{run, run_replicas, RunReport, SimConfig, TopologyKind, Workload};
@@ -50,7 +51,7 @@ pub mod prelude {
     pub use prdrb_simcore::time::{MICROSECOND, MILLISECOND, SECOND};
     pub use prdrb_topology::{AnyTopology, NodeId, Topology};
     pub use prdrb_traffic::{
-        BurstPattern, BurstSchedule, CollectiveKind, CollectiveSpec, HotSpotScenario, OpenLoopSpec,
-        PhaseProgram, PhaseSpec, ScheduleShape, TrafficPattern,
+        BurstPattern, BurstSchedule, HotSpotScenario, OpenLoopSpec, PhaseProgram, PhaseSpec,
+        TrafficPattern,
     };
 }
