@@ -98,25 +98,13 @@ pub fn trace_cfg(policy: PolicyKind, trace: Trace) -> SimConfig {
 }
 
 /// Run one configuration with a label, through the shared run cache.
-/// The CLI-selected shard count and speculation switch are applied
-/// here — neither enters the cache key, so hits and sharded (or
-/// speculative) recomputations are interchangeable.
+/// The CLI-selected shard count is applied here — it does not enter
+/// the cache key, so hits and sharded recomputations are
+/// interchangeable.
 pub fn run_labeled(mut cfg: SimConfig, label: impl Into<String>) -> RunReport {
     cfg.label = label.into();
     cfg.shards = crate::shards();
-    cfg.speculate = crate::speculate();
     prdrb_engine::run_cached(cfg, crate::run_cache()).0
-}
-
-/// Number of seeded replicas per configuration (§4.3 methodology);
-/// override with `PRDRB_SEEDS`. The parallel sweep executor plus the
-/// run cache make replicas cheap, so the default leans high enough
-/// that no paper-vs-measured comparison rides on single-seed noise.
-pub fn num_seeds() -> u64 {
-    std::env::var("PRDRB_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5)
 }
 
 /// Run the same config under several policies, each averaged over the
@@ -145,9 +133,8 @@ pub fn run_policies(
 /// engine's parallel sweep executor and the shared run cache, folding
 /// each config's replicas into one report. Input order is preserved.
 pub fn run_replicated(cfgs: Vec<SimConfig>) -> Vec<RunReport> {
-    let seeds: Vec<u64> = (1..=num_seeds()).collect();
+    let seeds: Vec<u64> = (1..=crate::num_seeds()).collect();
     let shards = crate::shards();
-    let speculate = crate::speculate();
     let jobs: Vec<SimConfig> = cfgs
         .iter()
         .flat_map(|c| {
@@ -155,7 +142,6 @@ pub fn run_replicated(cfgs: Vec<SimConfig>) -> Vec<RunReport> {
                 let mut c = c.clone();
                 c.seed = s;
                 c.shards = shards;
-                c.speculate = speculate;
                 c
             })
         })

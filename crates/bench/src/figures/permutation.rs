@@ -98,7 +98,6 @@ fn load_sweep() -> FigureOutput {
             cfg.duration_ns = crate::scaled(4_000_000);
             cfg.label = format!("load {rate} {}", k.label());
             cfg.shards = crate::shards();
-            cfg.speculate = crate::speculate();
             cfg
         })
         .collect();

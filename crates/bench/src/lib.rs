@@ -91,47 +91,101 @@ pub fn run_cache() -> Option<&'static RunCache> {
         .as_ref()
 }
 
+/// Read the environment setting `var`: `default` when unset, the value
+/// `parse` accepts when set, and an error naming the variable and what
+/// it accepts otherwise.
+fn env_setting<T>(
+    var: &str,
+    default: T,
+    want: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    let Some(raw) = std::env::var_os(var) else {
+        return Ok(default);
+    };
+    raw.to_str()
+        .and_then(parse)
+        .ok_or_else(|| format!("{var}={raw:?}: expected {want}"))
+}
+
+fn env_shards() -> Result<u32, String> {
+    env_setting("PRDRB_SHARDS", 1, "a positive integer", |s| {
+        s.parse().ok().filter(|&n| n >= 1)
+    })
+}
+
+fn env_seeds() -> Result<u64, String> {
+    env_setting("PRDRB_SEEDS", 5, "a positive integer", |s| {
+        s.parse().ok().filter(|&n| n >= 1)
+    })
+}
+
+fn env_scale() -> Result<f64, String> {
+    env_setting("PRDRB_SCALE", 1.0, "a positive finite number", |s| {
+        s.parse().ok().filter(|&x: &f64| x.is_finite() && x > 0.0)
+    })
+}
+
+fn env_topo() -> Result<Option<prdrb_engine::TopologyKind>, String> {
+    let names: Vec<&str> = prdrb_engine::NAMED_TOPOLOGIES
+        .iter()
+        .map(|(n, _)| *n)
+        .collect();
+    env_setting(
+        "PRDRB_TOPO",
+        None,
+        &format!("one of: {}", names.join(", ")),
+        |s| prdrb_engine::TopologyKind::parse(s).map(Some),
+    )
+}
+
+/// Validate every numeric and named `PRDRB_*` setting at once, so a bad
+/// value stops `repro` at startup with the variable's name instead of
+/// running with a silent default or panicking mid-run.
+pub fn check_env() -> Result<(), String> {
+    env_shards()?;
+    env_seeds()?;
+    env_scale()?;
+    env_topo()?;
+    Ok(())
+}
+
+/// The accessors below run after [`check_env`] has passed; a bad value
+/// reaching one is a caller that skipped the check.
+fn checked<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Fabric shard count applied to every figure simulation: set by the
 /// `--shards N` CLI flag (through `PRDRB_SHARDS`), default 1 (serial).
 /// Purely an execution knob — the run-cache key excludes it, so cached
 /// results stay valid and sharded runs must reproduce them byte for
 /// byte.
 pub fn shards() -> u32 {
-    std::env::var("PRDRB_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
+    checked(env_shards())
 }
 
-/// Optimistic shard execution applied to every figure simulation: set
-/// by the `--speculate` CLI flag (through `PRDRB_SPECULATE`), default
-/// off. Only meaningful together with `--shards N > 1`; committed
-/// results stay bit-identical to serial at every abort schedule, so —
-/// exactly like [`shards`] — it never enters the run-cache key.
-pub fn speculate() -> bool {
-    std::env::var("PRDRB_SPECULATE").is_ok_and(|v| v == "1" || v == "true")
+/// Number of seeded replicas per configuration (§4.3 methodology);
+/// override with `PRDRB_SEEDS`. The parallel sweep executor plus the
+/// run cache make replicas cheap, so the default leans high enough
+/// that no paper-vs-measured comparison rides on single-seed noise.
+pub fn num_seeds() -> u64 {
+    checked(env_seeds())
 }
 
 /// Named-topology override: set by the `--topo <name>` CLI flag
 /// (through `PRDRB_TOPO`), validated against the engine's
 /// `NAMED_TOPOLOGIES` table — the single source of truth shared with
-/// `TopologyKind::{name, parse}`. Targets that are topology-generic
-/// consult this to retarget; topology-specific targets ignore it.
+/// `TopologyKind::{name, parse}`. Narrows the `--shards` plan summary.
 pub fn topo_override() -> Option<prdrb_engine::TopologyKind> {
-    std::env::var("PRDRB_TOPO")
-        .ok()
-        .and_then(|n| prdrb_engine::TopologyKind::parse(&n))
+    checked(env_topo())
 }
 
 /// Duration scale factor: `PRDRB_SCALE` (default 1.0) multiplies the
 /// simulated durations so CI / quick runs can shrink every experiment
 /// uniformly.
 pub fn scale() -> f64 {
-    std::env::var("PRDRB_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
+    checked(env_scale())
 }
 
 /// Scale a nanosecond duration by [`scale`].

@@ -6,7 +6,6 @@
 //! repro fig4_13 fig4_14 # several
 //! repro all             # everything (rayon-parallel)
 //! repro all --shards 4  # same outputs, sharded fabric execution
-//! repro all --shards 4 --speculate # plus optimistic (checkpoint/rollback) windows
 //! repro workloads       # the wl_* application-workload targets
 //! repro workloads --quick # same, shrunk for CI smoke use
 //! ```
@@ -18,16 +17,12 @@
 //! `--shards N` runs every figure simulation through the conservative
 //! windowed fabric at N shards. The outputs are bit-identical to serial
 //! by construction, so the flag is a determinism cross-check, not a
-//! speed-up: the shards run one after another and cost 1.1–1.5× the
-//! serial wall time (`load_sweep`: 0.71 s at `--shards 2` against
-//! 0.53 s serial on a 2-core Xeon). At N ≥ 2 the chosen partition is summarized up front — cut size, per-shard
-//! router/NIC balance and the window lookahead the cut earns — for the
-//! two canonical figure topologies.
-//!
-//! `--speculate` additionally runs each sharded simulation under the
-//! optimistic (checkpoint/rollback) window driver; committed outputs
-//! remain bit-identical, and the run ends with one commit/abort
-//! summary line totalled over every speculative window executed.
+//! speed-up: the shards run one after another and cost more wall time
+//! than serial (`load_sweep`: 0.41 s at `--shards 2` against 0.33 s
+//! serial on a 2-vCPU Xeon; EXPERIMENTS.md, "Optimistic execution").
+//! At N ≥ 2 the chosen partition is summarized up front — cut size,
+//! per-shard router/NIC balance and the window lookahead the cut earns
+//! — for every named topology, or only the `--topo` one.
 //!
 //! `--topo <name>` selects a named topology from the engine's
 //! `NAMED_TOPOLOGIES` table (`mesh8x8`, `fattree443`, `dragonfly72`,
@@ -39,9 +34,11 @@
 //! `PRDRB_SCALE` (duration multiplier for quick runs, default 1.0),
 //! `PRDRB_SEEDS` (replicas per config, default 5), `PRDRB_CACHE`
 //! (run-cache dir; `off`/`0` disables, default `results/.cache`),
-//! `PRDRB_SHARDS` (what `--shards` sets, default 1), `PRDRB_SPECULATE`
-//! (what `--speculate` sets; `1`/`true` enables, default off),
-//! `PRDRB_TOPO` (what `--topo` sets, default unset).
+//! `PRDRB_SHARDS` (what `--shards` sets, default 1), `PRDRB_TOPO`
+//! (what `--topo` sets, default unset). `PRDRB_SEEDS` and
+//! `PRDRB_SHARDS` take positive integers, `PRDRB_SCALE` a positive
+//! finite number and `PRDRB_TOPO` a named topology; any other set value
+//! stops `repro` at startup with exit status 2.
 
 use prdrb_bench::figures::{registry, Target};
 use rayon::prelude::*;
@@ -53,19 +50,12 @@ fn main() {
             Some(n) if n >= 1 => {
                 std::env::set_var("PRDRB_SHARDS", n.to_string());
                 args.drain(i..=i + 1);
-                if n >= 2 {
-                    print_shard_plans(n);
-                }
             }
             _ => {
                 eprintln!("--shards needs a positive integer");
                 std::process::exit(2);
             }
         }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--speculate") {
-        std::env::set_var("PRDRB_SPECULATE", "1");
-        args.remove(i);
     }
     if let Some(i) = args.iter().position(|a| a == "--topo") {
         // One table rules the CLI surface: a name is valid iff it is in
@@ -87,6 +77,14 @@ fn main() {
             }
         }
     }
+    if let Err(e) = prdrb_bench::check_env() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
+    let shards = prdrb_bench::shards();
+    if shards >= 2 {
+        print_shard_plans(shards);
+    }
     let targets = registry();
     if args.is_empty() || args[0] == "list" {
         println!("repro targets ({}):", targets.len());
@@ -94,12 +92,25 @@ fn main() {
             println!("  {:<22} {}", t.id, t.title);
         }
         println!(
-            "\nusage: repro [--shards N] [--speculate] [--topo NAME] <id>... | all | \
+            "\nusage: repro [--shards N] [--topo NAME] <id>... | all | \
              workloads [--quick]"
         );
         return;
     }
-    if args[0] == "workloads" {
+    // Every remaining argument must name something: a target, `all`,
+    // or the leading `workloads` alias with its `--quick` flag. A
+    // stray flag is rejected here rather than ignored.
+    let group = args[0] == "workloads";
+    for (i, a) in args.iter().enumerate() {
+        let known = a == "all"
+            || (group && (i == 0 || a == "--quick"))
+            || targets.iter().any(|t| t.id == a);
+        if !known {
+            eprintln!("unknown target: {a} (see `repro list`)");
+            std::process::exit(2);
+        }
+    }
+    if group {
         // Group alias: every wl_* target. --quick shrinks the runs for
         // CI smoke use without clobbering explicit env overrides.
         if args.iter().any(|a| a == "--quick") {
@@ -119,18 +130,10 @@ fn main() {
     let selected: Vec<&Target> = if args.iter().any(|a| a == "all") {
         targets.iter().collect()
     } else {
-        let sel: Vec<&Target> = targets
+        targets
             .iter()
             .filter(|t| args.iter().any(|a| a == t.id))
-            .collect();
-        let known: Vec<&str> = sel.iter().map(|t| t.id).collect();
-        for a in &args {
-            if !known.contains(&a.as_str()) {
-                eprintln!("unknown target: {a} (see `repro list`)");
-                std::process::exit(2);
-            }
-        }
-        sel
+            .collect()
     };
     let started = std::time::Instant::now();
     let outputs: Vec<(String, String, bool, f64)> = selected
@@ -164,21 +167,6 @@ fn main() {
     );
     if let Some((csv, json)) = prdrb_bench::export_probe_artifacts() {
         println!("probe artifacts: {} {}", csv.display(), json.display());
-    }
-    if prdrb_bench::speculate() {
-        // Process-wide totals: cache hits run no fabric, and serial
-        // fallbacks never speculate, so all-zero lines are expected on
-        // fully cached (or --shards 1) invocations.
-        let (commits, aborts, replays) = prdrb_network::spec_stats();
-        println!(
-            "speculation: {commits} window(s) committed clean, {aborts} aborted \
-             ({replays} shard replays, {:.1}% commit rate)",
-            if commits + aborts == 0 {
-                100.0
-            } else {
-                100.0 * commits as f64 / (commits + aborts) as f64
-            }
-        );
     }
     let cache_line = prdrb_bench::report::cache_line();
     println!(

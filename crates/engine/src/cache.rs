@@ -122,9 +122,7 @@ fn fold_config(cfg: &SimConfig, h: &mut StableHasher) {
         // shard-equivalence tests), so serial and sharded runs share
         // cache entries.
         shards: _,
-        // Speculative shard execution commits bit-identical prefixes
-        // at every abort schedule (forced-abort and proptest
-        // coverage), so it shares cache entries the same way.
+        // Ignored field (see its doc): no code reads it.
         speculate: _,
     } = cfg;
     h.write_str(label);
@@ -918,8 +916,7 @@ mod tests {
             assert_eq!(
                 RunKey::of(&c),
                 base,
-                "speculation commits bit-identical results, so speculative \
-                 runs must replay serial cache entries too (shards={k})"
+                "the ignored speculate field must not split cache entries (shards={k})"
             );
         }
     }

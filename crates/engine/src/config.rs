@@ -214,11 +214,12 @@ pub struct SimConfig {
     /// Trace workloads (collective runs included — they are traces
     /// too) and zero-latency links always run serial.
     pub shards: u32,
-    /// Optimistic shard execution (checkpoint/rollback speculation
-    /// past the conservative window, `network::SpecConfig::default()`
-    /// tuning). Only meaningful with `shards > 1`; committed results
-    /// stay bit-identical to serial, so — like [`Self::shards`] — this
-    /// is an execution knob excluded from the cache key.
+    /// Ignored: no code reads this field, and it is excluded from the
+    /// cache key. Optimistic (checkpoint/rollback) shard execution was
+    /// removed; its output was byte-identical to serial, so ignoring
+    /// the flag changes no result. The field stays only because the
+    /// benchmark crate still sets it, and goes when the benchmark stops
+    /// setting it.
     pub speculate: bool,
 }
 

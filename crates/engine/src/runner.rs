@@ -201,12 +201,12 @@ impl Simulation {
             notice_serial_fallback(&cfg);
         }
         let fabric = if sharded {
-            let mut fab =
-                ShardedFabric::with_faults(topo.clone(), net, cfg.shards, cfg.faults.clone());
-            if cfg.speculate {
-                fab.set_speculation(prdrb_network::SpecConfig::default());
-            }
-            NetFabric::Sharded(fab)
+            NetFabric::Sharded(ShardedFabric::with_faults(
+                topo.clone(),
+                net,
+                cfg.shards,
+                cfg.faults.clone(),
+            ))
         } else {
             NetFabric::Serial(Fabric::with_faults(topo.clone(), net, cfg.faults.clone()))
         };
@@ -356,10 +356,10 @@ impl Simulation {
             // event, not `target`: the fabric never consults host state
             // mid-run, and deliveries stop the advance on their own, so
             // clamping at the fabric's own next event (as `target`
-            // does) would hand the windowed backends one zero-width
-            // window per timestamp and starve speculation of any
-            // horizon to speculate into. The whole host-quiet gap is
-            // safe fabric time. When the external queue is empty (the
+            // does) would cut the sharded backend's windows short at
+            // every fabric timestamp instead of letting each run its
+            // full lookahead. The whole host-quiet gap is safe fabric
+            // time. When the external queue is empty (the
             // drain phase) the fabric-event target is kept so an idle
             // clamp cannot inflate the fabric clock — and with it the
             // reported `end_ns` — past the last real event.
@@ -792,31 +792,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn speculative_runs_are_byte_identical_to_serial() {
-        use crate::cache::{report_to_csv, RunKey};
-        for policy in [PolicyKind::Deterministic, PolicyKind::PrDrb] {
-            let base = quick_synth(policy);
-            let key = RunKey::of(&base);
-            let serial = report_to_csv(key, &Simulation::new(base.clone()).run());
-            for k in [2u32, 4] {
-                let mut cfg = base.clone();
-                cfg.shards = k;
-                cfg.speculate = true;
-                assert_eq!(
-                    RunKey::of(&cfg),
-                    key,
-                    "execution knobs must stay out of the run identity"
-                );
-                let spec = report_to_csv(key, &Simulation::new(cfg).run());
-                assert_eq!(serial, spec, "{policy:?} speculate shards={k}");
-            }
-        }
-    }
-
     /// Golden-digest invariance on the dragonfly family: the serial
     /// wheel-calendar run, the serial heap-calendar run, and every
-    /// sharded / speculative execution must serialize byte-identically
+    /// sharded execution must serialize byte-identically
     /// — for an oblivious baseline, for UGAL (ACK-adaptive but not
     /// DRB) and for PR-DRB. Global wires carry extra latency so the
     /// partitioner's all-GLOBAL cut has real lookahead to run under.
@@ -868,14 +846,8 @@ mod tests {
                     cfg.shards = k;
                     assert_eq!(
                         serial,
-                        report_to_csv(key, &Simulation::new(cfg.clone()).run()),
-                        "{topo:?} {policy:?} shards={k}"
-                    );
-                    cfg.speculate = true;
-                    assert_eq!(
-                        serial,
                         report_to_csv(key, &Simulation::new(cfg).run()),
-                        "{topo:?} {policy:?} speculate shards={k}"
+                        "{topo:?} {policy:?} shards={k}"
                     );
                 }
             }

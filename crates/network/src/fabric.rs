@@ -61,7 +61,7 @@ const MAX_HOST_ID: u64 = 1 << 27;
 
 /// A packet handed to the host (data at its destination, ACK at the
 /// original source).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Delivery {
     /// Arrival time (tail fully received).
     pub at: Time,
@@ -69,7 +69,7 @@ pub struct Delivery {
     pub packet: Box<Packet>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 enum NetEvent {
     /// Packet header reaches a router input port.
     Arrive {
@@ -161,17 +161,12 @@ fn event_key(ev: &NetEvent) -> u64 {
 /// shard's outbox until the next window barrier. The destination shard
 /// is encoded by the outbox *lane* the event sits in, not stored per
 /// event — handoffs move whole lanes, never individual events.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct StagedEvent {
     /// Fire time (≥ window start + lookahead by construction).
     pub(crate) at: Time,
     /// Pre-computed [`event_key`].
     pub(crate) key: u64,
-    /// Fabric clock when the event was staged — the generation time.
-    /// Speculative validation keeps a staged event only when its
-    /// generation lies at or before the commit horizon (the generating
-    /// prefix is the part of the speculative run that survives).
-    pub(crate) gen: Time,
     ev: NetEvent,
 }
 
@@ -211,46 +206,6 @@ struct RouterState {
     series: Option<TimeSeries>,
 }
 
-// `Clone` is manual on the router/NIC state so `clone_from` reuses the
-// destination's queue and table allocations — the optimistic sharded
-// driver refreshes one retained `FabricSnapshot` per shard per
-// speculative window, and a derived impl would re-allocate every
-// per-port `Vec`/`VecDeque` each time (the dominant checkpoint cost on
-// quiet fabrics, where almost nothing is actually queued).
-impl Clone for RouterState {
-    fn clone(&self) -> Self {
-        Self {
-            in_q: self.in_q.clone(),
-            in_occ: self.in_occ,
-            out_q: self.out_q.clone(),
-            out_bytes: self.out_bytes.clone(),
-            wire_ns: self.wire_ns.clone(),
-            credits: self.credits.clone(),
-            link_busy_until: self.link_busy_until.clone(),
-            route_pending: self.route_pending,
-            last_notify: self.last_notify.clone(),
-            rr_cursor: self.rr_cursor,
-            contention: self.contention,
-            series: self.series.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.in_q.clone_from(&src.in_q);
-        self.in_occ = src.in_occ;
-        self.out_q.clone_from(&src.out_q);
-        self.out_bytes.clone_from(&src.out_bytes);
-        self.wire_ns.clone_from(&src.wire_ns);
-        self.credits.clone_from(&src.credits);
-        self.link_busy_until.clone_from(&src.link_busy_until);
-        self.route_pending = src.route_pending;
-        self.last_notify.clone_from(&src.last_notify);
-        self.rr_cursor = src.rr_cursor;
-        self.contention = src.contention;
-        self.series.clone_from(&src.series);
-    }
-}
-
 #[derive(Debug)]
 struct NicState {
     queue: VecDeque<Box<Packet>>,
@@ -258,24 +213,6 @@ struct NicState {
     link_busy_until: Time,
     /// Propagation delay of the terminal attachment wire.
     wire_ns: Time,
-}
-
-impl Clone for NicState {
-    fn clone(&self) -> Self {
-        Self {
-            queue: self.queue.clone(),
-            credits: self.credits,
-            link_busy_until: self.link_busy_until,
-            wire_ns: self.wire_ns,
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.queue.clone_from(&src.queue);
-        self.credits = src.credits;
-        self.link_busy_until = src.link_busy_until;
-        self.wire_ns = src.wire_ns;
-    }
 }
 
 /// Cumulative fabric counters.
@@ -300,29 +237,6 @@ pub struct FabricStats {
     /// Control packets (ACKs, predictive notifications) lost the same
     /// ways.
     pub dropped_ctrl: u64,
-}
-
-/// A copy of one shard fabric's observable execution state, taken at a
-/// speculative window's start and restored on conflict. Everything a
-/// dispatched event can read or write is here — router/NIC queues and
-/// credits, the calendar (including its scheduled/processed accounting,
-/// which the bench harness reports), the clock, the materialized fault
-/// view with its replay cursor (a fault landing exactly at a window
-/// start mutates state *inside* the window's event loop), and the
-/// cumulative counters. Deliberately absent: topology, config, route
-/// table (immutable per run), scratch buffers (cleared per use), and
-/// the packet pool (reuse is non-observable).
-#[derive(Debug)]
-pub(crate) struct FabricSnapshot {
-    routers: Vec<RouterState>,
-    nics: Vec<NicState>,
-    q: EventQueue<NetEvent>,
-    deliveries: Vec<Delivery>,
-    next_id: u64,
-    clock: Time,
-    fault_cursor: usize,
-    faults: FaultState,
-    stats: FabricStats,
 }
 
 /// The simulated interconnection network.
@@ -359,15 +273,6 @@ pub struct Fabric {
     faults: FaultState,
     /// Cumulative counters.
     pub stats: FabricStats,
-    /// Incremental-checkpoint epoch: bumped at every snapshot
-    /// refresh, never by simulation. A router/NIC stamp equal to the
-    /// current epoch means "mutated since the retained snapshot was
-    /// last refreshed" — only those entries need re-cloning.
-    chk_epoch: u64,
-    /// Per-router dirty stamps (see `chk_epoch`).
-    touch_rtr: Vec<u64>,
-    /// Per-NIC dirty stamps (see `chk_epoch`).
-    touch_nic: Vec<u64>,
 }
 
 impl Fabric {
@@ -462,8 +367,6 @@ impl Fabric {
             .collect();
         let table = RouteTable::build(&topo);
         let faults = FaultState::new(&topo);
-        let num_routers = routers.len();
-        let num_nics = topo.num_terminals();
         Self {
             topo,
             cfg,
@@ -482,9 +385,6 @@ impl Fabric {
             fault_cursor: 0,
             faults,
             stats: FabricStats::default(),
-            chk_epoch: 1,
-            touch_rtr: vec![0; num_routers],
-            touch_nic: vec![0; num_nics],
         }
     }
 
@@ -595,7 +495,6 @@ impl Fabric {
     /// where the upstream link is the dead wire itself (its credits are
     /// re-initialized on recovery) or a permanently dead router.
     fn drain_port(&mut self, r: RouterId, p: usize) {
-        self.touch_rtr[r.idx()] = self.chk_epoch;
         for vc in 0..NUM_VCS {
             while let Some(pkt) = self.routers[r.idx()].in_q[p][vc].pop_front() {
                 self.drop_boxed(pkt);
@@ -611,7 +510,6 @@ impl Fabric {
     /// Re-initialize the credits of output port `p` at `r` to a full
     /// downstream buffer (LinkUp retraining).
     fn reset_credits(&mut self, r: RouterId, p: usize) {
-        self.touch_rtr[r.idx()] = self.chk_epoch;
         self.routers[r.idx()].credits[p] = [self.cfg.input_buf_bytes as i64; NUM_VCS];
     }
 
@@ -659,7 +557,6 @@ impl Fabric {
                 ctx.outbox[dst as usize].push(StagedEvent {
                     at,
                     key: event_key(&ev),
-                    gen: self.clock,
                     ev,
                 });
                 return;
@@ -676,19 +573,6 @@ impl Fabric {
     /// past the last processed event — the window driver owns the
     /// run-level clock semantics. Returns events processed.
     pub(crate) fn run_window(&mut self, wend: Time) -> u64 {
-        let n = self.run_window_open(wend);
-        self.seal_window(wend);
-        n
-    }
-
-    /// The event-processing half of [`Self::run_window`]: pop and
-    /// dispatch every local event with time ≤ `wend`, but do **not**
-    /// seal the calendar there. The speculative driver runs shards open
-    /// to an optimistic horizon, decides the commit time at the barrier,
-    /// and seals at that (possibly earlier) time — sealing at the
-    /// horizon would poison later acceptance of cross-shard events that
-    /// land between the commit time and the horizon.
-    pub(crate) fn run_window_open(&mut self, wend: Time) -> u64 {
         let mut n = 0;
         while let Some(entry) = self.q.pop_before(wend) {
             self.apply_faults_through(entry.time);
@@ -696,131 +580,9 @@ impl Fabric {
             self.dispatch(entry.event);
             n += 1;
         }
-        n
-    }
-
-    /// Seal the calendar at `wend`: apply faults up to the boundary and
-    /// advance the queue clock so a late cross-shard insertion into the
-    /// executed range trips the causality assert.
-    pub(crate) fn seal_window(&mut self, wend: Time) {
         self.apply_faults_through(wend);
         self.q.advance_to(wend);
-    }
-
-    /// Checkpoint the complete observable execution state: queues,
-    /// calendar (with its push/pop accounting), clock, fault view and
-    /// counters. The packet pool is deliberately *not* captured — box
-    /// reuse is non-observable (`pool::tests::boxes_are_reused_and_fully
-    /// _overwritten`), so replay drawing different boxes from the arena
-    /// cannot change results, and skipping the free lists keeps the
-    /// snapshot proportional to live state.
-    pub(crate) fn checkpoint(&mut self) -> FabricSnapshot {
-        // A full clone starts a fresh dirty-tracking generation: bump
-        // the epoch so subsequent mutations stamp themselves as newer
-        // than this snapshot and `checkpoint_into` refreshes exactly
-        // them.
-        self.chk_epoch += 1;
-        FabricSnapshot {
-            routers: self.routers.clone(),
-            nics: self.nics.clone(),
-            q: self.q.clone(),
-            deliveries: self.deliveries.clone(),
-            next_id: self.next_id,
-            clock: self.clock,
-            fault_cursor: self.fault_cursor,
-            faults: self.faults.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Refresh a previously taken snapshot in place. Semantically
-    /// identical to `*snap = self.checkpoint()` but reuses the
-    /// snapshot's allocations via `clone_from` all the way down
-    /// (routers, NICs, the calendar skeleton), so a speculative window
-    /// over a quiet fabric costs roughly the live event population, not
-    /// the topology size. The driver retains each shard's snapshot
-    /// across windows precisely to feed this.
-    pub(crate) fn checkpoint_into(&mut self, snap: &mut FabricSnapshot) {
-        // Only state mutated since this snapshot's last refresh needs
-        // re-cloning; everything else is equal on both sides by
-        // induction from the full clone that created the snapshot.
-        // The dirty stamps make the refresh cost proportional to one
-        // window's activity, not the topology — a shard's foreign
-        // routers, and its own quiet ones, are never touched.
-        for (r, dst) in snap.routers.iter_mut().enumerate() {
-            if self.touch_rtr[r] == self.chk_epoch {
-                dst.clone_from(&self.routers[r]);
-            }
-        }
-        for (n, dst) in snap.nics.iter_mut().enumerate() {
-            if self.touch_nic[n] == self.chk_epoch {
-                dst.clone_from(&self.nics[n]);
-            }
-        }
-        snap.q.clone_from(&self.q);
-        snap.deliveries.clone_from(&self.deliveries);
-        snap.next_id = self.next_id;
-        snap.clock = self.clock;
-        snap.fault_cursor = self.fault_cursor;
-        snap.faults.clone_from(&self.faults);
-        snap.stats = self.stats;
-        // Mutations from here on carry the new epoch, so the next
-        // refresh re-clones exactly what changed in between.
-        self.chk_epoch += 1;
-    }
-
-    /// Roll the fabric back to `snap` (taken by [`Self::checkpoint`]
-    /// or refreshed by [`Self::checkpoint_into`]), leaving the snapshot
-    /// intact so the next speculative window refreshes it in place
-    /// instead of paying a full re-clone. The dirty stamps gate the
-    /// copy-back exactly as they gate the refresh: an entity the
-    /// aborted run never touched is still byte-equal to the snapshot
-    /// and is skipped. Stamps are deliberately left as they are — the
-    /// next refresh then covers the union of the aborted run and its
-    /// replay, a superset of the true diff, which is merely redundant,
-    /// never wrong. Boxes live in the discarded speculative state are
-    /// dropped rather than pooled; the pool's free lists survive
-    /// untouched.
-    pub(crate) fn restore_from(&mut self, snap: &FabricSnapshot) {
-        for (r, src) in snap.routers.iter().enumerate() {
-            if self.touch_rtr[r] == self.chk_epoch {
-                self.routers[r].clone_from(src);
-            }
-        }
-        for (n, src) in snap.nics.iter().enumerate() {
-            if self.touch_nic[n] == self.chk_epoch {
-                self.nics[n].clone_from(src);
-            }
-        }
-        self.q.clone_from(&snap.q);
-        self.deliveries.clone_from(&snap.deliveries);
-        self.next_id = snap.next_id;
-        self.clock = snap.clock;
-        self.fault_cursor = snap.fault_cursor;
-        self.faults.clone_from(&snap.faults);
-        self.stats = snap.stats;
-    }
-
-    /// Append the `(gen, at)` pair of every staged outbox event to
-    /// `into` — the speculative barrier's validation input. Does not
-    /// move the events.
-    pub(crate) fn outbox_meta(&self, into: &mut Vec<(Time, Time)>) {
-        if let Some(ctx) = self.shard.as_ref() {
-            for lane in &ctx.outbox {
-                into.extend(lane.iter().map(|s| (s.gen, s.at)));
-            }
-        }
-    }
-
-    /// Discard every staged outbox event (lanes keep their capacity).
-    /// Used on rollback: the replayed prefix regenerates exactly the
-    /// valid subset, so the speculative outbox is dropped wholesale.
-    pub(crate) fn clear_outbox(&mut self) {
-        if let Some(ctx) = self.shard.as_mut() {
-            for lane in &mut ctx.outbox {
-                lane.clear();
-            }
-        }
+        n
     }
 
     /// Flush the boundary events staged by the last window into the
@@ -968,22 +730,6 @@ impl Fabric {
     }
 
     fn dispatch(&mut self, ev: NetEvent) {
-        // Dirty stamp for incremental checkpoints. Every event mutates
-        // at most its own target's router/NIC state — forwarding and
-        // credit return reach *other* entities only by scheduling
-        // further events — so stamping the target covers every hot-path
-        // mutation. The two cold-path mutators outside dispatch (packet
-        // injection, fault drains/retraining) stamp at their own sites.
-        match &ev {
-            NetEvent::Arrive { router, .. }
-            | NetEvent::RouteTick { router }
-            | NetEvent::TryTx { router, .. }
-            | NetEvent::LinkFree { router, .. }
-            | NetEvent::Credit { router, .. } => self.touch_rtr[router.idx()] = self.chk_epoch,
-            NetEvent::NicCredit { node, .. }
-            | NetEvent::NicTx { node }
-            | NetEvent::Deliver { node, .. } => self.touch_nic[node.idx()] = self.chk_epoch,
-        }
         match ev {
             NetEvent::Arrive {
                 router,
@@ -1512,7 +1258,6 @@ impl Fabric {
             );
             return;
         }
-        self.touch_nic[node.idx()] = self.chk_epoch;
         self.nics[node.idx()].queue.push_back(packet);
         self.sched(at, NetEvent::NicTx { node });
     }

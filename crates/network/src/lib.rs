@@ -28,9 +28,7 @@ pub use fabric::{Delivery, Fabric, FabricStats, NUM_VCS};
 pub use monitor::{contending_flows, dedup_sources, Contender};
 pub use packet::{FlowPair, Packet, PacketKind, PredictiveHeader};
 pub use pool::PacketPool;
-pub use shard::{
-    shard_lookahead, shard_lookahead_live, spec_stats, ParallelStats, ShardedFabric, SpecConfig,
-};
+pub use shard::{shard_lookahead, shard_lookahead_live, ParallelStats, ShardedFabric};
 pub use wire::{decode, encode, WireError, WirePacket};
 
 #[cfg(test)]

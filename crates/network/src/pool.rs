@@ -12,15 +12,6 @@
 //! Recycling cannot change simulation results: a recycled box is fully
 //! overwritten with the new packet value before re-entering the fabric,
 //! and headers hand out empty (cleared) flow vectors.
-//!
-//! For the same reason the pool needs no checkpointing under the
-//! sharded driver's optimistic mode: a `FabricSnapshot` restores every
-//! *live* packet by value but deliberately excludes the arena, so a
-//! rollback may leave boxes on the free lists that the replay
-//! re-allocates in a different order. That is invisible to results —
-//! which allocation backs a packet is never observable (the
-//! overwrite-on-reuse test above pins this), and `allocs`/`reuses` are
-//! wall-clock diagnostics, not simulation state.
 
 use crate::packet::{FlowPair, Packet, PredictiveHeader};
 

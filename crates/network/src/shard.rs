@@ -42,67 +42,15 @@
 //!
 //! Window health is observable two ways: deterministic always-on
 //! aggregates ([`ShardedFabric::parallel_stats`]) and `probes`-feature
-//! sample streams (`shard_window_width_ns`, `shard_handoff_batch`,
-//! `shard_spec_commit`, `shard_spec_abort`, `shard_spec_depth`).
-//!
-//! # Optimistic (speculative) execution
-//!
-//! The conservative window is sound but pessimistic: it assumes every
-//! cross-shard link carries an event every window. When the recent
-//! boundary-traffic histogram says cross-shard events are rare,
-//! [`SpecConfig`] lets the driver run shards *open* past the
-//! conservative bound to an adaptive horizon `start + D·L - 1`
-//! (D = speculation depth), checkpointing each shard's observable
-//! state first. The barrier then computes the **commit horizon**
-//!
-//! ```text
-//! W = min(hend, min { at − 1 : staged boundary event landing at `at` })
-//! ```
-//!
-//! — every observed boundary event must land strictly after the
-//! horizon, because destination calendars seal at `W` and only accept
-//! staged events at the *next* window start; an event with `at ≤ W`
-//! would arrive inside a range its destination already executed. This
-//! single rule is the greatest fixed point of the survival-aware
-//! condition "no event with `gen ≤ W` lands at `at ≤ W`": `gen < at`
-//! holds for every boundary event, so `at ≤ W` already implies
-//! `gen ≤ W`. Each staged event therefore either survives commit
-//! (`gen ≤ W`, deliverable next window since `at > W`) or is
-//! generated past the horizon (`gen > W`), in which case its source's
-//! clock exceeded `W`, the source rolls back, and the event is
-//! discarded with it — to be regenerated when execution legitimately
-//! reaches `gen` again. Because every boundary event satisfies
-//! `at ≥ gen + L ≥ start + L`, the horizon never falls below the
-//! conservative end — speculation commits at least what the
-//! conservative window would have.
-//!
-//! Commit is uniform: every shard whose clock ran past `W` rolls back
-//! (restore checkpoint, discard its whole outbox, deterministically
-//! re-run to `W` — the replay regenerates exactly the surviving
-//! output subset), every other shard keeps its state unchanged (its
-//! clock ≤ W means it executed nothing past `W`), and all calendars
-//! seal at `W`. The committed prefix is therefore byte-identical to a
-//! conservative (and serial) run at every abort schedule, which the
-//! golden digests and the randomized-depth/forced-abort property
-//! tests pin. The adaptive controller widens `D` on commit streaks,
-//! narrows it on aborts, and falls back to the conservative window
-//! (depth 1 — exactly the PR 8 path, no checkpoint taken) after
-//! repeated aborts, bounding a misprediction's cost to the abort
-//! replays plus the per-window checkpoint refresh. That refresh is
-//! what speculation pays for skipping barriers; with every shard on one
-//! thread a barrier costs next to nothing, so speculation is bounded
-//! overhead (checkpoints with nothing to reclaim), never a speed-up.
+//! sample streams (`shard_window_width_ns`, `shard_handoff_batch`).
 
 use crate::config::NetworkConfig;
-use crate::fabric::{
-    delivery_order_key, Delivery, Fabric, FabricSnapshot, FabricStats, StagedEvent,
-};
+use crate::fabric::{delivery_order_key, Delivery, Fabric, FabricStats, StagedEvent};
 use crate::packet::Packet;
+use prdrb_simcore::probe_value;
 use prdrb_simcore::stats::TimeSeries;
 use prdrb_simcore::time::Time;
-use prdrb_simcore::{probe_count, probe_value};
 use prdrb_topology::{AnyTopology, FaultPlan, FaultState, RouterId, ShardPlan, Topology};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Lookahead of a plan: the minimum simulated latency any event needs
@@ -154,16 +102,6 @@ pub struct ParallelStats {
     pub width_sum_ns: u64,
     /// Boundary events handed off across shards at barriers.
     pub handoff_events: u64,
-    /// Speculative windows that committed without any rollback.
-    pub spec_commits: u64,
-    /// Speculative windows in which at least one shard rolled back.
-    pub spec_aborts: u64,
-    /// Shard rollback-and-replays performed (a window can replay
-    /// several shards, so this can exceed [`Self::spec_aborts`]).
-    pub spec_replays: u64,
-    /// Sum of chosen speculation depths over speculative windows;
-    /// divide by `spec_commits + spec_aborts` for the average depth.
-    pub spec_depth_sum: u64,
 }
 
 impl ParallelStats {
@@ -175,118 +113,7 @@ impl ParallelStats {
             self.width_sum_ns as f64 / self.windows as f64
         }
     }
-
-    /// Fraction of speculative windows that committed without rollback
-    /// (1.0 when no window speculated).
-    pub fn spec_commit_rate(&self) -> f64 {
-        let n = self.spec_commits + self.spec_aborts;
-        if n == 0 {
-            1.0
-        } else {
-            self.spec_commits as f64 / n as f64
-        }
-    }
 }
-
-/// Process-wide monotonic speculation totals across every
-/// [`ShardedFabric`] this process ran, mirroring the engine's cache
-/// aggregate: the repro CLI prints its commit/abort summary line from
-/// here, because per-run [`ParallelStats`] are execution artifacts and
-/// deliberately never enter the engine's cached report.
-static GLOBAL_SPEC_COMMITS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_SPEC_ABORTS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_SPEC_REPLAYS: AtomicU64 = AtomicU64::new(0);
-
-/// `(commits, aborts, replays)` summed over every speculative window
-/// this process executed, across all fabrics (monotonic, never reset).
-pub fn spec_stats() -> (u64, u64, u64) {
-    (
-        GLOBAL_SPEC_COMMITS.load(Ordering::Relaxed),
-        GLOBAL_SPEC_ABORTS.load(Ordering::Relaxed),
-        GLOBAL_SPEC_REPLAYS.load(Ordering::Relaxed),
-    )
-}
-
-/// Tuning for the optimistic execution mode (see the module docs).
-/// Every field feeds a deterministic controller: identical inputs pick
-/// identical horizons on every run, so speculation never perturbs
-/// committed results — only how much gets committed per barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpecConfig {
-    /// Master switch; off means every window runs the conservative
-    /// PR 8 path (no checkpoints taken, no extra cost).
-    pub enabled: bool,
-    /// Hard cap on the speculation depth D (horizon = D conservative
-    /// lookaheads). The decaying gap histogram usually caps tighter.
-    pub max_depth: u32,
-    /// Consecutive no-rollback speculative windows before the streak
-    /// controller doubles the depth.
-    pub widen_after: u32,
-    /// Consecutive aborted windows before falling all the way back to
-    /// the conservative window (depth 1).
-    pub abort_fallback: u32,
-    /// Windows to stay conservative after such a fallback before
-    /// probing with depth 2 again.
-    pub cooldown_windows: u32,
-    /// Test hook: clamp the commit horizon of every `n`-th speculative
-    /// window to its conservative end, forcing the rollback path on a
-    /// deterministic schedule. `None` in production.
-    pub force_abort_period: Option<u64>,
-}
-
-impl Default for SpecConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            max_depth: 1024,
-            widen_after: 2,
-            abort_fallback: 3,
-            cooldown_windows: 16,
-            force_abort_period: None,
-        }
-    }
-}
-
-impl SpecConfig {
-    /// Speculation disabled (the [`ShardedFabric`] construction
-    /// default).
-    pub fn off() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-}
-
-/// Buckets in the decaying cross-shard gap histogram: bucket `b`
-/// counts observed gaps of `[2^b, 2^(b+1))` lookaheads (see
-/// `observe_depth`).
-const SPEC_HIST_BUCKETS: usize = 16;
-
-/// Per-window exponential decay of the gap histogram; ~14 windows of
-/// memory, so the controller tracks phase changes without thrashing —
-/// and a dense-traffic verdict ages out during a conservative
-/// stretch, letting the controller re-probe.
-const SPEC_HIST_DECAY: f64 = 0.93;
-
-/// The depth cap is the first-quartile bucket of the decayed gap
-/// distribution: a depth only survives as the cap while ≥ 75 % of
-/// recent speculative windows committed at least that far.
-const SPEC_HIST_MASS: f64 = 0.25;
-
-/// Total decayed mass below which the histogram counts as empty (no
-/// *recent* observations — about half of one observation's weight).
-/// Decaying to literal zero would take hundreds of windows, leaving
-/// the controller disengaged long after the traffic that scared it
-/// has passed; this floor bounds a dense-traffic verdict's lifetime
-/// to ~30 conservative windows before a re-probe.
-const SPEC_HIST_FLOOR: f64 = 0.5;
-
-/// Minimum engaged speculation depth. A speculative window pays one
-/// full state checkpoint per shard; below this widening factor that
-/// cost cannot be amortized, so the controller runs the plain
-/// conservative window instead of speculating shallowly.
-const SPEC_MIN_DEPTH: u32 = 8;
 
 /// A `K`-shard fabric with the same host-facing surface as [`Fabric`]
 /// (inject / run / deliveries / stats), bit-identical results, and
@@ -324,36 +151,6 @@ pub struct ShardedFabric {
     delivery_buf: Vec<Delivery>,
     /// Window aggregates (see [`Self::parallel_stats`]).
     pstats: ParallelStats,
-    /// Optimistic-execution tuning (off by default).
-    spec: SpecConfig,
-    /// Current streak-controlled speculation depth (≥ 1).
-    spec_depth: u32,
-    /// Consecutive no-rollback speculative windows.
-    spec_commit_streak: u32,
-    /// Consecutive aborted speculative windows.
-    spec_abort_streak: u32,
-    /// Conservative windows left before speculation may resume.
-    spec_cooldown: u32,
-    /// Decaying histogram of observed cross-shard event gaps, in
-    /// lookahead units (log2 buckets): each speculative window records
-    /// its achieved commit depth — exactly the gap from the window
-    /// start to the earliest conflicting cross-shard arrival, censored
-    /// at the horizon on a full commit. Caps the depth the streaks may
-    /// reach.
-    gap_hist: [f64; SPEC_HIST_BUCKETS],
-    /// Speculation checkpoints, one per shard. Retained across windows
-    /// as reusable buffers: refreshing an old snapshot in place reuses
-    /// its allocations and — via the fabric's dirty stamps — touches
-    /// only entities mutated since the last refresh, which together
-    /// are most of the checkpoint cost. `None` only until the shard's
-    /// first speculative window; rollbacks copy out of the snapshot
-    /// without consuming it.
-    spec_snaps: Vec<Option<FabricSnapshot>>,
-    /// Per-shard event counts of the window in flight (speculative
-    /// counts are replaced by replay counts on rollback).
-    win_events: Vec<u64>,
-    /// Scratch: `(gen, at)` of every staged event at the barrier.
-    spec_meta: Vec<(Time, Time)>,
 }
 
 impl ShardedFabric {
@@ -410,39 +207,7 @@ impl ShardedFabric {
             next_times: vec![None; shards as usize],
             delivery_buf: Vec::new(),
             pstats: ParallelStats::default(),
-            spec: SpecConfig::off(),
-            spec_depth: 1,
-            spec_commit_streak: 0,
-            spec_abort_streak: 0,
-            spec_cooldown: 0,
-            gap_hist: [0.0; SPEC_HIST_BUCKETS],
-            spec_snaps: (0..shards).map(|_| None).collect(),
-            win_events: vec![0; shards as usize],
-            spec_meta: Vec::new(),
         }
-    }
-
-    /// Install (or disable) optimistic execution. Resets the adaptive
-    /// controller; committed results are unaffected by construction —
-    /// speculation only changes how far each barrier commits.
-    pub fn set_speculation(&mut self, spec: SpecConfig) {
-        self.spec = spec;
-        self.spec_depth = if spec.enabled { SPEC_MIN_DEPTH } else { 1 };
-        self.spec_commit_streak = 0;
-        self.spec_abort_streak = 0;
-        self.spec_cooldown = 0;
-        self.gap_hist = [0.0; SPEC_HIST_BUCKETS];
-        // Retained checkpoint buffers belong to the previous tuning;
-        // drop them (they regrow lazily on the next speculative
-        // window).
-        for snap in &mut self.spec_snaps {
-            *snap = None;
-        }
-    }
-
-    /// The speculation tuning in force.
-    pub fn speculation(&self) -> SpecConfig {
-        self.spec
     }
 
     /// The partition in force.
@@ -669,34 +434,6 @@ impl ShardedFabric {
             let at = self.fault_plan.events()[self.fault_cursor].at;
             wend = wend.min(at - 1); // at > start, so wend >= start
         }
-        // Optimistic horizon: D conservative lookaheads, same clips.
-        // Depth 1 (speculation off, cooldown, or a dense boundary
-        // histogram) degenerates to hend == wend and the unchanged
-        // PR 8 path below — no checkpoint is ever taken for it.
-        let depth = self.window_depth();
-        let mut hend = wend;
-        if depth > 1 {
-            hend = start
-                .saturating_add(
-                    self.lookahead
-                        .saturating_mul(depth as u64)
-                        .saturating_sub(1),
-                )
-                .min(until);
-            if self.fault_cursor < self.fault_plan.events().len() {
-                let at = self.fault_plan.events()[self.fault_cursor].at;
-                hend = hend.min(at - 1);
-            }
-        }
-        let speculative = hend > wend;
-        // Deterministic abort-schedule test hook: clamping the commit
-        // horizon to the conservative end is always valid (it only
-        // discards speculated suffix), so it exercises the rollback
-        // path without perturbing committed results.
-        let forced = speculative
-            && self.spec.force_abort_period.is_some_and(|n| {
-                (self.pstats.spec_commits + self.pstats.spec_aborts + 1).is_multiple_of(n)
-            });
         let merge_from = self.deliveries.len();
         for (s, fab) in self.fabs.iter_mut().enumerate() {
             for st in self.staged[s].drain(..) {
@@ -705,58 +442,11 @@ impl ShardedFabric {
             for p in self.inject_q[s].drain(..) {
                 fab.inject(p);
             }
-            self.win_events[s] = if speculative {
-                // Checkpoint only after inputs are absorbed, so a replay
-                // is restore + re-run, nothing more. A snapshot retained
-                // from an earlier window is refreshed in place —
-                // `checkpoint_into` reuses its allocations, which is most
-                // of the cost.
-                match self.spec_snaps[s].as_mut() {
-                    Some(snap) => fab.checkpoint_into(snap),
-                    None => self.spec_snaps[s] = Some(fab.checkpoint()),
-                }
-                fab.run_window_open(hend)
-            } else {
-                fab.run_window(wend)
-            };
+            self.events += fab.run_window(wend);
         }
-        let (committed, replays) = if speculative {
-            self.spec_meta.clear();
-            for fab in self.fabs.iter() {
-                fab.outbox_meta(&mut self.spec_meta);
-            }
-            let w = if forced {
-                wend
-            } else {
-                commit_horizon(&self.spec_meta, hend)
-            };
-            let mut replays = 0u64;
-            for (s, fab) in self.fabs.iter_mut().enumerate() {
-                // Every shard keeps its snapshot as the reusable buffer
-                // for the next speculative window — a rollback copies the
-                // dirty subset back out of it and leaves it retained, so
-                // an abort never forces a full re-clone later.
-                if fab.event_clock() > w {
-                    let snap = self.spec_snaps[s].as_ref().expect("speculative checkpoint");
-                    // This shard executed past the commit horizon:
-                    // discard its whole output (the replay regenerates
-                    // exactly the surviving subset) and re-run the
-                    // committed prefix.
-                    fab.clear_outbox();
-                    fab.restore_from(snap);
-                    self.win_events[s] = fab.run_window_open(w);
-                    replays += 1;
-                }
-                fab.seal_window(w);
-            }
-            (w, replays)
-        } else {
-            (wend, 0)
-        };
         // Second pass, only after every shard ran: a boundary event
         // produced *in* this window is never accepted in the same window.
         for (s, fab) in self.fabs.iter_mut().enumerate() {
-            self.events += self.win_events[s];
             let moved = fab.take_outbox(&mut self.staged);
             self.pstats.handoff_events += moved;
             probe_value!(ShardHandoffBatch, s, moved);
@@ -766,153 +456,16 @@ impl ShardedFabric {
             self.next_times[s] = fab.next_event_time();
         }
         self.pstats.windows += 1;
-        self.pstats.width_sum_ns += committed - start + 1;
-        probe_value!(ShardWindowWidth, 0u64, committed - start + 1);
-        // Every staged event must be committed-and-deliverable: its
-        // generating prefix committed, and it lands after the seal.
+        self.pstats.width_sum_ns += wend - start + 1;
+        probe_value!(ShardWindowWidth, 0u64, wend - start + 1);
+        // Every staged event lands after the window it was produced in.
         debug_assert!(
-            self.staged
-                .iter()
-                .flatten()
-                .all(|st| st.gen <= committed && st.at > committed),
-            "staged event escaped the commit horizon"
+            self.staged.iter().flatten().all(|st| st.at > wend),
+            "staged event landed inside its own window"
         );
         // Merge this window's deliveries into the serial pop order.
         self.deliveries[merge_from..].sort_by_key(delivery_order_key);
-        if self.spec.enabled {
-            // Decay every window — speculative or not — so a
-            // dense-traffic verdict ages out during a conservative
-            // stretch and the controller re-probes.
-            for m in &mut self.gap_hist {
-                *m *= SPEC_HIST_DECAY;
-            }
-            if speculative {
-                probe_value!(ShardSpecDepth, 0u64, depth);
-                self.observe_depth(start, committed, hend);
-                self.update_controller(depth, replays);
-            }
-        }
     }
-
-    /// Depth for the next window: 1 (conservative) unless speculation
-    /// is enabled, out of cooldown, and the gap histogram supports at
-    /// least [`SPEC_MIN_DEPTH`] — shallower speculation costs more in
-    /// checkpoints than it saves in barriers, so it is never taken.
-    fn window_depth(&mut self) -> u32 {
-        if !self.spec.enabled || self.staged.len() < 2 {
-            return 1;
-        }
-        if self.spec_cooldown > 0 {
-            self.spec_cooldown -= 1;
-            if self.spec_cooldown == 0 {
-                // Cooldown over: probe again from the minimum depth.
-                self.spec_depth = self.spec_depth.max(SPEC_MIN_DEPTH);
-            }
-            return 1;
-        }
-        let d = self
-            .spec_depth
-            .min(self.hist_depth_cap())
-            .min(self.spec.max_depth);
-        if d < SPEC_MIN_DEPTH {
-            1
-        } else {
-            d
-        }
-    }
-
-    /// Depth cap from the decaying gap histogram: the first-quartile
-    /// bucket of the observed gap distribution — depths up to 2^b are
-    /// safe while ≥ 75 % of recent speculative windows committed at
-    /// least that far. An empty histogram (nothing observed recently,
-    /// or everything decayed away during a conservative stretch)
-    /// leaves the cap at `max_depth` so speculation can (re-)probe.
-    fn hist_depth_cap(&self) -> u32 {
-        let total: f64 = self.gap_hist.iter().sum();
-        if total <= SPEC_HIST_FLOOR {
-            return self.spec.max_depth;
-        }
-        let mut acc = 0.0;
-        for (b, &m) in self.gap_hist.iter().enumerate() {
-            acc += m;
-            if acc >= total * SPEC_HIST_MASS {
-                return 1u32 << b.min(30);
-            }
-        }
-        self.spec.max_depth
-    }
-
-    /// Fold a speculative window's outcome into the decaying gap
-    /// histogram. The commit horizon *is* the gap from the window
-    /// start to the earliest conflicting cross-shard arrival, so the
-    /// achieved commit depth (committed width in lookahead units) is a
-    /// direct observation of the cross-shard event gap — censored at
-    /// the horizon when the window committed in full, which records
-    /// one bucket higher ("the gap is at least this wide") so a run of
-    /// full commits invites the next doubling instead of freezing the
-    /// cap at the current depth. Measuring achieved depth rather than
-    /// arrival offsets inside conservative windows keeps the statistic
-    /// independent of the execution mode: narrow windows would report
-    /// every arrival as "one lookahead out" and lock the cap at 1
-    /// forever — exactly the self-fulfilling pessimism speculation
-    /// exists to break.
-    fn observe_depth(&mut self, start: Time, committed: Time, hend: Time) {
-        let l = self.lookahead.max(1);
-        let achieved = ((committed - start + 1) / l).max(1);
-        let mut b = (63 - achieved.leading_zeros()) as usize;
-        if committed >= hend {
-            b += 1;
-        }
-        self.gap_hist[b.min(SPEC_HIST_BUCKETS - 1)] += 1.0;
-    }
-
-    /// Streak controller: widen on sustained full commits, halve on
-    /// any abort, fall back to the conservative window (with cooldown)
-    /// on sustained aborts. All inputs are deterministic, so identical
-    /// runs steer the identical course.
-    fn update_controller(&mut self, depth: u32, replays: u64) {
-        self.pstats.spec_depth_sum += depth as u64;
-        if replays > 0 {
-            self.pstats.spec_aborts += 1;
-            self.pstats.spec_replays += replays;
-            GLOBAL_SPEC_ABORTS.fetch_add(1, Ordering::Relaxed);
-            GLOBAL_SPEC_REPLAYS.fetch_add(replays, Ordering::Relaxed);
-            probe_count!(ShardSpecAbort, replays);
-            self.spec_commit_streak = 0;
-            self.spec_abort_streak += 1;
-            // Halve but keep probing at the engagement floor; only the
-            // fallback below drops fully to the conservative window
-            // (depth 1 never re-enters this controller, so it must
-            // come with a cooldown-ended re-probe, not a dead end).
-            self.spec_depth = (depth / 2).max(SPEC_MIN_DEPTH);
-            if self.spec_abort_streak >= self.spec.abort_fallback {
-                self.spec_depth = 1;
-                self.spec_abort_streak = 0;
-                self.spec_cooldown = self.spec.cooldown_windows;
-            }
-        } else {
-            self.pstats.spec_commits += 1;
-            GLOBAL_SPEC_COMMITS.fetch_add(1, Ordering::Relaxed);
-            probe_count!(ShardSpecCommit, 0u64);
-            self.spec_abort_streak = 0;
-            self.spec_commit_streak += 1;
-            if self.spec_commit_streak >= self.spec.widen_after {
-                self.spec_commit_streak = 0;
-                self.spec_depth = self.spec_depth.saturating_mul(2).min(self.spec.max_depth);
-            }
-        }
-    }
-}
-
-/// Greatest valid commit horizon (see the module docs): every staged
-/// boundary event observed at the barrier must land strictly after it,
-/// because destinations seal their calendars at the horizon and only
-/// accept staged events at the next window start. `gen < at` holds for
-/// every boundary event, so this single min is already the fixed point
-/// of the survival-aware rule — an event generated past the returned
-/// horizon belongs to a shard that rolls back and takes it along.
-fn commit_horizon(meta: &[(Time, Time)], hend: Time) -> Time {
-    meta.iter().map(|&(_, at)| at - 1).fold(hend, Time::min)
 }
 
 #[cfg(test)]
@@ -1071,22 +624,20 @@ mod tests {
         k: u32,
         faults: FaultPlan,
     ) -> (Vec<(Time, u64, NodeId)>, FabricStats, Time, u64) {
-        run_sharded_spec(topo, cfg(), k, faults, SpecConfig::off()).0
+        run_sharded_cfg(topo, cfg(), k, faults).0
     }
 
     #[allow(clippy::type_complexity)]
-    fn run_sharded_spec(
+    fn run_sharded_cfg(
         topo: &AnyTopology,
         cfg: NetworkConfig,
         k: u32,
         faults: FaultPlan,
-        spec: SpecConfig,
     ) -> (
         (Vec<(Time, u64, NodeId)>, FabricStats, Time, u64),
         ParallelStats,
     ) {
         let mut fab = ShardedFabric::with_faults(topo.clone(), cfg, k, faults);
-        fab.set_speculation(spec);
         let mut next_id = 1;
         for p in traffic(topo, &mut next_id) {
             fab.inject(p);
@@ -1144,7 +695,7 @@ mod tests {
         c.wire_class_extra_ns = [0, 240, 0];
         let topo = AnyTopology::Mesh(Mesh2D::with_boards(4, 12, 4));
         let serial = run_serial(&topo, c, FaultPlan::none());
-        let (par, stats) = run_sharded_spec(&topo, c, 3, FaultPlan::none(), SpecConfig::off());
+        let (par, stats) = run_sharded_cfg(&topo, c, 3, FaultPlan::none());
         assert_same(serial, par, "board mesh k=3");
         assert!(stats.windows > 0);
         assert!(
@@ -1264,112 +815,14 @@ mod tests {
         assert_eq!(serial.now(), sharded.now());
     }
 
-    /// Optimistic execution on the default (narrow-lookahead) config
-    /// must commit bit-identical results at every K, and must actually
-    /// speculate (fewer, wider committed windows than conservative).
-    #[test]
-    fn speculative_sequential_matches_serial() {
-        for topo in [AnyTopology::mesh8x8(), AnyTopology::fat_tree_64()] {
-            let serial = run_serial(&topo, cfg(), FaultPlan::none());
-            for k in [1u32, 2, 4] {
-                let (par, pstats) =
-                    run_sharded_spec(&topo, cfg(), k, FaultPlan::none(), SpecConfig::default());
-                let (cons, cstats) =
-                    run_sharded_spec(&topo, cfg(), k, FaultPlan::none(), SpecConfig::off());
-                let tag = format!("spec {} k={k}", topo.label());
-                assert_same((serial.0.clone(), serial.1, serial.2, serial.3), par, &tag);
-                assert_same(
-                    (serial.0.clone(), serial.1, serial.2, serial.3),
-                    cons,
-                    &format!("{tag} conservative"),
-                );
-                if k > 1 {
-                    assert!(
-                        pstats.spec_commits > 0,
-                        "{tag}: speculation must engage on narrow lookaheads"
-                    );
-                    assert!(
-                        pstats.windows < cstats.windows,
-                        "{tag}: speculation must commit in fewer barriers \
-                         ({} vs {})",
-                        pstats.windows,
-                        cstats.windows
-                    );
-                } else {
-                    assert_eq!(pstats.spec_commits + pstats.spec_aborts, 0, "{tag}");
-                }
-            }
-        }
-    }
-
-    /// Forced aborts on a fixed period drive the rollback-and-replay
-    /// path on a deterministic schedule; committed results must not
-    /// move, and the abort accounting must see real replays.
-    #[test]
-    fn forced_abort_schedules_stay_deterministic() {
-        let topo = AnyTopology::mesh8x8();
-        let serial = run_serial(&topo, cfg(), FaultPlan::none());
-        let spec = SpecConfig {
-            force_abort_period: Some(2),
-            // Keep probing after forced aborts instead of falling back
-            // to the conservative floor, so the schedule keeps biting.
-            abort_fallback: u32::MAX,
-            ..SpecConfig::default()
-        };
-        for k in [2u32, 4] {
-            let (par, pstats) = run_sharded_spec(&topo, cfg(), k, FaultPlan::none(), spec);
-            let tag = format!("forced-abort k={k}");
-            assert_same((serial.0.clone(), serial.1, serial.2, serial.3), par, &tag);
-            assert!(
-                pstats.spec_aborts > 0 && pstats.spec_replays > 0,
-                "{tag}: the forced schedule must exercise rollback \
-                 (aborts={}, replays={})",
-                pstats.spec_aborts,
-                pstats.spec_replays
-            );
-            let rate = pstats.spec_commit_rate();
-            assert!(rate > 0.0 && rate < 1.0, "{tag}: commit rate {rate}");
-        }
-    }
-
-    /// Speculation composes with the fault machinery: horizons never
-    /// cross a pending fault time, and rollback restores fault cursors
-    /// and dead-link state along with everything else.
-    #[test]
-    fn faulted_speculative_matches_serial() {
-        let topo = AnyTopology::mesh8x8();
-        let plan = faulty_plan(&topo);
-        let serial = run_serial(&topo, cfg(), plan.clone());
-        for force in [None, Some(3)] {
-            let spec = SpecConfig {
-                force_abort_period: force,
-                ..SpecConfig::default()
-            };
-            let (par, _) = run_sharded_spec(&topo, cfg(), 4, plan.clone(), spec);
-            assert_same(
-                (serial.0.clone(), serial.1, serial.2, serial.3),
-                par,
-                &format!("faulted spec k=4 force={force:?}"),
-            );
-        }
-    }
-
     /// Every window aggregate is deterministic: two identical runs
-    /// report equal stats, whole struct, under the default speculation
-    /// tuning and under a forced-abort schedule.
+    /// report equal stats, whole struct.
     #[test]
     fn parallel_stats_are_deterministic() {
         let topo = AnyTopology::mesh8x8();
-        let forced = SpecConfig {
-            force_abort_period: Some(4),
-            abort_fallback: u32::MAX,
-            ..SpecConfig::default()
-        };
-        for spec in [SpecConfig::default(), forced] {
-            let run = || run_sharded_spec(&topo, cfg(), 4, FaultPlan::none(), spec).1;
-            let stats = run();
-            assert_eq!(stats, run(), "{spec:?}");
-            assert!(stats.spec_commits > 0, "{spec:?}");
-        }
+        let run = || run_sharded_cfg(&topo, cfg(), 4, FaultPlan::none()).1;
+        let stats = run();
+        assert_eq!(stats, run());
+        assert!(stats.windows > 0 && stats.handoff_events > 0);
     }
 }

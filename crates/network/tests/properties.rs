@@ -1,7 +1,7 @@
 //! Property-based tests of the fabric: losslessness, conservation and
 //! determinism under arbitrary packet workloads.
 
-use prdrb_network::{Fabric, NetworkConfig, Packet, ShardedFabric, SpecConfig};
+use prdrb_network::{Fabric, NetworkConfig, Packet, ShardedFabric};
 use prdrb_simcore::time::MILLISECOND;
 use prdrb_simcore::QueueKind;
 use prdrb_topology::{AnyTopology, NodeId, PathDescriptor, RouteState, Topology};
@@ -105,22 +105,15 @@ proptest! {
         prop_assert_eq!(run(&pkts), run(&pkts));
     }
 
-    /// Rollback correctness (ISSUE 9): for arbitrary workloads,
-    /// topologies, calendar backends, speculation depth caps and
-    /// forced-abort schedules, the optimistic sharded fabric commits an
+    /// Sharded correctness: for arbitrary workloads, topologies and
+    /// calendar backends, the conservative sharded fabric commits an
     /// event + delivery schedule identical to the serial fabric at
-    /// K ∈ {2, 4}. `force_abort_period` clamps every n-th speculative
-    /// window's commit horizon to its conservative end, driving the
-    /// checkpoint/restore/replay path on a deterministic schedule that
-    /// random traffic alone would rarely hit.
+    /// K ∈ {2, 4}.
     #[test]
-    fn speculative_commits_match_serial(
+    fn sharded_commits_match_serial(
         pkts in proptest::collection::vec((0u32..64, 0u32..64, 0u64..150_000), 1..80),
         mesh in proptest::bool::ANY,
         wheel in proptest::bool::ANY,
-        max_depth in 2u32..512,
-        abort_period in 1u64..6,
-        force in proptest::bool::ANY,
     ) {
         let topo = if mesh { AnyTopology::mesh8x8() } else { AnyTopology::fat_tree_64() };
         let cfg = NetworkConfig {
@@ -143,11 +136,6 @@ proptest! {
         };
         for shards in [2u32, 4] {
             let mut f = ShardedFabric::new(topo.clone(), cfg, shards);
-            f.set_speculation(SpecConfig {
-                max_depth,
-                force_abort_period: if force { Some(abort_period) } else { None },
-                ..SpecConfig::default()
-            });
             inject_batch_sharded(&mut f, &pkts);
             f.run_to_quiescence(4000 * MILLISECOND);
             let mut d = Vec::new();
@@ -157,8 +145,8 @@ proptest! {
                 f.events_processed(), stats.offered_data, stats.accepted_data, d);
             prop_assert_eq!(
                 &serial, &sharded,
-                "speculative K={} (wheel={}, depth={}, force={:?}) diverged",
-                shards, wheel, max_depth, force.then_some(abort_period)
+                "sharded K={} (wheel={}) diverged",
+                shards, wheel
             );
         }
     }

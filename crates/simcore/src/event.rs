@@ -304,71 +304,10 @@ fn next_set(bits: u64, from: usize) -> Option<usize> {
     }
 }
 
-// `Clone` is manual for the wheel, the backend and the queue so that
-// `clone_from` reuses the destination's allocations — `LEVELS * SLOTS`
-// bucket vectors plus the active/overflow/scratch buffers. A derived
-// impl would fall back to `*self = src.clone()`, re-allocating the
-// whole calendar skeleton; checkpoint-heavy callers (the sharded
-// fabric's optimistic mode snapshots a queue per shard per speculative
-// window) refresh a retained snapshot instead, where only the live
-// event payloads are re-cloned.
-impl<E: Clone> Clone for Wheel<E> {
-    fn clone(&self) -> Self {
-        Self {
-            slots: self.slots.clone(),
-            occupied: self.occupied,
-            active: self.active.clone(),
-            cur_tick: self.cur_tick,
-            overflow: self.overflow.clone(),
-            in_slots: self.in_slots,
-            scratch: self.scratch.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        // Walk only slots occupied on either side: a clear bit implies
-        // an empty slot (every drain path clears the bit as it empties
-        // the bucket), so slots outside the union are empty in both
-        // wheels and need no touch — the refresh costs the live event
-        // population, not the `LEVELS * SLOTS` skeleton.
-        for l in 0..LEVELS {
-            let mut bits = self.occupied[l] | src.occupied[l];
-            while bits != 0 {
-                let s = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.slots[l * SLOTS + s].clone_from(&src.slots[l * SLOTS + s]);
-            }
-        }
-        self.occupied = src.occupied;
-        self.active.clone_from(&src.active);
-        self.cur_tick = src.cur_tick;
-        self.overflow.clone_from(&src.overflow);
-        self.in_slots = src.in_slots;
-        self.scratch.clone_from(&src.scratch);
-    }
-}
-
 #[derive(Debug)]
 enum Backend<E: Eq> {
     Heap(BinaryHeap<Reverse<EventEntry<E>>>),
     Wheel(Box<Wheel<E>>),
-}
-
-impl<E: Eq + Clone> Clone for Backend<E> {
-    fn clone(&self) -> Self {
-        match self {
-            Self::Heap(h) => Self::Heap(h.clone()),
-            Self::Wheel(w) => Self::Wheel(w.clone()),
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        match (self, src) {
-            (Self::Heap(a), Self::Heap(b)) => a.clone_from(b),
-            (Self::Wheel(a), Self::Wheel(b)) => a.as_mut().clone_from(b),
-            (me, s) => *me = s.clone(),
-        }
-    }
 }
 
 /// The simulation calendar.
@@ -383,27 +322,6 @@ pub struct EventQueue<E: Eq> {
     now: Time,
     pushed: u64,
     popped: u64,
-}
-
-impl<E: Eq + Clone> Clone for EventQueue<E> {
-    fn clone(&self) -> Self {
-        Self {
-            backend: self.backend.clone(),
-            next_seq: self.next_seq,
-            now: self.now,
-            pushed: self.pushed,
-            popped: self.popped,
-        }
-    }
-
-    /// Allocation-reusing refresh (see [`Backend`]'s impl).
-    fn clone_from(&mut self, src: &Self) {
-        self.backend.clone_from(&src.backend);
-        self.next_seq = src.next_seq;
-        self.now = src.now;
-        self.pushed = src.pushed;
-        self.popped = src.popped;
-    }
 }
 
 impl<E: Eq> Default for EventQueue<E> {

@@ -71,19 +71,11 @@ pub enum ProbeKind {
     /// Boundary events handed off at one window barrier, per source
     /// shard.
     ShardHandoffBatch,
-    /// Speculative window committed in full (no rollback), entity 0.
-    ShardSpecCommit,
-    /// Speculative window aborted — at least one shard rolled back and
-    /// replayed; entity = number of shards replayed that window.
-    ShardSpecAbort,
-    /// Speculation depth (multiples of the conservative lookahead)
-    /// chosen for one window, entity 0.
-    ShardSpecDepth,
 }
 
 impl ProbeKind {
     /// Every kind, in export order.
-    pub const ALL: [ProbeKind; 17] = [
+    pub const ALL: [ProbeKind; 14] = [
         ProbeKind::QueueWait,
         ProbeKind::OutputWait,
         ProbeKind::ArbSteps,
@@ -98,9 +90,6 @@ impl ProbeKind {
         ProbeKind::PhaseExpansion,
         ProbeKind::ShardWindowWidth,
         ProbeKind::ShardHandoffBatch,
-        ProbeKind::ShardSpecCommit,
-        ProbeKind::ShardSpecAbort,
-        ProbeKind::ShardSpecDepth,
     ];
 
     /// Stable export name (snake_case, used in CSV/JSON schemas).
@@ -120,9 +109,6 @@ impl ProbeKind {
             ProbeKind::PhaseExpansion => "phase_expansion",
             ProbeKind::ShardWindowWidth => "shard_window_width_ns",
             ProbeKind::ShardHandoffBatch => "shard_handoff_batch",
-            ProbeKind::ShardSpecCommit => "shard_spec_commit",
-            ProbeKind::ShardSpecAbort => "shard_spec_abort",
-            ProbeKind::ShardSpecDepth => "shard_spec_depth",
         }
     }
 }

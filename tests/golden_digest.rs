@@ -51,33 +51,6 @@ fn assert_backend_invariant(label: &str, cfg: SimConfig) {
              the heap reference"
         );
     }
-    // Optimistic (checkpoint/rollback) execution legs: speculation may
-    // only change how much each barrier commits, never what — the
-    // committed artifacts must match the serial reference bit for bit
-    // on both calendar backends, and the knob (like the shard count)
-    // must stay out of the run identity.
-    for (shards, queue) in [
-        (2u32, QueueKind::Wheel),
-        (4, QueueKind::Wheel),
-        (4, QueueKind::Heap),
-    ] {
-        let mut cfg = wheel_cfg.clone();
-        cfg.net.queue = queue;
-        cfg.shards = shards;
-        cfg.speculate = true;
-        assert_eq!(
-            RunKey::of(&cfg),
-            kh,
-            "{label}: the speculation knob must not enter the run-cache key"
-        );
-        let report = run(cfg);
-        assert_eq!(
-            report_to_csv(kw, &report),
-            reference,
-            "{label}: speculative run at shards={shards} ({queue:?}) \
-             diverged from the heap reference"
-        );
-    }
 }
 
 /// Shortened `fig4_8`: mesh hot-spot situation 1 under DRB — exercises

@@ -142,13 +142,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Sharded execution — conservative or optimistic — is
-    /// bit-identical to the serial fabric on randomized topologies and
-    /// traffic: for any mesh / fat-tree shape, policy, load and seed,
-    /// running with `shards ∈ {2, 4}` (with or without
-    /// checkpoint/rollback speculation) reproduces the `shards = 1`
-    /// report byte for byte through the run cache's canonical CSV
-    /// encoding.
+    /// Sharded execution is bit-identical to the serial fabric on
+    /// randomized topologies and traffic: for any mesh / fat-tree
+    /// shape, policy, load and seed, running with `shards ∈ {2, 4}`
+    /// reproduces the `shards = 1` report byte for byte through the run
+    /// cache's canonical CSV encoding.
     #[test]
     fn sharded_runs_match_serial_bit_for_bit(
         policy_idx in 0usize..7,
@@ -156,7 +154,6 @@ proptest! {
         seed in 0u64..1000,
         shape in 0usize..4,
         pattern in 0usize..3,
-        speculate in proptest::bool::ANY,
     ) {
         use pr_drb::engine::cache::report_to_csv;
         use pr_drb::engine::RunKey;
@@ -182,16 +179,12 @@ proptest! {
         for shards in [2u32, 4] {
             let mut c = cfg.clone();
             c.shards = shards;
-            // Optimistic execution is an execution knob like the shard
-            // count: committed results must not move, keys must not
-            // change.
-            c.speculate = speculate;
             prop_assert_eq!(RunKey::of(&c), key);
             let sharded = report_to_csv(key, &run(c));
             prop_assert_eq!(
                 &serial, &sharded,
-                "shards={} speculate={} diverged on {:?}/{:?}",
-                shards, speculate, topology, policy
+                "shards={} diverged on {:?}/{:?}",
+                shards, topology, policy
             );
         }
     }
