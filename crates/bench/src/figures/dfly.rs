@@ -88,8 +88,7 @@ fn dfly_cfg(policy: PolicyKind, noisy: bool) -> SimConfig {
         noise_mbps: if noisy { 900.0 } else { 0.0 },
         msg_bytes: 1024,
     };
-    // Global wires are long: the extra latency is both physically
-    // honest and the lookahead the all-GLOBAL shard cut runs under.
+    // Global wires are long: 500 ns extra on every inter-group link.
     cfg.net.wire_class_extra_ns[LINK_CLASS_GLOBAL as usize] = 500;
     // Zone thresholds bracketing the stencil's working zone: diameter-3
     // paths with one long global sit around 10 µs loaded.

@@ -98,12 +98,8 @@ pub fn trace_cfg(policy: PolicyKind, trace: Trace) -> SimConfig {
 }
 
 /// Run one configuration with a label, through the shared run cache.
-/// The CLI-selected shard count is applied here — it does not enter
-/// the cache key, so hits and sharded recomputations are
-/// interchangeable.
 pub fn run_labeled(mut cfg: SimConfig, label: impl Into<String>) -> RunReport {
     cfg.label = label.into();
-    cfg.shards = crate::shards();
     prdrb_engine::run_cached(cfg, crate::run_cache()).0
 }
 
@@ -134,14 +130,12 @@ pub fn run_policies(
 /// each config's replicas into one report. Input order is preserved.
 pub fn run_replicated(cfgs: Vec<SimConfig>) -> Vec<RunReport> {
     let seeds: Vec<u64> = (1..=crate::num_seeds()).collect();
-    let shards = crate::shards();
     let jobs: Vec<SimConfig> = cfgs
         .iter()
         .flat_map(|c| {
             seeds.iter().map(move |&s| {
                 let mut c = c.clone();
                 c.seed = s;
-                c.shards = shards;
                 c
             })
         })

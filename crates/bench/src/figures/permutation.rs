@@ -97,7 +97,6 @@ fn load_sweep() -> FigureOutput {
             let mut cfg = ft_cfg(k, TrafficPattern::Shuffle, rate, 32);
             cfg.duration_ns = crate::scaled(4_000_000);
             cfg.label = format!("load {rate} {}", k.label());
-            cfg.shards = crate::shards();
             cfg
         })
         .collect();

@@ -108,12 +108,6 @@ fn env_setting<T>(
         .ok_or_else(|| format!("{var}={raw:?}: expected {want}"))
 }
 
-fn env_shards() -> Result<u32, String> {
-    env_setting("PRDRB_SHARDS", 1, "a positive integer", |s| {
-        s.parse().ok().filter(|&n| n >= 1)
-    })
-}
-
 fn env_seeds() -> Result<u64, String> {
     env_setting("PRDRB_SEEDS", 5, "a positive integer", |s| {
         s.parse().ok().filter(|&n| n >= 1)
@@ -126,27 +120,12 @@ fn env_scale() -> Result<f64, String> {
     })
 }
 
-fn env_topo() -> Result<Option<prdrb_engine::TopologyKind>, String> {
-    let names: Vec<&str> = prdrb_engine::NAMED_TOPOLOGIES
-        .iter()
-        .map(|(n, _)| *n)
-        .collect();
-    env_setting(
-        "PRDRB_TOPO",
-        None,
-        &format!("one of: {}", names.join(", ")),
-        |s| prdrb_engine::TopologyKind::parse(s).map(Some),
-    )
-}
-
-/// Validate every numeric and named `PRDRB_*` setting at once, so a bad
-/// value stops `repro` at startup with the variable's name instead of
-/// running with a silent default or panicking mid-run.
+/// Validate every numeric `PRDRB_*` setting at once, so a bad value
+/// stops `repro` at startup with the variable's name instead of running
+/// with a silent default or panicking mid-run.
 pub fn check_env() -> Result<(), String> {
-    env_shards()?;
     env_seeds()?;
     env_scale()?;
-    env_topo()?;
     Ok(())
 }
 
@@ -156,29 +135,12 @@ fn checked<T>(r: Result<T, String>) -> T {
     r.unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fabric shard count applied to every figure simulation: set by the
-/// `--shards N` CLI flag (through `PRDRB_SHARDS`), default 1 (serial).
-/// Purely an execution knob — the run-cache key excludes it, so cached
-/// results stay valid and sharded runs must reproduce them byte for
-/// byte.
-pub fn shards() -> u32 {
-    checked(env_shards())
-}
-
 /// Number of seeded replicas per configuration (§4.3 methodology);
 /// override with `PRDRB_SEEDS`. The parallel sweep executor plus the
 /// run cache make replicas cheap, so the default leans high enough
 /// that no paper-vs-measured comparison rides on single-seed noise.
 pub fn num_seeds() -> u64 {
     checked(env_seeds())
-}
-
-/// Named-topology override: set by the `--topo <name>` CLI flag
-/// (through `PRDRB_TOPO`), validated against the engine's
-/// `NAMED_TOPOLOGIES` table — the single source of truth shared with
-/// `TopologyKind::{name, parse}`. Narrows the `--shards` plan summary.
-pub fn topo_override() -> Option<prdrb_engine::TopologyKind> {
-    checked(env_topo())
 }
 
 /// Duration scale factor: `PRDRB_SCALE` (default 1.0) multiplies the

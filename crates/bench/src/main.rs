@@ -5,7 +5,6 @@
 //! repro fig4_13         # one target
 //! repro fig4_13 fig4_14 # several
 //! repro all             # everything (rayon-parallel)
-//! repro all --shards 4  # same outputs, sharded fabric execution
 //! repro workloads       # the wl_* application-workload targets
 //! repro workloads --quick # same, shrunk for CI smoke use
 //! ```
@@ -14,76 +13,25 @@
 //! `--quick` there shrinks the runs by defaulting `PRDRB_SCALE=0.2` and
 //! `PRDRB_SEEDS=2` (explicit environment settings win).
 //!
-//! `--shards N` runs every figure simulation through the conservative
-//! windowed fabric at N shards. The outputs are bit-identical to serial
-//! by construction, so the flag is a determinism cross-check, not a
-//! speed-up: the shards run one after another and cost more wall time
-//! than serial (`load_sweep`: 0.41 s at `--shards 2` against 0.33 s
-//! serial on a 2-vCPU Xeon; EXPERIMENTS.md, "Optimistic execution").
-//! At N ≥ 2 the chosen partition is summarized up front — cut size,
-//! per-shard router/NIC balance and the window lookahead the cut earns
-//! — for every named topology, or only the `--topo` one.
-//!
-//! `--topo <name>` selects a named topology from the engine's
-//! `NAMED_TOPOLOGIES` table (`mesh8x8`, `fattree443`, `dragonfly72`,
-//! `megafly20`); unknown names abort with the valid list. The flag
-//! narrows the `--shards` plan summary and is exported to targets via
-//! `PRDRB_TOPO` / `prdrb_bench::topo_override`.
+//! Any other argument — a stray flag included — is an unknown target
+//! and stops `repro` with exit status 2.
 //!
 //! Environment: `PRDRB_RESULTS` (output dir, default `results/`),
 //! `PRDRB_SCALE` (duration multiplier for quick runs, default 1.0),
 //! `PRDRB_SEEDS` (replicas per config, default 5), `PRDRB_CACHE`
-//! (run-cache dir; `off`/`0` disables, default `results/.cache`),
-//! `PRDRB_SHARDS` (what `--shards` sets, default 1), `PRDRB_TOPO`
-//! (what `--topo` sets, default unset). `PRDRB_SEEDS` and
-//! `PRDRB_SHARDS` take positive integers, `PRDRB_SCALE` a positive
-//! finite number and `PRDRB_TOPO` a named topology; any other set value
-//! stops `repro` at startup with exit status 2.
+//! (run-cache dir; `off`/`0` disables, default `results/.cache`).
+//! `PRDRB_SEEDS` takes a positive integer and `PRDRB_SCALE` a positive
+//! finite number; any other set value stops `repro` at startup with
+//! exit status 2.
 
 use prdrb_bench::figures::{registry, Target};
 use rayon::prelude::*;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--shards") {
-        match args.get(i + 1).and_then(|s| s.parse::<u32>().ok()) {
-            Some(n) if n >= 1 => {
-                std::env::set_var("PRDRB_SHARDS", n.to_string());
-                args.drain(i..=i + 1);
-            }
-            _ => {
-                eprintln!("--shards needs a positive integer");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--topo") {
-        // One table rules the CLI surface: a name is valid iff it is in
-        // `NAMED_TOPOLOGIES` (the same table `TopologyKind::build`
-        // round-trips through), so the flag can never drift from the
-        // builders.
-        match args.get(i + 1).map(String::as_str) {
-            Some(name) if prdrb_engine::TopologyKind::parse(name).is_some() => {
-                std::env::set_var("PRDRB_TOPO", name);
-                args.drain(i..=i + 1);
-            }
-            _ => {
-                let names: Vec<&str> = prdrb_engine::NAMED_TOPOLOGIES
-                    .iter()
-                    .map(|(n, _)| *n)
-                    .collect();
-                eprintln!("--topo needs one of: {}", names.join(", "));
-                std::process::exit(2);
-            }
-        }
-    }
     if let Err(e) = prdrb_bench::check_env() {
         eprintln!("{e}");
         std::process::exit(2);
-    }
-    let shards = prdrb_bench::shards();
-    if shards >= 2 {
-        print_shard_plans(shards);
     }
     let targets = registry();
     if args.is_empty() || args[0] == "list" {
@@ -91,10 +39,7 @@ fn main() {
         for t in &targets {
             println!("  {:<22} {}", t.id, t.title);
         }
-        println!(
-            "\nusage: repro [--shards N] [--topo NAME] <id>... | all | \
-             workloads [--quick]"
-        );
+        println!("\nusage: repro <id>... | all | workloads [--quick]");
         return;
     }
     // Every remaining argument must name something: a target, `all`,
@@ -178,34 +123,4 @@ fn main() {
         failed,
         prdrb_bench::results_dir().display()
     );
-}
-
-/// Summarize the partition `--shards N` puts the canonical figure
-/// topologies under: the cut size bounds handoff traffic, the
-/// router/NIC balance bounds per-window skew, and the lookahead (under
-/// default link parameters) is the window width the cut earns.
-fn print_shard_plans(shards: u32) {
-    use prdrb_network::{shard_lookahead, NetworkConfig};
-    use prdrb_topology::{ShardPlan, Topology};
-    let net = NetworkConfig::default();
-    println!("shard plans at K={shards} (default link parameters):");
-    // `--topo <name>` narrows the summary to one named topology;
-    // otherwise every entry of the NAMED table is summarized.
-    let only = prdrb_bench::topo_override();
-    for (name, kind) in prdrb_engine::NAMED_TOPOLOGIES {
-        if only.is_some_and(|k| k != kind) {
-            continue;
-        }
-        let topo = kind.build();
-        let plan = ShardPlan::new(&topo, shards);
-        println!(
-            "  {name:<12} {:<28} cut {:>3} link(s), lookahead {} ns, routers/shard {:?}, \
-             nics/shard {:?}",
-            topo.label(),
-            plan.cut_size(&topo),
-            shard_lookahead(&plan, &topo, &net),
-            plan.shard_sizes(),
-            plan.nic_counts(),
-        );
-    }
 }

@@ -117,12 +117,8 @@ fn fold_config(cfg: &SimConfig, h: &mut StableHasher) {
         series_bucket_ns,
         preload_profile,
         faults,
-        // Like the calendar backend below, the shard count is an
-        // execution knob with bit-identical results (golden-digest and
-        // shard-equivalence tests), so serial and sharded runs share
-        // cache entries.
+        // Ignored fields (see their docs): no code reads them.
         shards: _,
-        // Ignored field (see its doc): no code reads it.
         speculate: _,
     } = cfg;
     h.write_str(label);
@@ -910,7 +906,7 @@ mod tests {
             assert_eq!(
                 RunKey::of(&c),
                 base,
-                "shards={k} must replay serial cache entries"
+                "the ignored shards field must not split cache entries (shards={k})"
             );
             c.speculate = true;
             assert_eq!(

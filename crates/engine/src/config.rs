@@ -30,8 +30,7 @@ pub enum TopologyKind {
         n: u32,
     },
     /// A mesh assembled from boards of `board_h` rows: links crossing a
-    /// board seam are global-class wires, so a partition that cuts only
-    /// seams gets the full inter-board delay as lookahead
+    /// board seam are global-class wires and pay the inter-board delay
     /// (`NetworkConfig::wire_class_extra_ns`).
     BoardMesh {
         /// Width.
@@ -43,8 +42,7 @@ pub enum TopologyKind {
     },
     /// A palm-tree-wired dragonfly: `a` groups of `r` fully connected
     /// routers with `h` global ports each (global links carry the
-    /// GLOBAL wire class, so shard cuts along group boundaries get the
-    /// inter-group delay as lookahead).
+    /// GLOBAL wire class and pay the inter-group delay).
     Dragonfly {
         /// Groups.
         a: u32,
@@ -67,24 +65,6 @@ pub enum TopologyKind {
     },
 }
 
-/// The named topology instances the `repro` CLI accepts via `--topo`
-/// and `print_shard_plans` iterates — one table so the CLI surface and
-/// the builders can never drift apart.
-pub const NAMED_TOPOLOGIES: [(&str, TopologyKind); 4] = [
-    ("mesh8x8", TopologyKind::Mesh8x8),
-    ("fattree443", TopologyKind::FatTree443),
-    ("dragonfly72", TopologyKind::Dragonfly { a: 9, r: 4, h: 2 }),
-    (
-        "megafly20",
-        TopologyKind::Megafly {
-            a: 5,
-            l: 2,
-            s: 2,
-            h: 2,
-        },
-    ),
-];
-
 impl TopologyKind {
     /// Build the topology.
     pub fn build(self) -> AnyTopology {
@@ -99,23 +79,6 @@ impl TopologyKind {
             TopologyKind::Dragonfly { a, r, h } => AnyTopology::Dragonfly(Dragonfly::new(a, r, h)),
             TopologyKind::Megafly { a, l, s, h } => AnyTopology::Megafly(Megafly::new(a, l, s, h)),
         }
-    }
-
-    /// The canonical name of this kind in [`NAMED_TOPOLOGIES`], if it
-    /// is one of the named instances.
-    pub fn name(self) -> Option<&'static str> {
-        NAMED_TOPOLOGIES
-            .iter()
-            .find(|(_, k)| *k == self)
-            .map(|(n, _)| *n)
-    }
-
-    /// Look up a named instance (`repro --topo` parsing).
-    pub fn parse(name: &str) -> Option<TopologyKind> {
-        NAMED_TOPOLOGIES
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, k)| *k)
     }
 }
 
@@ -202,17 +165,15 @@ pub struct SimConfig {
     pub preload_profile: Vec<prdrb_core::ProfiledFlow>,
     /// Deterministic fault schedule (timed link-down/link-up and
     /// router-down events). Part of the run's identity: a faulted run is
-    /// content-addressed like any other, and every shard of a sharded
-    /// run replays the same events at the same simulated times.
+    /// content-addressed like any other, and replays the same events at
+    /// the same simulated times on every run.
     pub faults: FaultPlan,
-    /// Fabric execution shards (conservative windows). `1` runs the
-    /// serial fabric; `K > 1` partitions the topology into K shards
-    /// advanced one after another with bit-identical results — a
-    /// determinism cross-check that costs 1.1–1.5× the serial wall
-    /// time, not part of the run's identity (excluded from the cache
-    /// key).
-    /// Trace workloads (collective runs included — they are traces
-    /// too) and zero-latency links always run serial.
+    /// Ignored: no code reads this field, and it is excluded from the
+    /// cache key. Sharded (conservative-window) fabric execution was
+    /// removed; its output was byte-identical to serial, so ignoring
+    /// the count changes no result. The field stays only because the
+    /// benchmark crate still sets it, and goes when the benchmark stops
+    /// setting it.
     pub shards: u32,
     /// Ignored: no code reads this field, and it is excluded from the
     /// cache key. Optimistic (checkpoint/rollback) shard execution was
@@ -380,18 +341,6 @@ mod tests {
             .num_terminals(),
             20
         );
-    }
-
-    #[test]
-    fn named_topologies_round_trip() {
-        for (name, kind) in NAMED_TOPOLOGIES {
-            assert_eq!(kind.name(), Some(name));
-            assert_eq!(TopologyKind::parse(name), Some(kind));
-            // Each named instance must actually build.
-            assert!(kind.build().num_terminals() > 0);
-        }
-        assert_eq!(TopologyKind::parse("nosuch"), None);
-        assert_eq!(TopologyKind::Mesh { w: 3, h: 3 }.name(), None);
     }
 
     #[test]

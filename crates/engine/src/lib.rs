@@ -16,7 +16,7 @@ pub mod report;
 pub mod runner;
 
 pub use cache::{RunCache, RunKey};
-pub use config::{SimConfig, TopologyKind, Workload, NAMED_TOPOLOGIES};
+pub use config::{SimConfig, TopologyKind, Workload};
 pub use player::Player;
 pub use report::RunReport;
 pub use runner::Simulation;

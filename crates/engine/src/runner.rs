@@ -12,9 +12,7 @@ use crate::player::{Player, SendOp};
 use crate::report::RunReport;
 use prdrb_core::{make_policy, RoutingPolicy};
 use prdrb_metrics::{LatencyMap, LatencyQuantiles};
-use prdrb_network::{
-    Delivery, Fabric, FabricStats, NetworkConfig, Packet, PacketKind, ShardedFabric,
-};
+use prdrb_network::{Delivery, Fabric, Packet, PacketKind};
 use prdrb_simcore::rng::Splitmix64;
 use prdrb_simcore::stats::{RunningMean, TimeSeries};
 use prdrb_simcore::time::{interarrival_ns, ns_to_us, Time};
@@ -38,69 +36,6 @@ fn ext_key(e: Ext) -> u64 {
     match e {
         Ext::Stream(id) => id as u64,
         Ext::Wake(id) => 1 << 32 | id as u64,
-    }
-}
-
-/// The fabric execution backends behind one dispatch surface: the
-/// serial calendar and the K-shard conservative-window driver
-/// (bit-identical by construction — see `prdrb_network::shard`).
-// The serial `Fabric` stays inline rather than boxed: it is the
-// dominant configuration and sits on the simulation's hottest
-// dispatch path, so the variant-size skew is a deliberate trade.
-#[allow(clippy::large_enum_variant)]
-enum NetFabric {
-    Serial(Fabric),
-    Sharded(ShardedFabric),
-}
-
-macro_rules! fab {
-    ($self:ident, $f:ident => $body:expr) => {
-        match $self {
-            NetFabric::Serial($f) => $body,
-            NetFabric::Sharded($f) => $body,
-        }
-    };
-}
-
-impl NetFabric {
-    fn config(&self) -> &NetworkConfig {
-        fab!(self, f => f.config())
-    }
-    fn now(&self) -> Time {
-        fab!(self, f => f.now())
-    }
-    fn alloc_id(&mut self) -> u64 {
-        fab!(self, f => f.alloc_id())
-    }
-    fn inject(&mut self, p: Packet) {
-        fab!(self, f => f.inject(p))
-    }
-    fn next_event_time(&mut self) -> Option<Time> {
-        fab!(self, f => f.next_event_time())
-    }
-    fn run_until_delivery(&mut self, until: Time) -> bool {
-        fab!(self, f => f.run_until_delivery(until))
-    }
-    fn run_to_quiescence(&mut self, max_t: Time) -> Time {
-        fab!(self, f => f.run_to_quiescence(max_t))
-    }
-    fn take_deliveries(&mut self, out: &mut Vec<Delivery>) {
-        fab!(self, f => f.take_deliveries(out))
-    }
-    fn recycle(&mut self, p: Box<Packet>) {
-        fab!(self, f => f.recycle(p))
-    }
-    fn stats(&self) -> FabricStats {
-        match self {
-            NetFabric::Serial(f) => f.stats,
-            NetFabric::Sharded(f) => f.stats(),
-        }
-    }
-    fn router_contention_us(&self, r: RouterId) -> f64 {
-        fab!(self, f => f.router_contention_us(r))
-    }
-    fn router_series(&self, r: RouterId) -> Option<&TimeSeries> {
-        fab!(self, f => f.router_series(r))
     }
 }
 
@@ -131,7 +66,7 @@ struct Stream {
 pub struct Simulation {
     cfg: SimConfig,
     topo: AnyTopology,
-    fabric: NetFabric,
+    fabric: Fabric,
     policy: Box<dyn RoutingPolicy>,
     rng: SimRng,
     streams: Vec<Stream>,
@@ -147,7 +82,7 @@ pub struct Simulation {
     next_tick: Option<Time>,
     /// Host-side fault mirror: the same plan the fabric replays, applied
     /// at the same simulated times, so the policy's `on_fault` hook
-    /// fires identically under every execution backend.
+    /// sees the fabric's fault view.
     faults: FaultState,
     fault_cursor: usize,
     /// Reusable buffers: deliveries swapped out of the fabric per tick
@@ -158,26 +93,6 @@ pub struct Simulation {
     /// phase in force and the policy's reuse/expansion counters when it
     /// began, so per-phase deltas can feed the phase probes.
     phase_cursor: Option<(u32, u64, u64)>,
-}
-
-/// Trace replay (collective runs included) runs on the serial player
-/// (zero host lookahead leaves no conservative window), so a
-/// `shards > 1` request cannot take effect on it. Say so explicitly —
-/// once per process, on stderr — instead of silently running serial;
-/// the `repro` CLI test pins the wording.
-fn notice_serial_fallback(cfg: &SimConfig) {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let why = match cfg.workload {
-            Workload::Trace(_) => "trace replay",
-            _ => "zero-latency links",
-        };
-        eprintln!(
-            "note: {why} lower onto the serial player; --shards {} falls back to serial for \
-             those runs",
-            cfg.shards
-        );
-    });
 }
 
 impl Simulation {
@@ -191,25 +106,7 @@ impl Simulation {
         }
         net.acks_enabled = policy.needs_acks();
         net.monitor.mode = policy.notify_mode();
-        // Trace replay (collective runs included) feeds deliveries
-        // straight back into sends (zero host lookahead), and
-        // zero-latency links leave no conservative window — both run
-        // serial regardless of the shard knob.
-        let sharded =
-            cfg.shards > 1 && !matches!(cfg.workload, Workload::Trace(_)) && net.wire_delay_ns > 0;
-        if cfg.shards > 1 && !sharded {
-            notice_serial_fallback(&cfg);
-        }
-        let fabric = if sharded {
-            NetFabric::Sharded(ShardedFabric::with_faults(
-                topo.clone(),
-                net,
-                cfg.shards,
-                cfg.faults.clone(),
-            ))
-        } else {
-            NetFabric::Serial(Fabric::with_faults(topo.clone(), net, cfg.faults.clone()))
-        };
+        let fabric = Fabric::with_faults(topo.clone(), net, cfg.faults.clone());
         let rng = SimRng::new(cfg.seed);
         let mut sim = Self {
             streams: Vec::new(),
@@ -346,23 +243,16 @@ impl Simulation {
                 break;
             }
             // Let the fabric catch up, stopping at any delivery so the
-            // host reacts at the true timestamp. The serial fabric
-            // surfaces one delivery at a time; the sharded fabric a
-            // whole window's batch in serial pop order — processing
-            // each at its own timestamp keeps the policy-call sequence
-            // identical either way.
+            // host reacts at the true timestamp.
             //
             // The horizon handed to the fabric is the next *external*
             // event, not `target`: the fabric never consults host state
             // mid-run, and deliveries stop the advance on their own, so
-            // clamping at the fabric's own next event (as `target`
-            // does) would cut the sharded backend's windows short at
-            // every fabric timestamp instead of letting each run its
-            // full lookahead. The whole host-quiet gap is safe fabric
-            // time. When the external queue is empty (the
-            // drain phase) the fabric-event target is kept so an idle
-            // clamp cannot inflate the fabric clock — and with it the
-            // reported `end_ns` — past the last real event.
+            // the whole host-quiet gap is safe fabric time. When the
+            // external queue is empty (the drain phase) the fabric-event
+            // target is kept so an idle clamp cannot inflate the fabric
+            // clock — and with it the reported `end_ns` — past the last
+            // real event.
             let horizon = match t_ext {
                 Some(t) => t.min(max),
                 None => target,
@@ -386,9 +276,7 @@ impl Simulation {
     /// Apply every fault-plan event with `at <= now` to the host mirror
     /// and notify the policy at the event's own timestamp. Called from
     /// [`Self::tick_policy`], i.e. before host events fire at `now` and
-    /// before each delivery is handed to the policy — the same points
-    /// under the serial and sharded backends, so the `on_fault` call
-    /// sequence is backend-independent.
+    /// before each delivery is handed to the policy.
     fn apply_faults_through(&mut self, now: Time) {
         while self.fault_cursor < self.cfg.faults.events().len() {
             let tf = self.cfg.faults.events()[self.fault_cursor];
@@ -565,9 +453,8 @@ impl Simulation {
     }
 
     /// Like [`Self::pump_deliveries`], but advances the policy watchdog
-    /// to each delivery's timestamp first, so a batched (sharded)
-    /// delivery stream produces the exact tick/on_ack interleaving the
-    /// serial one does.
+    /// to each delivery's timestamp first, so ticks and faults due by
+    /// then reach the policy before the delivery does.
     fn pump_deliveries_at_time(&mut self) {
         let mut deliveries = std::mem::take(&mut self.delivery_buf);
         self.fabric.take_deliveries(&mut deliveries);
@@ -717,7 +604,7 @@ impl Simulation {
             .player
             .as_ref()
             .and_then(|p| p.all_done().then(|| p.finish_time()));
-        let stats = self.fabric.stats();
+        let stats = self.fabric.stats;
         RunReport {
             quantiles: self.quantiles.clone(),
             label: if self.cfg.label.is_empty() {
@@ -776,30 +663,13 @@ mod tests {
         cfg
     }
 
+    /// Golden-digest invariance on the dragonfly family: the
+    /// wheel-calendar run and the heap-calendar run must serialize
+    /// byte-identically — for an oblivious baseline, for UGAL
+    /// (ACK-adaptive but not DRB) and for PR-DRB. Global wires carry
+    /// extra latency, as in the dragonfly figure.
     #[test]
-    fn sharded_runs_are_byte_identical_to_serial() {
-        use crate::cache::{report_to_csv, RunKey};
-        for policy in [PolicyKind::Deterministic, PolicyKind::PrDrb] {
-            let base = quick_synth(policy);
-            let key = RunKey::of(&base);
-            let serial = report_to_csv(key, &Simulation::new(base.clone()).run());
-            for k in [2u32, 4] {
-                let mut cfg = base.clone();
-                cfg.shards = k;
-                let sharded = report_to_csv(key, &Simulation::new(cfg).run());
-                assert_eq!(serial, sharded, "{policy:?} shards={k}");
-            }
-        }
-    }
-
-    /// Golden-digest invariance on the dragonfly family: the serial
-    /// wheel-calendar run, the serial heap-calendar run, and every
-    /// sharded execution must serialize byte-identically
-    /// — for an oblivious baseline, for UGAL (ACK-adaptive but not
-    /// DRB) and for PR-DRB. Global wires carry extra latency so the
-    /// partitioner's all-GLOBAL cut has real lookahead to run under.
-    #[test]
-    fn dragonfly_family_runs_are_backend_and_shard_invariant() {
+    fn dragonfly_family_runs_are_backend_invariant() {
         use crate::cache::{report_to_csv, RunKey};
         use prdrb_simcore::QueueKind;
         use prdrb_topology::LINK_CLASS_GLOBAL;
@@ -841,40 +711,22 @@ mod tests {
                     report_to_csv(key, &Simulation::new(heap).run()),
                     "{topo:?} {policy:?} heap calendar"
                 );
-                for k in [2u32, 4] {
-                    let mut cfg = base.clone();
-                    cfg.shards = k;
-                    assert_eq!(
-                        serial,
-                        report_to_csv(key, &Simulation::new(cfg).run()),
-                        "{topo:?} {policy:?} shards={k}"
-                    );
-                }
             }
         }
     }
 
     #[test]
-    fn faulted_runs_are_byte_identical_to_serial_and_account_drops() {
-        use crate::cache::{report_to_csv, RunKey};
+    fn faulted_runs_account_drops() {
         use prdrb_topology::FaultPlan;
         let mut base = quick_synth(PolicyKind::PrDrb);
         base.faults = FaultPlan::seeded(&TopologyKind::FatTree443.build(), 7, 4, 50_000, 400_000);
-        let key = RunKey::of(&base);
-        let serial = Simulation::new(base.clone()).run();
-        assert!(serial.dropped > 0, "the plan must bite");
+        let r = Simulation::new(base).run();
+        assert!(r.dropped > 0, "the plan must bite");
         assert_eq!(
-            serial.offered,
-            serial.accepted + serial.dropped,
+            r.offered,
+            r.accepted + r.dropped,
             "lossless semantics end at a dead wire"
         );
-        let serial_csv = report_to_csv(key, &serial);
-        for k in [2u32, 4] {
-            let mut cfg = base.clone();
-            cfg.shards = k;
-            let sharded = report_to_csv(key, &Simulation::new(cfg).run());
-            assert_eq!(serial_csv, sharded, "faulted run shards={k}");
-        }
     }
 
     #[test]

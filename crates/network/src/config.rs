@@ -72,8 +72,8 @@ pub struct NetworkConfig {
     /// `wire_delay_ns`, indexed by [`Topology::link_class`]:
     /// `[local, global, server]`. All-zero by default, which reproduces
     /// the uniform-wire model exactly; nonzero global delay models long
-    /// inter-board / spine cables and widens the safe lookahead window
-    /// of the sharded driver when a partition cuts only global wires.
+    /// inter-board / spine cables (the dragonfly figure's 500 ns global
+    /// wires).
     pub wire_class_extra_ns: [Time; prdrb_topology::NUM_LINK_CLASSES],
     /// Cut-through handoff latency (header serialization).
     pub header_ns: Time,

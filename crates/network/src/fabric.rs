@@ -33,19 +33,17 @@ use prdrb_simcore::time::{ns_to_us, Time};
 use prdrb_simcore::EventQueue;
 use prdrb_topology::{
     AnyTopology, Endpoint, FaultEvent, FaultPlan, FaultState, NodeId, PathDescriptor, Port,
-    RouteState, RouteTable, RouterId, ShardPlan, Topology,
+    RouteState, RouteTable, RouterId, Topology,
 };
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Virtual channels: one escape layer per multi-step-path segment.
 pub const NUM_VCS: usize = 3;
 
 /// Packet-id class flag: destination-generated ACK for data packet `x`
 /// carries id `x | ACK_ID_FLAG`. Deriving control-packet ids from
-/// content (instead of a shared counter) keeps ids identical between
-/// serial and sharded execution, where a counter would be bumped in a
-/// different order.
+/// content (instead of a shared counter) gives every control packet a
+/// unique id without touching the host's id counter.
 pub const ACK_ID_FLAG: u64 = 1 << 63;
 
 /// Packet-id class flag for router-generated predictive ACKs (GPA,
@@ -104,23 +102,13 @@ enum NetEvent {
 /// ids are unique below [`MAX_HOST_ID`], derived ids are unique per
 /// class (see [`ACK_ID_FLAG`] / [`GPA_ID_FLAG`]).
 #[inline]
-pub(crate) fn id_sig(id: u64) -> u64 {
+fn id_sig(id: u64) -> u64 {
     ((id >> 62) << 27) | (id & (MAX_HOST_ID - 1))
 }
 
-/// The calendar key a delivery's `Deliver` event carried, minus the
-/// kind tag (all deliveries share it). Sorting a window's deliveries by
-/// `(at, this)` reproduces the serial fabric's pop order, because
-/// within one instant the keyed calendar orders `Deliver` events by
-/// exactly `node << 37 | id_sig(id)`.
-#[inline]
-pub(crate) fn delivery_order_key(d: &Delivery) -> (Time, u64) {
-    (d.at, (d.packet.dst.0 as u64) << 37 | id_sig(d.packet.id))
-}
-
 /// Content-derived calendar key: a total priority over same-instant
-/// events that both serial and sharded execution apply, making the pop
-/// order independent of insertion order. Any two same-time events with
+/// events, making the pop order independent of insertion order (and so
+/// of the calendar backend). Any two same-time events with
 /// equal keys are interchangeable (identical kind + coordinates + — for
 /// packet-carrying events — packet identity), so the residual
 /// insertion-order tie-break can never change simulation results.
@@ -155,30 +143,6 @@ fn event_key(ev: &NetEvent) -> u64 {
             7 << KIND | (node.0 as u64) << ENTITY | id_sig(packet.id)
         }
     }
-}
-
-/// A boundary event bound for another shard, parked in the source
-/// shard's outbox until the next window barrier. The destination shard
-/// is encoded by the outbox *lane* the event sits in, not stored per
-/// event — handoffs move whole lanes, never individual events.
-#[derive(Debug)]
-pub(crate) struct StagedEvent {
-    /// Fire time (≥ window start + lookahead by construction).
-    pub(crate) at: Time,
-    /// Pre-computed [`event_key`].
-    pub(crate) key: u64,
-    ev: NetEvent,
-}
-
-/// Shard identity of a fabric instance running under a [`ShardPlan`].
-#[derive(Debug)]
-struct ShardCtx {
-    id: u32,
-    plan: Arc<ShardPlan>,
-    /// One outbox lane per destination shard (own lane stays empty).
-    /// Lanes are flushed wholesale at each window barrier and keep
-    /// their capacity, so steady-state handoffs never allocate.
-    outbox: Vec<Vec<StagedEvent>>,
 }
 
 #[derive(Debug)]
@@ -258,15 +222,10 @@ pub struct Fabric {
     cand_scratch: Vec<Port>,
     /// Scratch for notified sources (router-based scheme).
     src_scratch: Vec<NodeId>,
-    /// Present when this fabric is one shard of a partitioned run:
-    /// events bound for routers/NICs of other shards are staged in the
-    /// outbox instead of entering the local calendar.
-    shard: Option<ShardCtx>,
     /// Timed fault schedule (usually empty). Applied lazily: every
     /// event in the plan takes effect before any calendar event at
-    /// `t >= at` dispatches, and emits no calendar events itself, so
-    /// serial and sharded execution see identical fault timing.
-    fault_plan: Arc<FaultPlan>,
+    /// `t >= at` dispatches, and emits no calendar events itself.
+    fault_plan: FaultPlan,
     /// Index of the next unapplied plan event.
     fault_cursor: usize,
     /// Materialized dead-link / dead-router view at the current time.
@@ -278,40 +237,12 @@ pub struct Fabric {
 impl Fabric {
     /// Build a fabric over `topo` with configuration `cfg`.
     pub fn new(topo: AnyTopology, cfg: NetworkConfig) -> Self {
-        Self::build(topo, cfg, None, Arc::new(FaultPlan::none()))
+        Self::with_faults(topo, cfg, FaultPlan::none())
     }
 
-    /// Build a fabric that replays `faults` as it runs. An empty plan
+    /// Build a fabric that replays `fault_plan` as it runs. An empty plan
     /// is byte-identical to [`Self::new`].
-    pub fn with_faults(topo: AnyTopology, cfg: NetworkConfig, faults: FaultPlan) -> Self {
-        Self::build(topo, cfg, None, Arc::new(faults))
-    }
-
-    /// Build shard `id` of a partitioned fabric: a full-size instance
-    /// whose event loop only ever touches the routers and NICs the plan
-    /// assigns to `id`, and whose cross-shard schedules divert to an
-    /// outbox drained by the window driver. Every shard replays the
-    /// whole fault plan (state flips are global knowledge; drops only
-    /// ever touch owned routers), keeping the per-shard fault views
-    /// identical mirrors.
-    pub(crate) fn new_sharded(
-        topo: AnyTopology,
-        cfg: NetworkConfig,
-        plan: Arc<ShardPlan>,
-        id: u32,
-        faults: Arc<FaultPlan>,
-    ) -> Self {
-        debug_assert!(id < plan.shards());
-        let outbox = (0..plan.shards()).map(|_| Vec::new()).collect();
-        Self::build(topo, cfg, Some(ShardCtx { id, plan, outbox }), faults)
-    }
-
-    fn build(
-        topo: AnyTopology,
-        cfg: NetworkConfig,
-        shard: Option<ShardCtx>,
-        fault_plan: Arc<FaultPlan>,
-    ) -> Self {
+    pub fn with_faults(topo: AnyTopology, cfg: NetworkConfig, fault_plan: FaultPlan) -> Self {
         cfg.validate();
         let nr = topo.num_routers();
         assert!(nr < 1 << 24, "event keys hold 24-bit router ids");
@@ -380,7 +311,6 @@ impl Fabric {
             pool: PacketPool::new(),
             cand_scratch: Vec::with_capacity(8),
             src_scratch: Vec::with_capacity(8),
-            shard,
             fault_plan,
             fault_cursor: 0,
             faults,
@@ -411,7 +341,7 @@ impl Fabric {
     /// Apply every plan event with `at <= t`. Called before dispatching
     /// any calendar event at time `t` (and once more at the end of a
     /// bounded run), so the fault timing is a pure function of the plan
-    /// — independent of event density, calendar backend or sharding.
+    /// — independent of event density and calendar backend.
     #[inline]
     fn apply_faults_through(&mut self, t: Time) {
         while self.fault_cursor < self.fault_plan.events().len() {
@@ -424,8 +354,8 @@ impl Fabric {
         }
     }
 
-    /// Flip the fault state for one event and account the consequences
-    /// on this fabric's owned routers: queues feeding (or fed by) a
+    /// Flip the fault state for one event and account the consequences:
+    /// queues feeding (or fed by) a
     /// dead wire are drained with every packet counted as dropped, and
     /// a recovered wire has its sender-side credits re-initialized to a
     /// full buffer — link retraining resets flow control, and the
@@ -436,12 +366,8 @@ impl Fabric {
             FaultEvent::LinkDown { router, port } => {
                 self.faults.apply(&self.topo, fault);
                 if let Some(Endpoint::Router(nr, np)) = self.table.neighbor(router, port) {
-                    if self.owns(router) {
-                        self.drain_port(router, port.idx());
-                    }
-                    if self.owns(nr) {
-                        self.drain_port(nr, np.idx());
-                    }
+                    self.drain_port(router, port.idx());
+                    self.drain_port(nr, np.idx());
                 }
             }
             FaultEvent::LinkUp { router, port } => {
@@ -449,44 +375,26 @@ impl Fabric {
                 self.faults.apply(&self.topo, fault);
                 if was_dead && !self.faults.link_dead(router, port) {
                     if let Some(Endpoint::Router(nr, np)) = self.table.neighbor(router, port) {
-                        if self.owns(router) {
-                            self.reset_credits(router, port.idx());
-                        }
-                        if self.owns(nr) {
-                            self.reset_credits(nr, np.idx());
-                        }
+                        self.reset_credits(router, port.idx());
+                        self.reset_credits(nr, np.idx());
                     }
                 }
             }
             FaultEvent::RouterDown { router } => {
                 self.faults.apply(&self.topo, fault);
                 let ports = self.topo.num_ports(router);
-                if self.owns(router) {
-                    for p in 0..ports {
-                        self.drain_port(router, p);
-                    }
+                for p in 0..ports {
+                    self.drain_port(router, p);
                 }
                 for p in 0..ports {
                     if let Some(Endpoint::Router(nr, np)) =
                         self.table.neighbor(router, Port(p as u8))
                     {
-                        if self.owns(nr) {
-                            self.drain_port(nr, np.idx());
-                        }
+                        self.drain_port(nr, np.idx());
                     }
                 }
             }
         }
-    }
-
-    /// Whether this fabric owns router `r`'s state (always true serial;
-    /// the plan decides under sharding — drops must be counted exactly
-    /// once across shards).
-    #[inline]
-    fn owns(&self, r: RouterId) -> bool {
-        self.shard
-            .as_ref()
-            .is_none_or(|c| c.plan.shard_of_router(r) == c.id)
     }
 
     /// Drop every packet queued at `(r, p)` — input lanes and output
@@ -531,88 +439,11 @@ impl Fabric {
         id
     }
 
-    /// Schedule a fabric event at its content-derived calendar key,
-    /// diverting it to the shard outbox when its target router/NIC
-    /// belongs to another shard.
+    /// Schedule a fabric event at its content-derived calendar key.
     #[inline]
     fn sched(&mut self, at: Time, ev: NetEvent) {
-        if let Some(ctx) = self.shard.as_mut() {
-            let dst = match &ev {
-                NetEvent::Arrive { router, .. }
-                | NetEvent::RouteTick { router }
-                | NetEvent::TryTx { router, .. }
-                | NetEvent::LinkFree { router, .. }
-                | NetEvent::Credit { router, .. } => ctx.plan.shard_of_router(*router),
-                NetEvent::NicCredit { node, .. }
-                | NetEvent::NicTx { node }
-                | NetEvent::Deliver { node, .. } => ctx.plan.shard_of_node(*node),
-            };
-            if dst != ctx.id {
-                // Only link-crossing traffic may leave a shard; every
-                // other event kind is local by NIC/router co-location.
-                debug_assert!(
-                    matches!(ev, NetEvent::Arrive { .. } | NetEvent::Credit { .. }),
-                    "non-boundary event crossed a shard"
-                );
-                ctx.outbox[dst as usize].push(StagedEvent {
-                    at,
-                    key: event_key(&ev),
-                    ev,
-                });
-                return;
-            }
-        }
         let key = event_key(&ev);
         self.q.schedule_keyed(at, key, ev);
-    }
-
-    /// Process every local event with time ≤ `wend` (one conservative
-    /// window), then seal the calendar at `wend` so a late cross-shard
-    /// insertion into the executed range trips the causality assert.
-    /// Unlike [`Self::run_until`], the visible clock is *not* advanced
-    /// past the last processed event — the window driver owns the
-    /// run-level clock semantics. Returns events processed.
-    pub(crate) fn run_window(&mut self, wend: Time) -> u64 {
-        let mut n = 0;
-        while let Some(entry) = self.q.pop_before(wend) {
-            self.apply_faults_through(entry.time);
-            self.clock = entry.time;
-            self.dispatch(entry.event);
-            n += 1;
-        }
-        self.apply_faults_through(wend);
-        self.q.advance_to(wend);
-        n
-    }
-
-    /// Flush the boundary events staged by the last window into the
-    /// driver's per-destination-shard lanes (`into[d]` receives this
-    /// shard's lane `d` wholesale, appended after whatever earlier
-    /// shards put there — source-shard-major order). Both sides keep
-    /// their `Vec` capacity, so a steady-state handoff is K pointer
-    /// moves plus element memcpys, no per-event routing. Returns the
-    /// number of events handed off.
-    pub(crate) fn take_outbox(&mut self, into: &mut [Vec<StagedEvent>]) -> u64 {
-        let mut moved = 0;
-        if let Some(ctx) = self.shard.as_mut() {
-            for (d, lane) in ctx.outbox.iter_mut().enumerate() {
-                moved += lane.len() as u64;
-                into[d].append(lane);
-            }
-        }
-        moved
-    }
-
-    /// Accept a boundary event staged by another shard. Its key was
-    /// computed at staging time, so the calendar ordering is exactly
-    /// what a local schedule would have produced.
-    pub(crate) fn accept_staged(&mut self, s: StagedEvent) {
-        self.q.schedule_keyed(s.at, s.key, s.ev);
-    }
-
-    /// Timestamp of the shard's last processed event (window clock).
-    pub(crate) fn event_clock(&self) -> Time {
-        self.clock
     }
 
     /// Inject a packet at its source NIC. `packet.created` must not be in
@@ -1224,8 +1055,7 @@ impl Fabric {
             PacketKind::Data { needs_ack, .. } => {
                 self.stats.accepted_data += 1;
                 if needs_ack && self.cfg.acks_enabled {
-                    // Content-derived id: identical no matter which
-                    // execution mode (or shard) creates the ACK.
+                    // Content-derived id: see [`ACK_ID_FLAG`].
                     let id = packet.id | ACK_ID_FLAG;
                     let ack = Packet::ack_for(&mut packet, id, self.clock, self.cfg.ack_bytes);
                     self.stats.acks_sent += 1;

@@ -20,7 +20,6 @@ pub mod fabric;
 pub mod monitor;
 pub mod packet;
 pub mod pool;
-pub mod shard;
 pub mod wire;
 
 pub use config::{MonitorConfig, NetworkConfig, NotifyMode};
@@ -28,7 +27,6 @@ pub use fabric::{Delivery, Fabric, FabricStats, NUM_VCS};
 pub use monitor::{contending_flows, dedup_sources, Contender};
 pub use packet::{FlowPair, Packet, PacketKind, PredictiveHeader};
 pub use pool::PacketPool;
-pub use shard::{shard_lookahead, shard_lookahead_live, ParallelStats, ShardedFabric};
 pub use wire::{decode, encode, WireError, WirePacket};
 
 #[cfg(test)]

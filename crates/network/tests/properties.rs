@@ -1,7 +1,7 @@
 //! Property-based tests of the fabric: losslessness, conservation and
 //! determinism under arbitrary packet workloads.
 
-use prdrb_network::{Fabric, NetworkConfig, Packet, ShardedFabric};
+use prdrb_network::{Fabric, NetworkConfig, Packet};
 use prdrb_simcore::time::MILLISECOND;
 use prdrb_simcore::QueueKind;
 use prdrb_topology::{AnyTopology, NodeId, PathDescriptor, RouteState, Topology};
@@ -11,33 +11,6 @@ fn inject_batch(f: &mut Fabric, pkts: &[(u32, u32, u64)]) -> u64 {
     let n = f.topology().num_terminals() as u32;
     // The fabric's NIC queues are FIFO: hosts inject in time order (the
     // engine guarantees this), so the batch is sorted first.
-    let mut pkts: Vec<_> = pkts.to_vec();
-    pkts.sort_by_key(|&(_, _, at)| at % 500_000);
-    let mut count = 0;
-    for &(src, dst, at) in &pkts {
-        let id = f.alloc_id();
-        f.inject(Packet::data(
-            id,
-            NodeId(src % n),
-            NodeId(dst % n),
-            f.config().packet_bytes,
-            at % 500_000,
-            RouteState::new(PathDescriptor::Minimal),
-            0,
-            id,
-            0,
-            true,
-            false,
-        ));
-        count += 1;
-    }
-    count
-}
-
-fn inject_batch_sharded(f: &mut ShardedFabric, pkts: &[(u32, u32, u64)]) -> u64 {
-    // Mirrors `inject_batch` exactly — identical sort, ids and framing —
-    // so the serial and sharded runs see the same offered workload.
-    let n = f.topology().num_terminals() as u32;
     let mut pkts: Vec<_> = pkts.to_vec();
     pkts.sort_by_key(|&(_, _, at)| at % 500_000);
     let mut count = 0;
@@ -105,50 +78,26 @@ proptest! {
         prop_assert_eq!(run(&pkts), run(&pkts));
     }
 
-    /// Sharded correctness: for arbitrary workloads, topologies and
-    /// calendar backends, the conservative sharded fabric commits an
-    /// event + delivery schedule identical to the serial fabric at
-    /// K ∈ {2, 4}.
+    /// Calendar agreement: for arbitrary workloads and topologies, the
+    /// heap and timing-wheel calendars commit the same number of events
+    /// and the same delivery schedule, in the same order.
     #[test]
-    fn sharded_commits_match_serial(
+    fn heap_commits_match_wheel(
         pkts in proptest::collection::vec((0u32..64, 0u32..64, 0u64..150_000), 1..80),
         mesh in proptest::bool::ANY,
-        wheel in proptest::bool::ANY,
     ) {
         let topo = if mesh { AnyTopology::mesh8x8() } else { AnyTopology::fat_tree_64() };
-        let cfg = NetworkConfig {
-            queue: if wheel { QueueKind::Wheel } else { QueueKind::Heap },
-            ..Default::default()
-        };
-        let digest = |events: u64, offered: u64, accepted: u64, mut d: Vec<prdrb_network::Delivery>| {
-            let mut sched: Vec<(u64, u32, u64)> =
-                d.drain(..).map(|x| (x.at, x.packet.dst.0, x.packet.id)).collect();
-            sched.sort_unstable();
-            (events, offered, accepted, sched)
-        };
-        let serial = {
-            let mut f = Fabric::new(topo.clone(), cfg);
+        let commits = |queue: QueueKind| {
+            let mut f = Fabric::new(topo.clone(), NetworkConfig { queue, ..Default::default() });
             inject_batch(&mut f, &pkts);
             f.run_to_quiescence(4000 * MILLISECOND);
             let mut d = Vec::new();
             f.take_deliveries(&mut d);
-            digest(f.events_processed(), f.stats.offered_data, f.stats.accepted_data, d)
+            let sched: Vec<(u64, u32, u64)> =
+                d.iter().map(|x| (x.at, x.packet.dst.0, x.packet.id)).collect();
+            (f.events_processed(), f.stats.offered_data, f.stats.accepted_data, sched)
         };
-        for shards in [2u32, 4] {
-            let mut f = ShardedFabric::new(topo.clone(), cfg, shards);
-            inject_batch_sharded(&mut f, &pkts);
-            f.run_to_quiescence(4000 * MILLISECOND);
-            let mut d = Vec::new();
-            f.take_deliveries(&mut d);
-            let stats = f.stats();
-            let sharded = digest(
-                f.events_processed(), stats.offered_data, stats.accepted_data, d);
-            prop_assert_eq!(
-                &serial, &sharded,
-                "sharded K={} (wheel={}) diverged",
-                shards, wheel
-            );
-        }
+        prop_assert_eq!(commits(QueueKind::Heap), commits(QueueKind::Wheel));
     }
 
     /// Latency sanity: no packet arrives before its minimal possible

@@ -8,12 +8,14 @@
 //! total and simulations replay identically for a given seed — the
 //! property §4.3 of the thesis relies on when averaging seeded replicas.
 //!
-//! Content-derived keys are what make space-parallel execution exact: a
-//! sharded run inserts the same events in a different order than the
-//! serial run, but as long as same-time events carry distinct keys (or
-//! identical payloads), both runs pop them identically. Callers that
-//! never need that property can ignore keys entirely (`schedule` uses
-//! key 0 and degenerates to pure insertion order).
+//! Content-derived keys make the pop order a function of *what* is
+//! scheduled, not of the order handlers happen to schedule it: as long
+//! as same-time events carry distinct keys (or identical payloads), any
+//! insertion order pops them identically. The network fabric keys every
+//! event this way, so its schedule — and every artifact derived from it
+//! — is fixed by the keys. Callers that never need that property can
+//! ignore keys entirely (`schedule` uses key 0 and degenerates to pure
+//! insertion order).
 //!
 //! * [`QueueKind::Heap`] — a binary min-heap; the reference backend.
 //! * [`QueueKind::Wheel`] — a hierarchical timing wheel (the classic DES
@@ -381,8 +383,7 @@ impl<E: Eq> EventQueue<E> {
     /// insertion sequence only breaks `(time, key)` ties. When `key` is
     /// a pure function of the event's content, the pop order becomes
     /// independent of insertion order (up to interchangeable events with
-    /// identical content) — the property the sharded fabric driver needs
-    /// to replay the serial schedule exactly.
+    /// identical content).
     pub fn schedule_keyed(&mut self, at: Time, key: u64, event: E) {
         debug_assert!(
             at >= self.now,
@@ -403,16 +404,6 @@ impl<E: Eq> EventQueue<E> {
             Backend::Heap(h) => h.push(Reverse(entry)),
             Backend::Wheel(w) => w.insert(entry),
         }
-    }
-
-    /// Seal an execution window: advance `now` to `at` without popping.
-    /// Subsequent schedules before `at` are causality bugs and panic in
-    /// debug builds, exactly as if an event at `at` had been popped. The
-    /// windowed (sharded) driver calls this at every barrier so a
-    /// boundary event staged into an already-executed window is caught
-    /// instead of silently reordered. `at` earlier than `now` is a no-op.
-    pub fn advance_to(&mut self, at: Time) {
-        self.now = self.now.max(at);
     }
 
     /// Schedule `event` `delay` ns after the current time. A delay that
@@ -548,8 +539,8 @@ mod tests {
 
     #[test]
     fn keyed_pop_order_is_insertion_order_independent() {
-        // The sharded-execution property: distinct keys at one instant
-        // pop identically no matter which order they were scheduled in.
+        // Distinct keys at one instant pop identically no matter which
+        // order they were scheduled in.
         let mut items: Vec<(Time, u64, u32)> = (0..64u64)
             .map(|i| ((i % 4) * 10, i.wrapping_mul(0x9e37) % 97, i as u32))
             .collect();
@@ -575,29 +566,6 @@ mod tests {
         // Keys here are unique per (time, key) pair, so the payloads
         // must line up exactly despite reversed insertion.
         assert_eq!(forward, backward);
-    }
-
-    #[test]
-    fn advance_to_seals_the_window() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind, 0);
-            q.schedule(500, ());
-            q.advance_to(100);
-            assert_eq!(q.now(), 100);
-            q.advance_to(50); // never moves backward
-            assert_eq!(q.now(), 100);
-            q.schedule(100, ()); // at the seal is fine
-            assert_eq!(q.pop().map(|e| e.time), Some(100));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduled in the past")]
-    #[cfg(debug_assertions)]
-    fn scheduling_into_a_sealed_window_panics_in_debug() {
-        let mut q = EventQueue::<()>::new();
-        q.advance_to(1_000);
-        q.schedule(999, ());
     }
 
     #[test]

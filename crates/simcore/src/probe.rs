@@ -66,16 +66,11 @@ pub enum ProbeKind {
     /// Metapath expansion attributed to a workload phase (entity =
     /// global phase index).
     PhaseExpansion,
-    /// Width (ns) of one conservative-parallel window, entity 0.
-    ShardWindowWidth,
-    /// Boundary events handed off at one window barrier, per source
-    /// shard.
-    ShardHandoffBatch,
 }
 
 impl ProbeKind {
     /// Every kind, in export order.
-    pub const ALL: [ProbeKind; 14] = [
+    pub const ALL: [ProbeKind; 12] = [
         ProbeKind::QueueWait,
         ProbeKind::OutputWait,
         ProbeKind::ArbSteps,
@@ -88,8 +83,6 @@ impl ProbeKind {
         ProbeKind::SolutionCapacityEvict,
         ProbeKind::PhaseSolutionHit,
         ProbeKind::PhaseExpansion,
-        ProbeKind::ShardWindowWidth,
-        ProbeKind::ShardHandoffBatch,
     ];
 
     /// Stable export name (snake_case, used in CSV/JSON schemas).
@@ -107,8 +100,6 @@ impl ProbeKind {
             ProbeKind::SolutionCapacityEvict => "solution_cap_evict",
             ProbeKind::PhaseSolutionHit => "phase_solution_hit",
             ProbeKind::PhaseExpansion => "phase_expansion",
-            ProbeKind::ShardWindowWidth => "shard_window_width_ns",
-            ProbeKind::ShardHandoffBatch => "shard_handoff_batch",
         }
     }
 }

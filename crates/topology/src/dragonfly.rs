@@ -11,10 +11,9 @@
 //! parallel sweep when `G > a-1`. The reverse port is
 //! `k' = q·(a-1) + (a-1-o)`; ports whose reverse index falls outside
 //! `G` stay unwired, so any `G ≥ a-1` yields a legal (possibly
-//! partial) palm tree. Link classes follow the physical story the
-//! sharded fabric's lookahead machinery keys on: terminal ports are
-//! SERVER, the intra-group clique is LOCAL, the long optical
-//! inter-group links are GLOBAL.
+//! partial) palm tree. Link classes follow the physical cabling:
+//! terminal ports are SERVER, the intra-group clique is LOCAL, the long
+//! optical inter-group links are GLOBAL.
 
 use crate::ids::{Endpoint, NodeId, Port, RouterId};
 use crate::{Topology, LINK_CLASS_GLOBAL, LINK_CLASS_LOCAL, LINK_CLASS_SERVER};

@@ -2,9 +2,9 @@
 //!
 //! A [`FaultPlan`] is a normalized list of timed fault events — part of
 //! a run's *configuration*, not of its execution: the same plan replayed
-//! against the same workload and seed produces bit-identical results at
-//! any shard count, because fault application is a pure function of
-//! `(plan, simulated time)` and emits no calendar events.
+//! against the same workload and seed produces bit-identical results on
+//! either calendar backend, because fault application is a pure function
+//! of `(plan, simulated time)` and emits no calendar events.
 //!
 //! [`FaultState`] is the materialized view at one instant: per-port
 //! dead-link bits plus dead-router flags. Faults are restricted to

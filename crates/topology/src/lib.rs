@@ -31,7 +31,6 @@ pub mod faults;
 pub mod ids;
 pub mod megafly;
 pub mod mesh;
-pub mod partition;
 pub mod route;
 pub mod table;
 
@@ -45,7 +44,6 @@ pub use faults::{
 pub use ids::{Endpoint, NodeId, Port, RouterId};
 pub use megafly::Megafly;
 pub use mesh::Mesh2D;
-pub use partition::ShardPlan;
 pub use route::{next_port, route_len, walk_route, PathDescriptor, RouteState};
 pub use table::RouteTable;
 
@@ -86,8 +84,8 @@ pub trait Topology {
     ///
     /// The class must be a property of the *wire*, not the endpoint:
     /// `link_class(r, p)` and `link_class` of the reverse endpoint must
-    /// agree. The sharded driver relies on this to derive per-cut
-    /// lookahead from either side of a cross-shard link.
+    /// agree, so a packet and the credit it returns over the same wire
+    /// pay the same delay.
     fn link_class(&self, r: RouterId, p: Port) -> u8 {
         let _ = (r, p);
         LINK_CLASS_LOCAL

@@ -50,11 +50,6 @@ impl Mesh2D {
         Self { w, h, board_h }
     }
 
-    /// Rows per board (0 = single board).
-    pub fn board_height(&self) -> u32 {
-        self.board_h
-    }
-
     /// Does the vertical link between rows `y` and `y + 1` cross a
     /// board boundary?
     fn board_cut(&self, y: u32) -> bool {

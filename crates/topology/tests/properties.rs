@@ -4,7 +4,7 @@
 
 use prdrb_topology::{
     route_len, walk_route, AltPathProvider, AnyTopology, Dragonfly, Endpoint, KAryNTree, Megafly,
-    Mesh2D, NodeId, PathDescriptor, Port, RouterId, ShardPlan, Topology, LINK_CLASS_LOCAL,
+    Mesh2D, NodeId, PathDescriptor, Port, RouterId, Topology,
 };
 use proptest::prelude::*;
 
@@ -40,16 +40,6 @@ fn any_topology() -> impl Strategy<Value = AnyTopology> {
         dragonfly_strategy(),
         megafly_strategy()
     ]
-}
-
-/// Number of LOCAL-connected components (groups) of a dragonfly-family
-/// topology — the granularity floor of the general partitioner.
-fn group_count(topo: &AnyTopology) -> u32 {
-    match topo {
-        AnyTopology::Dragonfly(d) => d.groups(),
-        AnyTopology::Megafly(m) => m.groups(),
-        _ => unreachable!(),
-    }
 }
 
 proptest! {
@@ -140,52 +130,6 @@ proptest! {
         let (src, dst) = (NodeId(a % n), NodeId(b % n));
         let len = route_len(&topo, src, dst, PathDescriptor::MeshOrder { yx });
         prop_assert_eq!(len, Some(topo.distance(src, dst)));
-    }
-
-    /// The general graph partitioner never produces an empty shard or a
-    /// disconnected block across random (a, r, h) dragonfly shapes and
-    /// (a, l, s, h) megafly shapes, and its cut never crosses a short
-    /// (LOCAL-class) wire.
-    #[test]
-    fn general_partition_blocks_are_nonempty_and_connected(
-        topo in prop_oneof![dragonfly_strategy(), megafly_strategy()],
-        shards in 1u32..7,
-    ) {
-        // More shards than groups cannot avoid empties (the contracted
-        // components are the granularity floor); cap like the callers do.
-        let k = shards.min(group_count(&topo));
-        let plan = ShardPlan::new(&topo, k);
-        let sizes = plan.shard_sizes();
-        prop_assert_eq!(sizes.len(), k as usize);
-        prop_assert!(sizes.iter().all(|&s| s > 0), "empty shard: {:?}", sizes);
-        prop_assert_eq!(sizes.iter().sum::<usize>(), topo.num_routers());
-        for (r, p, _) in plan.cross_links(&topo) {
-            prop_assert_ne!(topo.link_class(r, p), LINK_CLASS_LOCAL);
-        }
-        // Every block is connected in the router graph restricted to
-        // its own shard.
-        for s in 0..k {
-            let members: Vec<RouterId> = plan.routers_of(s).collect();
-            prop_assert!(!members.is_empty());
-            let mut reached = std::collections::HashSet::from([members[0]]);
-            let mut stack = vec![members[0]];
-            while let Some(r) = stack.pop() {
-                for p in 0..topo.num_ports(r) as u8 {
-                    if let Some(Endpoint::Router(nr, _)) = topo.neighbor(r, Port(p)) {
-                        if plan.shard_of_router(nr) == s && reached.insert(nr) {
-                            stack.push(nr);
-                        }
-                    }
-                }
-            }
-            prop_assert_eq!(
-                reached.len(),
-                members.len(),
-                "disconnected block on shard {} of {}",
-                s,
-                topo.label()
-            );
-        }
     }
 
     /// MSPs through arbitrary intermediate nodes always terminate.

@@ -19,10 +19,8 @@ use pr_drb::engine::RunKey;
 use pr_drb::prelude::*;
 use pr_drb::simcore::QueueKind;
 
-/// Run `cfg` under both calendar backends and at 1/2/3/4/8 fabric
-/// shards (non-divisor counts included — uneven partitions must not
-/// perturb a bit); assert the cache keys and the canonical CSV reports
-/// agree byte for byte across every execution variant.
+/// Run `cfg` under both calendar backends; assert the cache keys and
+/// the canonical CSV reports agree byte for byte.
 fn assert_backend_invariant(label: &str, cfg: SimConfig) {
     let mut heap_cfg = cfg.clone();
     heap_cfg.net.queue = QueueKind::Heap;
@@ -33,24 +31,12 @@ fn assert_backend_invariant(label: &str, cfg: SimConfig) {
         kh, kw,
         "{label}: the calendar backend must not enter the run-cache key"
     );
-    let heap = run(heap_cfg);
-    let reference = report_to_csv(kh, &heap);
-    for shards in [1u32, 2, 3, 4, 8] {
-        let mut cfg = wheel_cfg.clone();
-        cfg.shards = shards;
-        assert_eq!(
-            RunKey::of(&cfg),
-            kh,
-            "{label}: the shard count must not enter the run-cache key"
-        );
-        let report = run(cfg);
-        assert_eq!(
-            report_to_csv(kw, &report),
-            reference,
-            "{label}: wheel-backed run at shards={shards} diverged from \
-             the heap reference"
-        );
-    }
+    let reference = report_to_csv(kh, &run(heap_cfg));
+    assert_eq!(
+        report_to_csv(kw, &run(wheel_cfg)),
+        reference,
+        "{label}: wheel-backed run diverged from the heap reference"
+    );
 }
 
 /// Shortened `fig4_8`: mesh hot-spot situation 1 under DRB — exercises
@@ -93,7 +79,7 @@ fn fat_tree_permutation_digest_is_backend_invariant() {
 /// pure function of the plan and simulated time, so the dropped-packet
 /// accounting, the degraded-mode rerouting and the solution
 /// invalidations must all land identically under both calendar backends
-/// and at every shard count — and the plan must enter the run key (same
+/// — and the plan must enter the run key (same
 /// config minus the plan is a different run).
 #[test]
 fn faulted_scenario_digest_is_backend_invariant() {
@@ -124,10 +110,8 @@ fn faulted_scenario_digest_is_backend_invariant() {
 }
 
 /// Each collective family (operation × schedule shape) lowered onto the
-/// trace player. Collectives run serial by design (the player leaves
-/// zero host lookahead), so shard counts 2/4 must fall back to the
-/// serial fabric bit-identically — the invariance here proves the
-/// fallback, and the calendar backends still both execute for real.
+/// trace player: the player's sends and receives ride the fabric's
+/// delivery order, so both calendar backends must replay it exactly.
 #[test]
 fn collective_digest_is_backend_invariant() {
     for (kind, shape) in [
@@ -144,7 +128,7 @@ fn collective_digest_is_backend_invariant() {
 
 /// The mini-app phase loop on the 8×8 mesh under PR-DRB: phase streams
 /// consult the program and the phase-boundary wakeups, both host-side
-/// and therefore identical under every fabric backend.
+/// and therefore identical under both calendar backends.
 #[test]
 fn phased_digest_is_backend_invariant() {
     let program = PhaseProgram::mini_app(3, 150_000, 500.0);
@@ -154,7 +138,7 @@ fn phased_digest_is_backend_invariant() {
 
 /// The open-loop heavy-tail workload: per-source sampler substreams are
 /// pure functions of the seed, so the arrival process — and with it the
-/// whole run — must not depend on the execution backend.
+/// whole run — must not depend on the calendar backend.
 #[test]
 fn open_loop_digest_is_backend_invariant() {
     let mut cfg = SimConfig::open_loop(
@@ -170,13 +154,10 @@ fn open_loop_digest_is_backend_invariant() {
 
 /// Per-link latency classes on a board-assembled mesh: wires crossing a
 /// board seam carry a large global-class extra
-/// (`NetworkConfig::wire_class_extra_ns`), the strip partitioner snaps
-/// its cuts to the seams, and the window driver earns the full
-/// inter-board delay as lookahead — the wide-window configuration the
-/// sharded fabric is built for. The extra delay is physical (it
-/// changes every seam crossing's timing), so it must enter the run key,
-/// and the wide-window execution must stay bit-identical to serial at
-/// every shard count and under both calendar backends.
+/// (`NetworkConfig::wire_class_extra_ns`). The extra delay is physical
+/// (it changes every seam crossing's timing), so it must enter the run
+/// key, and the run must stay bit-identical under both calendar
+/// backends.
 #[test]
 fn board_mesh_latency_class_digest_is_backend_invariant() {
     let schedule = BurstSchedule::continuous(TrafficPattern::Shuffle, 400.0);

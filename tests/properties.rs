@@ -142,13 +142,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Sharded execution is bit-identical to the serial fabric on
-    /// randomized topologies and traffic: for any mesh / fat-tree
-    /// shape, policy, load and seed, running with `shards ∈ {2, 4}`
-    /// reproduces the `shards = 1` report byte for byte through the run
-    /// cache's canonical CSV encoding.
+    /// The calendar backend is invisible in results on randomized
+    /// topologies and traffic: for any mesh / fat-tree shape, policy,
+    /// load and seed, the heap-calendar run reproduces the default
+    /// (timing-wheel) report byte for byte through the run cache's
+    /// canonical CSV encoding.
     #[test]
-    fn sharded_runs_match_serial_bit_for_bit(
+    fn heap_runs_match_wheel_bit_for_bit(
         policy_idx in 0usize..7,
         mbps in 200f64..1000f64,
         seed in 0u64..1000,
@@ -157,6 +157,7 @@ proptest! {
     ) {
         use pr_drb::engine::cache::report_to_csv;
         use pr_drb::engine::RunKey;
+        use pr_drb::simcore::QueueKind;
         let policy = PolicyKind::ALL[policy_idx];
         let topology = match shape {
             0 => TopologyKind::Mesh8x8,
@@ -174,41 +175,38 @@ proptest! {
         cfg.duration_ns = 120_000;
         cfg.max_ns = 4000 * MILLISECOND;
         cfg.seed = seed;
+        prop_assert_eq!(cfg.net.queue, QueueKind::Wheel);
         let key = RunKey::of(&cfg);
-        let serial = report_to_csv(key, &run(cfg.clone()));
-        for shards in [2u32, 4] {
-            let mut c = cfg.clone();
-            c.shards = shards;
-            prop_assert_eq!(RunKey::of(&c), key);
-            let sharded = report_to_csv(key, &run(c));
-            prop_assert_eq!(
-                &serial, &sharded,
-                "shards={} diverged on {:?}/{:?}",
-                shards, topology, policy
-            );
-        }
+        let wheel = report_to_csv(key, &run(cfg.clone()));
+        let mut c = cfg.clone();
+        c.net.queue = QueueKind::Heap;
+        prop_assert_eq!(RunKey::of(&c), key);
+        let heap = report_to_csv(key, &run(c));
+        prop_assert_eq!(
+            &wheel, &heap,
+            "heap calendar diverged on {:?}/{:?}",
+            topology, policy
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Wide-window execution under randomized per-link latency classes:
-    /// for any global/server-class wire extras, board shape, policy and
-    /// seed, a sharded run reproduces the serial report byte for byte
-    /// under BOTH calendar backends. The extras stretch the windows the
-    /// conservative driver may run (and move every long-wire crossing
-    /// in simulated time), but they must never open a gap between the
-    /// sharded and serial schedules — and being physical, they must not
-    /// be erased from the run key by the shard/queue exclusions.
+    /// Randomized per-link latency classes: for any global/server-class
+    /// wire extras, board shape, policy and seed, a repeated run
+    /// reproduces the reference report byte for byte under BOTH
+    /// calendar backends. The extras move every long-wire crossing in
+    /// simulated time, but they must never open a gap between the
+    /// backends — and being physical, they must not be erased from the
+    /// run key by the calendar exclusion.
     #[test]
-    fn latency_classed_sharded_runs_match_serial_bit_for_bit(
+    fn latency_classed_heap_runs_match_wheel_bit_for_bit(
         policy_idx in 0usize..7,
         global_extra in 0u64..400,
         server_extra in 0u64..50,
         shape in 0usize..3,
         seed in 0u64..1000,
-        shards in 2u32..6,
     ) {
         use pr_drb::engine::cache::report_to_csv;
         use pr_drb::engine::RunKey;
@@ -226,18 +224,17 @@ proptest! {
         cfg.max_ns = 4000 * MILLISECOND;
         cfg.seed = seed;
         let key = RunKey::of(&cfg);
-        let serial = report_to_csv(key, &run(cfg.clone()));
+        let reference = report_to_csv(key, &run(cfg.clone()));
         for queue in [QueueKind::Heap, QueueKind::Wheel] {
             let mut c = cfg.clone();
             c.net.queue = queue;
-            c.shards = shards;
             prop_assert_eq!(RunKey::of(&c), key,
-                "execution knobs must stay out of the run key");
-            let sharded = report_to_csv(key, &run(c));
+                "the calendar backend must stay out of the run key");
+            let again = report_to_csv(key, &run(c));
             prop_assert_eq!(
-                &serial, &sharded,
-                "shards={} queue={:?} diverged on {:?}/{:?}",
-                shards, queue, topology, policy
+                &reference, &again,
+                "queue={:?} diverged on {:?}/{:?}",
+                queue, topology, policy
             );
         }
     }
