@@ -124,12 +124,6 @@ impl Assessment {
         }
     }
 
-    /// Is the application's dominant phase repeated often enough for a
-    /// predictive policy to amortize its learning (§2.2.5)?
-    pub fn is_repetitive(&self) -> bool {
-        self.phases.total_weight() >= 4
-    }
-
     /// The §4.7 verdict.
     pub fn suitability(&self) -> Suitability {
         if self.comm_fraction() < 0.02 {
@@ -194,7 +188,6 @@ mod tests {
         // communications characteristics would result in benefits."
         let a = Assessment::analyze(&pop(64, 8), 2.0);
         assert_eq!(a.suitability(), Suitability::Suitable);
-        assert!(a.is_repetitive());
         assert!(a.tdc > 4.0);
     }
 

@@ -443,11 +443,6 @@ impl CollectiveSpec {
         rounds
     }
 
-    /// Total messages across every round of one iteration.
-    pub fn total_messages(&self) -> u64 {
-        self.rounds().iter().map(|r| r.len() as u64).sum()
-    }
-
     /// Lower `iterations` back-to-back repetitions of the schedule, with
     /// `compute_ns` of computation between them, into a trace whose rank
     /// `r` is the schedule's rank `r`. Per round, every sender's `Send`
@@ -841,7 +836,6 @@ mod tests {
         for r in &rounds {
             assert_eq!(r.len(), 8, "one message per rank per round");
         }
-        assert_eq!(s.total_messages(), 56);
         check_exactly_once(&s).unwrap();
     }
 

@@ -116,14 +116,6 @@ impl DrbConfig {
         }
     }
 
-    /// PR-DRB with the §5.2 latency-trend predictor enabled.
-    pub fn pr_drb_trend() -> Self {
-        Self {
-            trend_window: 8,
-            ..Self::pr_drb()
-        }
-    }
-
     /// Sanity-check the configuration.
     pub fn validate(&self) {
         assert!(

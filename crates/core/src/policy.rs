@@ -559,21 +559,6 @@ impl PolicyKind {
             PolicyKind::PrFrDrb => "pr-fr-drb",
         }
     }
-
-    /// Is this a DRB-family (adaptive, ACK-driven) policy?
-    pub fn is_drb_family(self) -> bool {
-        matches!(
-            self,
-            PolicyKind::Drb | PolicyKind::PrDrb | PolicyKind::FrDrb | PolicyKind::PrFrDrb
-        )
-    }
-
-    /// Does this policy need destination ACKs from the fabric? All
-    /// DRB-family policies do, and so does UGAL (its congestion sensor
-    /// is the ACK latency stream, though it is not DRB).
-    pub fn needs_acks(self) -> bool {
-        self.is_drb_family() || self == PolicyKind::Ugal
-    }
 }
 
 /// Instantiate a policy over `topo`. DRB-family policies take their
@@ -733,6 +718,13 @@ mod tests {
     #[test]
     fn factory_builds_every_kind() {
         let topo = AnyTopology::mesh8x8();
+        let acks = [
+            PolicyKind::Drb,
+            PolicyKind::PrDrb,
+            PolicyKind::FrDrb,
+            PolicyKind::PrFrDrb,
+            PolicyKind::Ugal,
+        ];
         for kind in PolicyKind::ALL.into_iter().chain([
             PolicyKind::Adaptive,
             PolicyKind::Valiant,
@@ -742,11 +734,7 @@ mod tests {
             assert_eq!(p.name(), kind.label());
             // UGAL needs ACKs without being DRB-family — its congestion
             // sensor is the ACK latency stream.
-            assert_eq!(p.needs_acks(), kind.needs_acks());
-            assert_eq!(
-                kind.needs_acks(),
-                kind.is_drb_family() || kind == PolicyKind::Ugal
-            );
+            assert_eq!(p.needs_acks(), acks.contains(&kind), "{}", kind.label());
         }
     }
 

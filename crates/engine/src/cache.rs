@@ -649,6 +649,11 @@ pub fn report_from_csv(text: &str) -> Option<RunReport> {
         let i: usize = i.parse().ok()?;
         *counts.get_mut(i)? = c.parse().ok()?;
     }
+    // `from_parts` asserts the total in debug builds; a forged total is
+    // a miss, not a panic.
+    if counts.iter().try_fold(0u64, |a, &c| a.checked_add(c)) != Some(total) {
+        return None;
+    }
     let quantiles = LatencyQuantiles::from_parts(counts, total, max);
     let map_line = take("latmap")?;
     let mut m = map_line.split(',');
@@ -664,7 +669,13 @@ pub fn report_from_csv(text: &str) -> Option<RunReport> {
         .split(',')
         .map(|v| v.parse::<usize>().ok())
         .collect::<Option<Vec<usize>>>()?;
-    if cell_of.len() != n {
+    // Every map `LatencyMap::new` builds fills its grid exactly; a forged
+    // shape would divide by zero in `to_csv` or loop in `render`.
+    if cell_of.len() != n
+        || n == 0
+        || cols.checked_mul(rows) != Some(n)
+        || cell_of.iter().any(|&c| c >= n)
+    {
         return None;
     }
     let latency_map = LatencyMap::from_parts(values_us, (cols, rows), cell_of);
@@ -1036,6 +1047,22 @@ mod tests {
         let csv = report_to_csv(RunKey::of(&cfg()), &report);
         let truncated = &csv[..csv.len() / 2];
         assert!(report_from_csv(truncated).is_none());
+        // Forged quantile totals and map shapes are misses, not panics.
+        let (total, (cols, rows)) = (report.quantiles.total(), report.latency_map.shape);
+        let miss = |from: &str, to: &str| {
+            let forged = csv.replacen(from, to, 1);
+            assert_ne!(forged, csv, "{from} must be present to forge");
+            assert!(report_from_csv(&forged).is_none(), "{to}");
+        };
+        let (q, m) = (
+            format!("quantiles,{total},"),
+            format!("latmap,{cols},{rows},"),
+        );
+        miss(&q, &format!("quantiles,{},", total + 1));
+        miss(&m, &format!("latmap,0,{rows},"));
+        miss(&m, &format!("latmap,{cols},{},", rows + 1));
+        miss("\ncells,0,", &format!("\ncells,{},", cols * rows));
+        assert!(report_from_csv(&csv).is_some());
     }
 
     /// Version skew: an entry stamped by a hypothetical future writer

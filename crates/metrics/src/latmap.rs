@@ -79,16 +79,6 @@ impl LatencyMap {
         self.values_us.iter().filter(|&&v| v > 0.0).count()
     }
 
-    /// Peak reduction of `self` relative to `baseline` (e.g. Fig 4.20:
-    /// "PR-DRB achieves 41 % latency reduction compared to DRB").
-    pub fn peak_reduction_vs(&self, baseline: &LatencyMap) -> f64 {
-        let b = baseline.peak_us();
-        if b <= 0.0 {
-            return 0.0;
-        }
-        (b - self.peak_us()) / b
-    }
-
     /// Value at router `r`.
     pub fn get(&self, r: RouterId) -> f64 {
         self.values_us[r.idx()]
@@ -170,17 +160,6 @@ mod tests {
         assert_eq!(m.mean_contended_us(), 3.0);
         assert_eq!(m.contended_routers(), 2);
         assert_eq!(m.get(RouterId(10)), 4.0);
-    }
-
-    #[test]
-    fn reduction_vs_baseline() {
-        let drb = mesh_map(&[(10, 10.0)]);
-        let prdrb = mesh_map(&[(10, 6.0)]);
-        // 40 % peak reduction.
-        assert!((prdrb.peak_reduction_vs(&drb) - 0.4).abs() < 1e-12);
-        // Against a zero baseline the reduction is defined as 0.
-        let zero = mesh_map(&[]);
-        assert_eq!(prdrb.peak_reduction_vs(&zero), 0.0);
     }
 
     #[test]

@@ -333,11 +333,6 @@ impl Fabric {
         self.clock
     }
 
-    /// The dead-link / dead-router view at the current time.
-    pub fn fault_state(&self) -> &FaultState {
-        &self.faults
-    }
-
     /// Apply every plan event with `at <= t`. Called before dispatching
     /// any calendar event at time `t` (and once more at the end of a
     /// bounded run), so the fault timing is a pure function of the plan
@@ -547,11 +542,6 @@ impl Fabric {
     /// Average contention latency observed at router `r`, in µs.
     pub fn router_contention_us(&self, r: RouterId) -> f64 {
         self.routers[r.idx()].contention.mean()
-    }
-
-    /// Samples folded into router `r`'s contention average.
-    pub fn router_contention_count(&self, r: RouterId) -> u64 {
-        self.routers[r.idx()].contention.count()
     }
 
     /// The contention time series of router `r` (present when

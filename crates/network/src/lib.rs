@@ -20,14 +20,12 @@ pub mod fabric;
 pub mod monitor;
 pub mod packet;
 pub mod pool;
-pub mod wire;
 
 pub use config::{MonitorConfig, NetworkConfig, NotifyMode};
 pub use fabric::{Delivery, Fabric, FabricStats, NUM_VCS};
 pub use monitor::{contending_flows, dedup_sources, Contender};
 pub use packet::{FlowPair, Packet, PacketKind, PredictiveHeader};
 pub use pool::PacketPool;
-pub use wire::{decode, encode, WireError, WirePacket};
 
 #[cfg(test)]
 mod fabric_tests {

@@ -154,33 +154,9 @@ impl Packet {
     }
 
     /// A predictive ACK injected by a congested router (router-based
-    /// notification, §3.4.1). Carries no latency sample, only flows.
-    pub fn predictive_ack(
-        id: u64,
-        router: RouterId,
-        to_source: NodeId,
-        flows: Vec<FlowPair>,
-        now: Time,
-        ack_bytes: u32,
-        nominal_src: NodeId,
-    ) -> Self {
-        Self::predictive_ack_with(
-            id,
-            router,
-            to_source,
-            Box::new(PredictiveHeader {
-                router: Some(router),
-                flows,
-            }),
-            now,
-            ack_bytes,
-            nominal_src,
-        )
-    }
-
-    /// [`Self::predictive_ack`] with a caller-provided (typically pooled)
-    /// header box; `header.router` is overwritten with the notifying
-    /// router.
+    /// notification, §3.4.1). Carries no latency sample, only flows, in
+    /// a caller-provided (typically pooled) header box; `header.router`
+    /// is overwritten with the notifying router.
     pub fn predictive_ack_with(
         id: u64,
         router: RouterId,
@@ -315,20 +291,19 @@ mod tests {
 
     #[test]
     fn predictive_ack_carries_router_identity() {
-        let ack = Packet::predictive_ack(
-            9,
-            RouterId(12),
-            NodeId(3),
-            vec![(NodeId(3), NodeId(7))],
-            500,
-            64,
-            NodeId(7),
-        );
+        let header = Box::new(PredictiveHeader {
+            router: None,
+            flows: vec![(NodeId(3), NodeId(7))],
+        });
+        let ack =
+            Packet::predictive_ack_with(9, RouterId(12), NodeId(3), header, 500, 64, NodeId(7));
         assert_eq!(ack.dst, NodeId(3));
         match ack.kind {
             PacketKind::Ack { from_router, .. } => assert_eq!(from_router, Some(RouterId(12))),
             _ => panic!(),
         }
-        assert_eq!(ack.predictive.unwrap().router, Some(RouterId(12)));
+        let header = ack.predictive.unwrap();
+        assert_eq!(header.router, Some(RouterId(12)));
+        assert_eq!(header.flows, vec![(NodeId(3), NodeId(7))]);
     }
 }

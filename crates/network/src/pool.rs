@@ -103,11 +103,6 @@ impl PacketPool {
             self.flow_vecs.push(v);
         }
     }
-
-    /// Free-listed packet boxes (diagnostics).
-    pub fn idle_packets(&self) -> usize {
-        self.packets.len()
-    }
 }
 
 #[cfg(test)]

@@ -322,7 +322,6 @@ pub struct EventQueue<E: Eq> {
     backend: Backend<E>,
     next_seq: u64,
     now: Time,
-    pushed: u64,
     popped: u64,
 }
 
@@ -353,7 +352,6 @@ impl<E: Eq> EventQueue<E> {
             backend,
             next_seq: 0,
             now: 0,
-            pushed: 0,
             popped: 0,
         }
     }
@@ -393,7 +391,6 @@ impl<E: Eq> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pushed += 1;
         let entry = EventEntry {
             time: at,
             key,
@@ -477,11 +474,6 @@ impl<E: Eq> EventQueue<E> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total events ever scheduled (throughput accounting).
-    pub fn total_scheduled(&self) -> u64 {
-        self.pushed
     }
 
     /// Total events ever processed.
@@ -637,7 +629,6 @@ mod tests {
             q.schedule(1, ());
             q.schedule(2, ());
             q.pop();
-            assert_eq!(q.total_scheduled(), 2);
             assert_eq!(q.total_processed(), 1);
             assert_eq!(q.len(), 1);
             assert!(!q.is_empty());

@@ -33,19 +33,6 @@ pub fn interarrival_ns(bytes: u64, mbps: f64) -> Time {
     (bits / (mbps / 1000.0)).ceil().max(1.0) as Time
 }
 
-/// Render a time as a human-readable string for reports.
-pub fn format_time(t: Time) -> String {
-    if t >= SECOND {
-        format!("{:.3} s", t as f64 / SECOND as f64)
-    } else if t >= MILLISECOND {
-        format!("{:.3} ms", t as f64 / MILLISECOND as f64)
-    } else if t >= MICROSECOND {
-        format!("{:.3} us", t as f64 / MICROSECOND as f64)
-    } else {
-        format!("{t} ns")
-    }
-}
-
 /// Convert nanoseconds to microseconds as `f64` (the unit the paper's
 /// latency figures report, e.g. POP's 14–16 µs averages).
 pub fn ns_to_us(t: Time) -> f64 {
@@ -76,14 +63,6 @@ mod tests {
         assert_eq!(interarrival_ns(1024, 400.0), 20_480);
         // 600 Mbps is proportionally faster.
         assert!(interarrival_ns(1024, 600.0) < interarrival_ns(1024, 400.0));
-    }
-
-    #[test]
-    fn formatting_picks_sane_units() {
-        assert_eq!(format_time(12), "12 ns");
-        assert_eq!(format_time(4 * MICROSECOND + 96), "4.096 us");
-        assert!(format_time(3 * MILLISECOND).ends_with("ms"));
-        assert!(format_time(2 * SECOND).ends_with('s'));
     }
 
     #[test]

@@ -26,26 +26,21 @@ use crate::ids::{Endpoint, NodeId, Port, RouterId};
 use crate::route::{walk_route, PathDescriptor};
 use crate::{AnyTopology, Topology};
 
+/// Largest intermediate-node ring distance explored on graph
+/// topologies (the fat-tree's seed enumeration ignores it).
+const MAX_RING: u32 = 2;
+
 /// Generates the ordered alternative-path list for a source/destination
 /// pair. Index 0 is always the original (deterministic minimal) path.
 #[derive(Debug, Clone, Copy)]
 pub struct AltPathProvider<'a> {
     topo: &'a AnyTopology,
-    /// Largest intermediate-node ring distance explored.
-    max_ring: u32,
 }
 
 impl<'a> AltPathProvider<'a> {
-    /// Provider over `topo` with the default ring depth (2).
+    /// Provider over `topo`.
     pub fn new(topo: &'a AnyTopology) -> Self {
-        Self { topo, max_ring: 2 }
-    }
-
-    /// Override the maximum intermediate-node ring distance (graph
-    /// topologies; the fat-tree's seed enumeration ignores it).
-    pub fn with_max_ring(mut self, max_ring: u32) -> Self {
-        self.max_ring = max_ring.max(1);
-        self
+        Self { topo }
     }
 
     /// The ordered list of up to `max` alternative paths for
@@ -100,7 +95,7 @@ impl<'a> AltPathProvider<'a> {
         let dist_dst = router_distances(self.topo, self.topo.router_of(dst));
         // Enumerate IN pairs ring-by-ring, nearest rings first (Fig 3.6),
         // collecting candidates sorted by multi-step length within a ring.
-        for d in 1..=self.max_ring {
+        for d in 1..=MAX_RING {
             let ring1 = terminal_ring(self.topo, &dist_src, d);
             let ring2 = terminal_ring(self.topo, &dist_dst, d);
             let mut candidates: Vec<(u32, PathDescriptor, Vec<_>)> = Vec::new();

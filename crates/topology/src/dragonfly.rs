@@ -61,11 +61,6 @@ impl Dragonfly {
         self.h
     }
 
-    /// Terminals per router (`p = h`).
-    pub fn terminals_per_router(&self) -> u32 {
-        self.h
-    }
-
     /// Group and in-group index of a router.
     fn coords(&self, r: RouterId) -> (u32, u32) {
         (r.0 / self.r, r.0 % self.r)

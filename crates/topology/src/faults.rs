@@ -15,13 +15,8 @@
 //! every link touching it, permanently: there is no router-up event,
 //! and link-up events on a dead router's ports are ignored.
 //!
-//! Route queries with an exclusion set live here too:
 //! [`route_survives`] walks a descriptor's route and reports whether it
-//! crosses any dead link, and [`live_distance`] /
-//! [`minimal_route_exists`] answer whether a *minimal* route still
-//! exists once the dead links are excluded (§3.2's base-latency model
-//! silently assumes it does; after a fault that assumption must be
-//! checked, not believed).
+//! crosses any dead link.
 
 use crate::ids::{Endpoint, NodeId, Port, RouterId};
 use crate::route::{next_port, PathDescriptor, RouteState};
@@ -288,65 +283,6 @@ pub fn route_survives(
     false
 }
 
-/// Router-hop distance from `src` to `dst` over *live* links only (BFS),
-/// or `None` when the fault set disconnects them entirely.
-pub fn live_distance(
-    topo: &AnyTopology,
-    src: NodeId,
-    dst: NodeId,
-    faults: &FaultState,
-) -> Option<u32> {
-    let (start, goal) = (topo.router_of(src), topo.router_of(dst));
-    if faults.router_dead(start) || faults.router_dead(goal) {
-        return None;
-    }
-    if start == goal {
-        return Some(0);
-    }
-    let mut dist = vec![u32::MAX; topo.num_routers()];
-    dist[start.idx()] = 0;
-    let mut frontier = vec![start];
-    let mut next = Vec::new();
-    while !frontier.is_empty() {
-        for &r in &frontier {
-            for p in 0..topo.num_ports(r) as u8 {
-                let p = Port(p);
-                if faults.link_dead(r, p) {
-                    continue;
-                }
-                if let Some(Endpoint::Router(nr, _)) = topo.neighbor(r, p) {
-                    if !faults.router_dead(nr) && dist[nr.idx()] == u32::MAX {
-                        dist[nr.idx()] = dist[r.idx()] + 1;
-                        if nr == goal {
-                            return Some(dist[nr.idx()]);
-                        }
-                        next.push(nr);
-                    }
-                }
-            }
-        }
-        frontier.clear();
-        std::mem::swap(&mut frontier, &mut next);
-    }
-    None
-}
-
-/// True when a route of *minimal* (pre-fault) length from `src` to
-/// `dst` still exists once dead links are excluded. False means every
-/// surviving route is a detour — the condition under which DRB's
-/// zero-load base-path estimate (Eq. 3.5) goes stale.
-pub fn minimal_route_exists(
-    topo: &AnyTopology,
-    src: NodeId,
-    dst: NodeId,
-    faults: &FaultState,
-) -> bool {
-    if !faults.any() {
-        return true;
-    }
-    live_distance(topo, src, dst, faults) == Some(topo.distance(src, dst))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,7 +316,6 @@ mod tests {
             PathDescriptor::Minimal,
             &f
         ));
-        assert!(minimal_route_exists(&topo, NodeId(0), NodeId(63), &f));
     }
 
     #[test]
@@ -468,44 +403,6 @@ mod tests {
             in2: m.node_at(3, 1),
         };
         assert!(route_survives(&topo, src, dst, msp, &f));
-        // A row-0 wire is not minimal-critical between rows: minimal
-        // routes still exist for cross-row pairs, but not within row 0.
-        assert!(!minimal_route_exists(&topo, src, dst, &f));
-        assert_eq!(live_distance(&topo, src, dst, &f), Some(5));
-        assert!(minimal_route_exists(
-            &topo,
-            m.node_at(0, 4),
-            m.node_at(3, 4),
-            &f
-        ));
-    }
-
-    #[test]
-    fn disconnection_is_reported() {
-        let topo = mesh();
-        let m = Mesh2D::new(8, 8);
-        // Kill every wire out of corner (0,0).
-        let c = m.at(0, 0);
-        let mut f = FaultState::new(&topo);
-        for p in 0..topo.num_ports(c) as u8 {
-            f.apply(
-                &topo,
-                &FaultEvent::LinkDown {
-                    router: c,
-                    port: Port(p),
-                },
-            );
-        }
-        assert_eq!(
-            live_distance(&topo, m.node_at(0, 0), m.node_at(5, 5), &f),
-            None
-        );
-        assert!(!minimal_route_exists(
-            &topo,
-            m.node_at(0, 0),
-            m.node_at(5, 5),
-            &f
-        ));
     }
 
     #[test]
@@ -592,6 +489,5 @@ mod tests {
         let live = (0..16u32)
             .any(|s| route_survives(&topo, src, dst, PathDescriptor::TreeSeed { seed: s }, &f));
         assert!(live, "other NCA seeds avoid the dead up link");
-        assert!(minimal_route_exists(&topo, src, dst, &f));
     }
 }

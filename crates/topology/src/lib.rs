@@ -37,10 +37,7 @@ pub mod table;
 pub use altpath::AltPathProvider;
 pub use dragonfly::Dragonfly;
 pub use fattree::KAryNTree;
-pub use faults::{
-    live_distance, minimal_route_exists, route_survives, FaultEvent, FaultPlan, FaultState,
-    TimedFault,
-};
+pub use faults::{route_survives, FaultEvent, FaultPlan, FaultState, TimedFault};
 pub use ids::{Endpoint, NodeId, Port, RouterId};
 pub use megafly::Megafly;
 pub use mesh::Mesh2D;

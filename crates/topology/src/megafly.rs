@@ -65,11 +65,6 @@ impl Megafly {
         self.h
     }
 
-    /// Terminals per leaf (`p = s`).
-    pub fn terminals_per_leaf(&self) -> u32 {
-        self.s
-    }
-
     /// Routers per group (leaves then spines).
     pub fn routers_per_group(&self) -> u32 {
         self.l + self.s

@@ -97,15 +97,6 @@ impl BurstSchedule {
             }
         }
     }
-
-    /// Number of complete bursts that fit before `end`.
-    pub fn bursts_before(&self, end: Time) -> u64 {
-        let period = self.on_ns.saturating_add(self.off_ns);
-        if period == 0 || end <= self.start_ns {
-            return if end > self.start_ns { 1 } else { 0 };
-        }
-        (end - self.start_ns) / period
-    }
 }
 
 #[cfg(test)]
@@ -175,13 +166,5 @@ mod tests {
         assert!(s.low_mbps < s.high_mbps);
         assert_eq!(s.at(100).1.label(), "shuffle");
         assert_eq!(s.at(1_100).1.label(), "uniform");
-    }
-
-    #[test]
-    fn bursts_before_counts_periods() {
-        let s = sched();
-        assert_eq!(s.bursts_before(500), 0);
-        assert_eq!(s.bursts_before(4_501), 1);
-        assert_eq!(s.bursts_before(12_500), 3);
     }
 }

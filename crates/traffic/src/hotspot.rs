@@ -78,14 +78,6 @@ impl HotSpotScenario {
             noise_fraction: 0.1,
         }
     }
-
-    /// All sources participating (hot + noise).
-    pub fn all_sources(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.flows
-            .iter()
-            .map(|f| f.0)
-            .chain(self.noise_nodes.iter().copied())
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +143,6 @@ mod tests {
         let mesh = Mesh2D::new(8, 8);
         let s = HotSpotScenario::situation1(&mesh);
         assert_eq!(s.noise_nodes.len() + s.flows.len(), 64);
-        assert_eq!(s.all_sources().count(), 64);
         let topo = AnyTopology::Mesh(mesh);
         for n in &s.noise_nodes {
             assert!(n.idx() < topo.num_terminals());

@@ -131,12 +131,6 @@ impl TrafficPattern {
             TrafficPattern::Permutation(_) => "permutation",
         }
     }
-
-    /// True when the pattern is a fixed permutation (destinations
-    /// invariable per source).
-    pub fn is_static(&self) -> bool {
-        !matches!(self, TrafficPattern::Uniform)
-    }
 }
 
 #[cfg(test)]
@@ -225,8 +219,6 @@ mod tests {
         for s in 0..64 {
             assert_eq!(p.dest(NodeId(s), 64, &mut rng), NodeId(42));
         }
-        assert!(p.is_static());
-        assert!(!TrafficPattern::Uniform.is_static());
     }
 
     #[test]
