@@ -4,7 +4,7 @@
 //! repro list            # all targets
 //! repro fig4_13         # one target
 //! repro fig4_13 fig4_14 # several
-//! repro all             # everything (rayon-parallel)
+//! repro all             # everything, targets run in parallel
 //! repro workloads       # the wl_* application-workload targets
 //! repro workloads --quick # same, shrunk for CI smoke use
 //! ```

@@ -42,12 +42,15 @@ pub fn run_cached(cfg: SimConfig, cache: Option<&RunCache>) -> (RunReport, bool)
     (report, false)
 }
 
-/// The parallel sweep executor: run every configuration (on rayon worker
-/// threads, through the cache when one is given) and return the reports
-/// **in input order**. Each run is a pure function of its config and the
-/// merge order is fixed, so the output is byte-identical to running the
-/// same list serially — parallelism and caching are invisible to
-/// downstream consumers.
+/// The parallel sweep executor: run every configuration (one thread per
+/// core taking configs from both ends of a work queue, through the cache
+/// when one is given) and return the reports **in input order**. The
+/// front end runs light configs while the back end runs heavy ones,
+/// which keeps peak memory down on light-to-heavy lists. Each run is a
+/// pure function of its config and the outputs are put back in input
+/// order, so the output is byte-identical to running the same list
+/// serially — parallelism and caching are invisible to downstream
+/// consumers.
 pub fn run_many(cfgs: Vec<SimConfig>, cache: Option<&RunCache>) -> Vec<RunReport> {
     use rayon::prelude::*;
     cfgs.into_par_iter()

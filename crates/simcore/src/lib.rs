@@ -11,7 +11,8 @@
 //!   ties in time are broken by insertion order so a run is a pure function
 //!   of `(configuration, seed)`;
 //! * the kernel is single-threaded; parallelism lives one level up, where
-//!   independent seeded replicas are fanned out with rayon.
+//!   the sweep executor (`engine::run_many`) runs independent seeded
+//!   replicas on a work queue, one thread per core.
 
 #![forbid(unsafe_code)]
 

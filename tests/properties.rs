@@ -140,6 +140,45 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The sweep executor returns `run`'s reports in input order on a
+    /// list whose jobs differ in policy, rate, duration and topology, so
+    /// their run times differ and the work queue finishes them out of
+    /// input order: each report equals a serial `run` of its config byte
+    /// for byte through the run cache's canonical CSV encoding.
+    #[test]
+    fn mixed_sweep_matches_serial_runs_bit_for_bit(
+        jobs in proptest::collection::vec(
+            (0usize..7, 200f64..900f64, 20_000u64..300_000, 0u64..500, proptest::bool::ANY),
+            3..9,
+        ),
+    ) {
+        use pr_drb::engine::cache::report_to_csv;
+        use pr_drb::engine::{run_many, RunKey};
+        let cfgs: Vec<SimConfig> = jobs
+            .iter()
+            .map(|&(policy_idx, mbps, duration_ns, seed, mesh)| {
+                let topology = if mesh { TopologyKind::Mesh8x8 } else { TopologyKind::FatTree443 };
+                let schedule = BurstSchedule::continuous(TrafficPattern::Uniform, mbps);
+                let mut cfg =
+                    SimConfig::synthetic(topology, PolicyKind::ALL[policy_idx], schedule, 16);
+                cfg.duration_ns = duration_ns;
+                cfg.max_ns = 4000 * MILLISECOND;
+                cfg.seed = seed;
+                cfg
+            })
+            .collect();
+        let par = run_many(cfgs.clone(), None);
+        prop_assert_eq!(par.len(), cfgs.len());
+        for (p, cfg) in par.iter().zip(cfgs) {
+            let key = RunKey::of(&cfg);
+            prop_assert_eq!(report_to_csv(key, p), report_to_csv(key, &run(cfg)));
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The calendar backend is invisible in results on randomized
