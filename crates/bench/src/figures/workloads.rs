@@ -83,9 +83,8 @@ fn workload_row(r: &RunReport) -> Vec<Cell> {
     ]
 }
 
-fn workload_table(schema: &str) -> Table {
+fn workload_table() -> Table {
     Table::new(
-        schema,
         [
             "workload",
             "policy",
@@ -121,7 +120,7 @@ fn wl_collectives() -> FigureOutput {
         "collective workloads on the 64-node fat-tree",
     );
     let iters = scaled_iters(3);
-    let mut table = workload_table("prdrb-wl-collectives-v1");
+    let mut table = workload_table();
     let mut all_lossless = true;
     let mut rows: Vec<(CollectiveSpec, Vec<RunReport>)> = Vec::new();
     for (kind, shape) in [
@@ -205,7 +204,7 @@ fn wl_phases() -> FigureOutput {
     );
     cold_cfg.label = "mini-app-x1/pr-drb".into();
     let cold = run_replicated(vec![cold_cfg]).pop().expect("one config");
-    let mut table = workload_table("prdrb-wl-phases-v1");
+    let mut table = workload_table();
     for r in reports.iter().chain([&cold]) {
         out.push(r.oneline());
         table.push_row(workload_row(r));
@@ -223,7 +222,7 @@ fn wl_phases() -> FigureOutput {
         cold.solution_hit_rate() * 100.0,
         drb.policy_stats.store_lookups,
     ));
-    export_phase_probe_table(&mut out, &warm);
+    export_phase_table(&mut out, &warm, pr);
     let lossless = reports
         .iter()
         .chain([&cold])
@@ -255,60 +254,32 @@ fn wl_phases() -> FigureOutput {
     out
 }
 
-/// Per-phase hit/expansion table from the probe registry (`probes`
-/// feature only — without it the instrumentation compiles to nothing).
-/// Probe streams aggregate across every run of this target (all
-/// policies and seeds), keyed by global phase index.
-#[cfg(feature = "probes")]
-fn export_phase_probe_table(out: &mut FigureOutput, program: &PhaseProgram) {
-    use prdrb_simcore::probe::{snapshot, ProbeKind};
-    let rows = snapshot();
-    let np = program.phases.len() as u64;
+/// Per-phase hit/expansion table of the warm PR-DRB run (replicas
+/// summed), one row per global phase of `program`.
+fn export_phase_table(out: &mut FigureOutput, program: &PhaseProgram, pr: &RunReport) {
     let mut table = Table::new(
-        "prdrb-wl-phases-probes-v1",
         ["phase", "iteration", "label", "solution_hits", "expansions"]
             .iter()
             .map(|s| s.to_string())
             .collect(),
     );
-    let sum_of = |kind: ProbeKind, entity: u64| -> u64 {
-        rows.iter()
-            .find(|r| r.kind == kind && r.entity == entity)
-            .map_or(0, |r| r.sum as u64)
-    };
-    let phases: std::collections::BTreeSet<u64> = rows
-        .iter()
-        .filter(|r| {
-            matches!(
-                r.kind,
-                ProbeKind::PhaseSolutionHit | ProbeKind::PhaseExpansion
-            )
-        })
-        .map(|r| r.entity)
-        .collect();
-    for g in phases {
+    let np = program.phases.len();
+    for g in 0..np * program.iterations as usize {
+        let (hits, exps) = pr.phase_counts.get(g).copied().unwrap_or_default();
         table.push_row(vec![
-            Cell::Int(g),
-            Cell::Int(g / np),
-            Cell::Text(program.phases[(g % np) as usize].label.into()),
-            Cell::Int(sum_of(ProbeKind::PhaseSolutionHit, g)),
-            Cell::Int(sum_of(ProbeKind::PhaseExpansion, g)),
+            Cell::Int(g as u64),
+            Cell::Int((g / np) as u64),
+            Cell::Text(program.phases[g % np].label.into()),
+            Cell::Int(hits),
+            Cell::Int(exps),
         ]);
     }
-    if !table.is_empty() {
-        out.push(format!(
-            "per-phase probe table: {} phases (hits/expansions summed over all runs)",
-            table.len()
-        ));
-        out.artifacts
-            .push(write_artifact("wl_phases_by_phase.csv", &table.to_csv()));
-    }
-}
-
-/// Stub: the `probes` feature is off, there is no per-phase stream.
-#[cfg(not(feature = "probes"))]
-fn export_phase_probe_table(out: &mut FigureOutput, _program: &PhaseProgram) {
-    out.push("per-phase probe table: build with --features probes to export");
+    out.push(format!(
+        "per-phase table: {} phases of the warm pr-drb run (hits/expansions summed over seeds)",
+        table.len()
+    ));
+    out.artifacts
+        .push(write_artifact("wl_phases_by_phase.csv", &table.to_csv()));
 }
 
 /// Heavy-tailed open-loop arrivals on the fat-tree under PR-DRB at
@@ -341,7 +312,7 @@ fn wl_openloop() -> FigureOutput {
         })
         .collect();
     let reports = run_replicated(cfgs);
-    let mut table = workload_table("prdrb-wl-openloop-v1");
+    let mut table = workload_table();
     for r in &reports {
         out.push(r.oneline());
         table.push_row(workload_row(r));

@@ -50,30 +50,6 @@ pub fn write_artifact(name: &str, contents: &str) -> PathBuf {
     p
 }
 
-/// Export the probe-registry snapshot to `results/probes.{csv,json}`
-/// through the shared [`prdrb_metrics::Table`] pipeline. Returns the
-/// two paths, or None when nothing was recorded. With the `probes`
-/// feature off this is a no-op returning None — the registry compiles
-/// but every instrumentation site expands to nothing.
-#[cfg(feature = "probes")]
-pub fn export_probe_artifacts() -> Option<(PathBuf, PathBuf)> {
-    let rows = prdrb_simcore::probe::snapshot();
-    if rows.is_empty() {
-        return None;
-    }
-    let table = prdrb_metrics::probe_table(&rows);
-    Some((
-        write_artifact("probes.csv", &table.to_csv()),
-        write_artifact("probes.json", &table.to_json()),
-    ))
-}
-
-/// Probe export stub: the `probes` feature is off, nothing is recorded.
-#[cfg(not(feature = "probes"))]
-pub fn export_probe_artifacts() -> Option<(PathBuf, PathBuf)> {
-    None
-}
-
 /// The shared run cache every bench target runs through. Controlled by
 /// `PRDRB_CACHE`: unset → `results_dir()/.cache` (caching ON), a path →
 /// that directory, `off`/`0` → disabled. Results are content-addressed

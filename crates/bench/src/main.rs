@@ -110,9 +110,6 @@ fn main() {
         "{}",
         prdrb_bench::report::timing_block("per-target wall-clock", &rows)
     );
-    if let Some((csv, json)) = prdrb_bench::export_probe_artifacts() {
-        println!("probe artifacts: {} {}", csv.display(), json.display());
-    }
     let cache_line = prdrb_bench::report::cache_line();
     println!(
         "\n{} target(s) in {:.1} s; {} with all checks holding, {} with deviations; \

@@ -160,7 +160,6 @@ impl SolutionDb {
 
     /// Count an application of solution `i` and return it.
     pub fn apply(&mut self, i: usize) -> &Solution {
-        prdrb_simcore::probe_count!(SolutionHit, 0);
         let e = &mut self.entries[i];
         if e.hits == 0 {
             self.patterns_reused += 1;
@@ -212,7 +211,6 @@ impl SolutionDb {
             }
         }
         self.patterns_found += 1;
-        prdrb_simcore::probe_count!(SolutionStore, 0);
         if self.entries.len() >= self.capacity {
             // Deterministic capacity eviction: the entry that earned
             // the fewest re-applications goes first; ties break to the
@@ -226,7 +224,6 @@ impl SolutionDb {
                 .expect("capacity >= 1 implies a full store is non-empty");
             self.entries.remove(victim);
             self.store_evictions += 1;
-            prdrb_simcore::probe_count!(SolutionCapacityEvict, 0);
         }
         self.entries.push(Solution {
             dst,
@@ -256,8 +253,6 @@ impl SolutionDb {
             touched += 1;
             e.paths.len() >= 2
         });
-        // count = invalidation sweeps, sum = entries repaired/dropped.
-        prdrb_simcore::probe_value!(SolutionEvict, 0, touched);
         touched
     }
 

@@ -22,7 +22,7 @@ use crate::report::RunReport;
 use prdrb_apps::TraceEvent;
 use prdrb_core::{DrbConfig, PolicyKind, PolicyStats, Similarity};
 use prdrb_metrics::{LatencyMap, LatencyQuantiles};
-use prdrb_network::{MonitorConfig, NetworkConfig, NotifyMode};
+use prdrb_network::{MonitorConfig, NetworkConfig};
 use prdrb_simcore::stats::{RunningMean, TimeSeries};
 use prdrb_simcore::time::Time;
 use prdrb_simcore::StableHasher;
@@ -64,7 +64,11 @@ use std::sync::Arc;
 /// paths became graph-derived (BFS rings) on every topology — mesh
 /// schedules are unchanged, but the tag space grew and pre-v7 entries
 /// never hashed the new variants.
-const CACHE_FORMAT: u32 = 7;
+///
+/// v8: reports carry per-phase solution counts (a `phases` line), and
+/// `net.acks_enabled` / `net.monitor.mode` left the key — the policy
+/// overrides both when the run is built.
+const CACHE_FORMAT: u32 = 8;
 
 /// First line of every cache file.
 const MAGIC: &str = "prdrb-run-cache,v1";
@@ -213,7 +217,9 @@ fn fold_config(cfg: &SimConfig, h: &mut StableHasher) {
         wire_delay_ns,
         wire_class_extra_ns,
         header_ns,
-        acks_enabled,
+        // Not hashed: `Simulation::new` overwrites it from the policy
+        // (which is hashed), so it cannot change a run.
+        acks_enabled: _,
         monitor,
         contention_series_bucket_ns,
         // The calendar backend is deliberately NOT hashed: it cannot
@@ -232,19 +238,14 @@ fn fold_config(cfg: &SimConfig, h: &mut StableHasher) {
         h.write_u64(extra);
     }
     h.write_u64(header_ns);
-    h.write_bool(acks_enabled);
     let MonitorConfig {
-        mode,
+        // Not hashed, like `acks_enabled`: the policy sets it.
+        mode: _,
         router_threshold_ns,
         max_flows,
         min_share,
         cooldown_ns,
     } = monitor;
-    h.write_u8(match mode {
-        NotifyMode::Off => 0,
-        NotifyMode::Destination => 1,
-        NotifyMode::Router => 2,
-    });
     h.write_u64(router_threshold_ns);
     h.write_usize(max_flows);
     h.write_f64(min_share);
@@ -546,6 +547,11 @@ pub fn report_to_csv(key: RunKey, r: &RunReport) -> String {
     out.push_str(&format!(
         "stats,{expansions},{shrinks},{patterns_found},{patterns_reused},{reuse_applications},{watchdog_fires},{trend_predictions},{solutions_invalidated},{store_lookups},{store_evictions}\n"
     ));
+    out.push_str(&format!("phases,{}", r.phase_counts.len()));
+    for (hits, exps) in &r.phase_counts {
+        out.push_str(&format!(",{hits},{exps}"));
+    }
+    out.push('\n');
     out.push_str(&format!("end,{},{}\n", r.end_ns, r.truncated as u8));
     out.push_str(&format!("series,{}\n", series_fields(&r.series)));
     out.push_str(&format!(
@@ -629,6 +635,15 @@ pub fn report_from_csv(text: &str) -> Option<RunReport> {
         store_lookups: next_stat()?,
         store_evictions: next_stat()?,
     };
+    let phase_line = take("phases")?;
+    let mut p = phase_line.split(',');
+    let np: usize = p.next()?.parse().ok()?;
+    let values = p.map(|v| v.parse().ok()).collect::<Option<Vec<u64>>>()?;
+    let pairs = values.chunks_exact(2);
+    if !pairs.remainder().is_empty() || pairs.len() != np {
+        return None;
+    }
+    let phase_counts = pairs.map(|c| (c[0], c[1])).collect();
     let end = take("end")?;
     let (end_ns, truncated) = end.split_once(',')?;
     let end_ns: Time = end_ns.parse().ok()?;
@@ -710,6 +725,7 @@ pub fn report_from_csv(text: &str) -> Option<RunReport> {
         latency_map,
         router_series,
         policy_stats,
+        phase_counts,
         end_ns,
         truncated,
     })
@@ -763,14 +779,8 @@ impl RunCache {
             .ok()
             .and_then(|text| report_from_csv(&text));
         match &loaded {
-            Some(_) => {
-                prdrb_simcore::probe_count!(CacheHit, 0);
-                self.hits.fetch_add(1, Ordering::Relaxed)
-            }
-            None => {
-                prdrb_simcore::probe_count!(CacheMiss, 0);
-                self.misses.fetch_add(1, Ordering::Relaxed)
-            }
+            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         loaded
     }
@@ -794,6 +804,7 @@ impl RunCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prdrb_network::NotifyMode;
     use prdrb_simcore::time::MILLISECOND;
 
     fn cfg() -> SimConfig {
@@ -925,6 +936,16 @@ mod tests {
                 base,
                 "the ignored speculate field must not split cache entries (shards={k})"
             );
+        }
+        // The policy sets both when the run is built, so configs that
+        // differ only here run identically and must share an entry.
+        let mut c = cfg();
+        c.net.acks_enabled = !c.net.acks_enabled;
+        assert_eq!(RunKey::of(&c), base, "acks_enabled is overwritten");
+        for mode in [NotifyMode::Off, NotifyMode::Destination, NotifyMode::Router] {
+            let mut c = cfg();
+            c.net.monitor.mode = mode;
+            assert_eq!(RunKey::of(&c), base, "monitor mode {mode:?} is overwritten");
         }
     }
 
@@ -1062,6 +1083,14 @@ mod tests {
         miss(&m, &format!("latmap,0,{rows},"));
         miss(&m, &format!("latmap,{cols},{},", rows + 1));
         miss("\ncells,0,", &format!("\ncells,{},", cols * rows));
+        // Forged per-phase lines: an odd value count, a declared count
+        // the values disagree with, a non-numeric value.
+        miss("\nphases,0\n", "\nphases,1,5,6,7\n");
+        miss("\nphases,0\n", "\nphases,2,5,6\n");
+        miss("\nphases,0\n", "\nphases,1,5,x\n");
+        let phased = csv.replacen("\nphases,0\n", "\nphases,1,5,6\n", 1);
+        let back = report_from_csv(&phased).expect("a well-formed phases line parses");
+        assert_eq!(back.phase_counts, vec![(5, 6)]);
         assert!(report_from_csv(&csv).is_some());
     }
 

@@ -114,9 +114,9 @@ pub enum Workload {
     /// (`prdrb_apps::collectives`), and the player rejects any left.
     Trace(Arc<Trace>),
     /// Phase-structured mini-app loop: the first `active_nodes`
-    /// terminals inject per the phase in force, and per-phase
-    /// solution-store probes attribute policy activity to global phase
-    /// indices (the `probes` feature).
+    /// terminals inject per the phase in force, and the report
+    /// attributes solution-store activity to global phase indices
+    /// ([`crate::RunReport::phase_counts`]).
     Phased {
         /// The phase sequence and iteration count.
         program: PhaseProgram,

@@ -43,6 +43,10 @@ pub struct RunReport {
     pub router_series: Vec<Option<TimeSeries>>,
     /// Policy counters (expansions, solution reuse, …).
     pub policy_stats: PolicyStats,
+    /// `(reuse_applications, expansions)` accrued while each global
+    /// phase was in force, indexed by global phase (`Workload::Phased`
+    /// only; empty otherwise). Sums to the matching `policy_stats`.
+    pub phase_counts: Vec<(u64, u64)>,
     /// Simulated time at the end of the run.
     pub end_ns: Time,
     /// True when the run hit the hard time wall before completing.
@@ -53,7 +57,8 @@ impl RunReport {
     /// Fold seeded replicas into one representative report (§4.3): the
     /// first replica's series/maps frame the figures, the headline
     /// scalars and the per-router surface become cross-seed means,
-    /// quantile sketches merge losslessly and event counters sum.
+    /// quantile sketches merge losslessly and event counters (per-phase
+    /// ones element by element) sum.
     /// Replica order is significant for f64 means, so callers must pass
     /// reports in a deterministic order — the engine's sweep executor
     /// already does.
@@ -78,6 +83,14 @@ impl RunReport {
                 .filter_map(move |r| r.latency_map.values_us.get(i).copied())
         };
         let map_means = (0..width.unwrap_or(0)).map(|i| mean(cell(i))).collect();
+        let phases = replicas.iter().map(|r| r.phase_counts.len()).max();
+        let mut phase_counts = vec![(0, 0); phases.unwrap_or(0)];
+        for r in &replicas {
+            for (sum, &(hits, exps)) in phase_counts.iter_mut().zip(&r.phase_counts) {
+                sum.0 += hits;
+                sum.1 += exps;
+            }
+        }
         let mut folded = RunReport {
             global_avg_latency_us,
             exec_time_ns,
@@ -100,6 +113,7 @@ impl RunReport {
                 store_lookups: stat(|p| p.store_lookups),
                 store_evictions: stat(|p| p.store_evictions),
             },
+            phase_counts,
             ..replicas.into_iter().next().expect("non-empty")
         };
         folded.latency_map.values_us = map_means;
@@ -190,6 +204,7 @@ mod tests {
                 store_evictions: 4,
                 ..PolicyStats::default()
             },
+            phase_counts: vec![(1, 2), (3, 4)],
             end_ns: 5,
             truncated: false,
         }
@@ -198,10 +213,14 @@ mod tests {
     #[test]
     fn fold_replicas_means_scalars_and_maps_and_sums_counters() {
         let latencies = [0.1, 0.7, 13.9];
+        let mut longer = replica(latencies[1], None, [3.0, 30.0]);
+        longer.phase_counts.push((5, 6));
+        let mut shorter = replica(latencies[2], Some(2_001), [2.0, 20.0]);
+        shorter.phase_counts.pop();
         let folded = RunReport::fold_replicas(vec![
             replica(latencies[0], Some(1_000), [1.0, 10.0]),
-            replica(latencies[1], None, [3.0, 30.0]),
-            replica(latencies[2], Some(2_001), [2.0, 20.0]),
+            longer,
+            shorter,
         ]);
         // Bit-identical to a hand-written left-to-right `sum / n`.
         let hand = (0.0 + latencies[0] + latencies[1] + latencies[2]) / 3.0;
@@ -223,6 +242,9 @@ mod tests {
         assert_eq!(folded.policy_stats.expansions, 9);
         assert_eq!(folded.policy_stats.store_evictions, 12);
         assert_eq!(folded.policy_stats.shrinks, 0);
+        // Per-phase counters sum element by element; a replica that
+        // reached fewer phases counts zero for the rest.
+        assert_eq!(folded.phase_counts, vec![(3, 6), (6, 8), (5, 6)]);
         // The first replica frames everything that is not folded.
         assert_eq!((folded.label.as_str(), folded.end_ns), ("replica", 5));
 

@@ -89,10 +89,12 @@ pub struct Simulation {
     /// and the send list filled by the trace player per wakeup.
     delivery_buf: Vec<Delivery>,
     send_buf: Vec<SendOp>,
-    /// Phase-attribution cursor (`Workload::Phased` only): the global
-    /// phase in force and the policy's reuse/expansion counters when it
-    /// began, so per-phase deltas can feed the phase probes.
-    phase_cursor: Option<(u32, u64, u64)>,
+    /// Phase attribution (`Workload::Phased` only): the global phase in
+    /// force, the policy's `(reuse_applications, expansions)` already
+    /// attributed to a phase, and the per-phase totals the report carries.
+    phase_cursor: Option<u32>,
+    phase_counted: (u64, u64),
+    phase_counts: Vec<(u64, u64)>,
 }
 
 impl Simulation {
@@ -124,6 +126,8 @@ impl Simulation {
             delivery_buf: Vec::new(),
             send_buf: Vec::new(),
             phase_cursor: None,
+            phase_counted: (0, 0),
+            phase_counts: Vec::new(),
             topo,
             fabric,
             policy,
@@ -415,30 +419,31 @@ impl Simulation {
     }
 
     /// Record that global phase `g` is in force. On a boundary crossing
-    /// the previous phase's policy-counter deltas flush to the phase
-    /// probes (observational only — compiled out without `probes`).
+    /// the previous phase's policy-counter deltas flush to its entry.
     fn note_phase(&mut self, g: u32) {
-        match self.phase_cursor {
-            Some((cur, _, _)) if cur == g => {}
-            _ => {
-                self.flush_phase_probes();
-                let st = self.policy.stats();
-                self.phase_cursor = Some((g, st.reuse_applications, st.expansions));
-            }
+        if self.phase_cursor != Some(g) {
+            self.flush_phase_counts();
+            self.phase_cursor = Some(g);
         }
     }
 
-    /// Attribute the reuse/expansion counters accumulated since the
-    /// current phase began to its global index.
-    fn flush_phase_probes(&mut self) {
-        if let Some((cur, hits0, exp0)) = self.phase_cursor.take() {
-            let st = self.policy.stats();
-            let hit_delta = st.reuse_applications.saturating_sub(hits0);
-            let exp_delta = st.expansions.saturating_sub(exp0);
-            prdrb_simcore::probe_value!(PhaseSolutionHit, cur, hit_delta);
-            prdrb_simcore::probe_value!(PhaseExpansion, cur, exp_delta);
-            let _ = (cur, hit_delta, exp_delta);
+    /// Attribute the reuse/expansion counters accumulated since the last
+    /// flush to the phase in force. The first phase also takes anything
+    /// counted before it began, so the per-phase entries sum exactly to
+    /// the run's totals.
+    fn flush_phase_counts(&mut self) {
+        let Some(g) = self.phase_cursor else {
+            return;
+        };
+        let st = self.policy.stats();
+        let now = (st.reuse_applications, st.expansions);
+        let (hits0, exp0) = std::mem::replace(&mut self.phase_counted, now);
+        let g = g as usize;
+        if self.phase_counts.len() <= g {
+            self.phase_counts.resize(g + 1, (0, 0));
         }
+        self.phase_counts[g].0 += now.0 - hits0;
+        self.phase_counts[g].1 += now.1 - exp0;
     }
 
     /// Drain every pending delivery into the policy / player, then hand
@@ -569,7 +574,7 @@ impl Simulation {
         self.pump_deliveries();
         // The last phase's deltas include the drain's ACK-driven
         // policy activity — flush them now that everything settled.
-        self.flush_phase_probes();
+        self.flush_phase_counts();
         if let Some(p) = &self.player {
             if !p.all_done() && !truncated {
                 let stuck: Vec<String> = (0..p.num_ranks() as u32)
@@ -626,6 +631,7 @@ impl Simulation {
             latency_map: LatencyMap::new(&self.topo, contention),
             router_series,
             policy_stats: self.policy.stats(),
+            phase_counts: self.phase_counts,
             end_ns: self.fabric.now(),
             truncated,
         }
@@ -846,7 +852,7 @@ mod tests {
     fn phased_workload_runs_the_program_and_prdrb_learns() {
         use prdrb_traffic::PhaseProgram;
         let program = PhaseProgram::mini_app(4, 150_000, 500.0);
-        let total = program.total_ns();
+        let (total, phases) = (program.total_ns(), program.phases.len() * 4);
         let cfg = SimConfig::phased(TopologyKind::Mesh8x8, PolicyKind::PrDrb, program, 32);
         assert_eq!(cfg.duration_ns, total, "injection ends with the program");
         let r = Simulation::new(cfg).run();
@@ -857,6 +863,14 @@ mod tests {
             "the run spans the whole program ({} < {total})",
             r.end_ns
         );
+        // Every global phase gets an entry, and the entries account for
+        // all of the run's reuse and expansion activity.
+        assert_eq!(r.phase_counts.len(), phases);
+        let hits: u64 = r.phase_counts.iter().map(|c| c.0).sum();
+        let exps: u64 = r.phase_counts.iter().map(|c| c.1).sum();
+        assert!(exps > 0, "the phases must congest");
+        assert_eq!(hits, r.policy_stats.reuse_applications);
+        assert_eq!(exps, r.policy_stats.expansions);
     }
 
     #[test]
@@ -956,5 +970,6 @@ mod tests {
             r.policy_stats.expansions > 0 || r.policy_stats.reuse_applications > 0,
             "PR-DRB must react to congestion"
         );
+        assert!(r.phase_counts.is_empty(), "bursts are not a phase program");
     }
 }

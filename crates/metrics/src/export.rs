@@ -2,25 +2,19 @@
 //!
 //! Every tabular artifact the harness writes — the fig4_2x per-router
 //! contention CSVs (via [`crate::series_csv`], rebuilt on this module)
-//! and the probe-registry snapshots (`results/probes.{csv,json}`) —
-//! renders through one [`Table`] type with one CSV writer and one JSON
-//! writer, instead of each call site hand-formatting its own rows. The
-//! JSON writer is hand-rolled like the rest of the workspace (no serde,
-//! DESIGN §7): values are restricted to text, integers and finite
-//! floats, which is everything a deterministic simulation exports.
-
-use prdrb_simcore::probe::ProbeRow;
+//! and the workload tables — renders through one [`Table`] type with one
+//! CSV writer, instead of each call site hand-formatting its own rows.
 
 /// One table cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Cell {
-    /// Free-form text (written raw in CSV, quoted/escaped in JSON).
+    /// Free-form text (written raw).
     Text(String),
     /// An exact integer.
     Int(u64),
     /// A float rendered at a fixed decimal precision.
     Num(f64, usize),
-    /// No value (empty CSV field, JSON `null`).
+    /// No value (an empty CSV field).
     Missing,
 }
 
@@ -33,48 +27,19 @@ impl Cell {
             Cell::Missing => {}
         }
     }
-
-    fn json(&self, out: &mut String) {
-        match self {
-            Cell::Text(s) => json_string(s, out),
-            Cell::Int(v) => out.push_str(&v.to_string()),
-            // A fixed-precision finite float is already a JSON number.
-            Cell::Num(v, prec) => out.push_str(&format!("{v:.prec$}")),
-            Cell::Missing => out.push_str("null"),
-        }
-    }
 }
 
-fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A schema-tagged table of typed cells with CSV and JSON renderings.
+/// A table of typed cells with a CSV rendering.
 #[derive(Debug, Clone)]
 pub struct Table {
-    schema: String,
     columns: Vec<String>,
     rows: Vec<Vec<Cell>>,
 }
 
 impl Table {
-    /// An empty table. `schema` names the layout in the JSON rendering
-    /// (CSV carries only the header row).
-    pub fn new(schema: impl Into<String>, columns: Vec<String>) -> Self {
+    /// An empty table with the given header columns.
+    pub fn new(columns: Vec<String>) -> Self {
         Self {
-            schema: schema.into(),
             columns,
             rows: Vec::new(),
         }
@@ -117,73 +82,14 @@ impl Table {
         }
         out
     }
-
-    /// JSON rendering: `{"schema": ..., "columns": [...], "rows":
-    /// [[...], ...]}` — rows are arrays in column order, so the document
-    /// stays compact and diff-friendly.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": ");
-        json_string(&self.schema, &mut out);
-        out.push_str(",\n  \"columns\": [");
-        for (i, c) in self.columns.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            json_string(c, &mut out);
-        }
-        out.push_str("],\n  \"rows\": [\n");
-        for (ri, row) in self.rows.iter().enumerate() {
-            out.push_str("    [");
-            for (i, cell) in row.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                cell.json(&mut out);
-            }
-            out.push(']');
-            if ri + 1 < self.rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// The probe-registry snapshot as a table (schema `prdrb-probes-v1`):
-/// one row per `(kind, entity)` stream with its count/sum/mean/max
-/// aggregate. Row order is the registry's deterministic `(kind,
-/// entity)` order, so two identical runs export identical bytes.
-pub fn probe_table(rows: &[ProbeRow]) -> Table {
-    let columns = ["kind", "entity", "count", "sum", "mean", "max"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let mut table = Table::new("prdrb-probes-v1", columns);
-    for r in rows {
-        table.push_row(vec![
-            Cell::Text(r.kind.name().to_string()),
-            Cell::Int(r.entity),
-            Cell::Int(r.count),
-            Cell::Num(r.sum, 3),
-            Cell::Num(r.mean(), 3),
-            Cell::Num(r.max, 3),
-        ]);
-    }
-    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prdrb_simcore::probe::ProbeKind;
 
     fn sample() -> Table {
-        let mut t = Table::new(
-            "test-v1",
-            vec!["name".into(), "n".into(), "v".into(), "opt".into()],
-        );
+        let mut t = Table::new(vec!["name".into(), "n".into(), "v".into(), "opt".into()]);
         t.push_row(vec![
             Cell::Text("a".into()),
             Cell::Int(3),
@@ -210,57 +116,16 @@ mod tests {
     }
 
     #[test]
-    fn json_rendering_escapes_and_nulls() {
-        let json = sample().to_json();
-        assert!(json.contains("\"schema\": \"test-v1\""));
-        assert!(json.contains("[\"a\", 3, 1.5000, null]"));
-        assert!(
-            json.contains("\\\"x\\\\"),
-            "quote/backslash escaped: {json}"
-        );
-        // Brackets and braces balance (cheap well-formedness check —
-        // the workspace carries no JSON parser).
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            let o = json.matches(open).count();
-            let c = json.matches(close).count();
-            assert_eq!(o, c, "unbalanced {open}{close} in:\n{json}");
-        }
-        assert!(!json.contains(",\n  ]"), "no trailing comma:\n{json}");
-    }
-
-    #[test]
     fn empty_table_renders() {
-        let t = Table::new("empty-v1", vec!["x".into()]);
+        let t = Table::new(vec!["x".into()]);
         assert!(t.is_empty());
         assert_eq!(t.to_csv(), "x\n");
-        assert!(t.to_json().contains("\"rows\": [\n  ]"));
     }
 
     #[test]
     #[should_panic(expected = "row arity")]
     fn arity_mismatch_panics() {
-        let mut t = Table::new("x", vec!["a".into(), "b".into()]);
+        let mut t = Table::new(vec!["a".into(), "b".into()]);
         t.push_row(vec![Cell::Int(1)]);
-    }
-
-    #[test]
-    fn probe_table_shape() {
-        let rows = vec![ProbeRow {
-            kind: ProbeKind::QueueWait,
-            entity: 3,
-            count: 2,
-            sum: 6.0,
-            max: 4.0,
-        }];
-        let t = probe_table(&rows);
-        assert_eq!(t.len(), 1);
-        let csv = t.to_csv();
-        assert_eq!(
-            csv,
-            "kind,entity,count,sum,mean,max\nqueue_wait_ns,3,2,6.000,3.000,4.000\n"
-        );
-        assert!(t
-            .to_json()
-            .contains("\"queue_wait_ns\", 3, 2, 6.000, 3.000, 4.000"));
     }
 }

@@ -13,7 +13,7 @@ pub mod latmap;
 pub mod quantiles;
 pub mod series;
 
-pub use export::{probe_table, Cell, Table};
+pub use export::{Cell, Table};
 pub use latmap::LatencyMap;
 pub use quantiles::LatencyQuantiles;
 pub use series::{render_series, series_csv, series_table, SeriesSummary};

@@ -102,10 +102,10 @@ pub fn render_series(series: &[(&str, &TimeSeries)], height: usize) -> String {
 
 /// CSV: `time_us,<label1>,<label2>,...` over the union of buckets.
 ///
-/// Built as a [`crate::export::Table`] (schema `prdrb-series-v1`) and
-/// rendered through the shared pipeline — the output bytes are
-/// unchanged from the hand-formatted writer this replaced, so the
-/// committed fig4_2x artifacts stay byte-identical.
+/// Built as a [`crate::export::Table`] and rendered through the shared
+/// pipeline — the output bytes are unchanged from the hand-formatted
+/// writer this replaced, so the committed fig4_2x artifacts stay
+/// byte-identical.
 pub fn series_csv(series: &[(&str, &TimeSeries)]) -> String {
     series_table(series).to_csv()
 }
@@ -116,7 +116,7 @@ pub fn series_csv(series: &[(&str, &TimeSeries)]) -> String {
 pub fn series_table(series: &[(&str, &TimeSeries)]) -> Table {
     let mut columns = vec!["time_us".to_string()];
     columns.extend(series.iter().map(|(label, _)| label.to_string()));
-    let mut table = Table::new("prdrb-series-v1", columns);
+    let mut table = Table::new(columns);
     let max_len = series.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
     let bucket = series
         .first()
@@ -199,7 +199,6 @@ mod tests {
         assert_eq!(series_csv(&[]), "time_us\n");
         let t = series_table(&[("a", &a)]);
         assert_eq!(t.len(), 3);
-        assert!(t.to_json().contains("\"prdrb-series-v1\""));
     }
 
     #[test]

@@ -656,8 +656,6 @@ impl Fabric {
         self.routers[router.idx()].route_pending = false;
         let ports = self.routers[router.idx()].in_q.len();
         let lanes = ports * NUM_VCS;
-        #[cfg(feature = "probes")]
-        let mut arb_attempts: u64 = 0;
         // Round-robin arbitration: each pass walks `lanes` steps from the
         // (live) cursor, and a move re-bases the cursor just past the
         // winning lane. The occupancy mask lets the walk jump straight to
@@ -691,10 +689,6 @@ impl Fabric {
                     break;
                 }
                 let (p, vc) = (lane / NUM_VCS, lane % NUM_VCS);
-                #[cfg(feature = "probes")]
-                {
-                    arb_attempts += 1;
-                }
                 if self.try_move_in_to_out(router, p, vc) {
                     self.routers[router.idx()].rr_cursor =
                         if lane + 1 == lanes { 0 } else { lane + 1 };
@@ -706,7 +700,6 @@ impl Fabric {
                 break;
             }
         }
-        prdrb_simcore::probe_value!(ArbSteps, router.0, arb_attempts);
     }
 
     /// Move the head packet of `in_q[p][vc]` to its output queue if there
@@ -780,7 +773,6 @@ impl Fabric {
         }
         // Contention in the input queue beyond the fixed routing delay.
         let wait = (self.clock - pkt.queued_at).saturating_sub(self.cfg.routing_delay_ns);
-        prdrb_simcore::probe_value!(QueueWait, router.0, wait);
         pkt.path_latency += wait;
         pkt.queued_at = self.clock;
         pkt.hops += 1;
@@ -877,18 +869,11 @@ impl Fabric {
             }
         }
         let mut pkt = rs.out_q[port.idx()].pop_front().expect("head");
-        // Occupancy at transmit time, departing packet included.
-        prdrb_simcore::probe_value!(
-            LinkOccupancy,
-            (router.0 as u64) << 8 | port.0 as u64,
-            rs.out_bytes[port.idx()]
-        );
         rs.out_bytes[port.idx()] -= pkt.size;
         if matches!(neighbor, Some(Endpoint::Router(..))) {
             rs.credits[port.idx()][vc] -= pkt.size as i64;
         }
         let wait = self.clock - pkt.queued_at;
-        prdrb_simcore::probe_value!(OutputWait, router.0, wait);
         pkt.path_latency += wait;
         self.sample_contention(router, wait);
         let ser = self.cfg.ser_ns(pkt.size);

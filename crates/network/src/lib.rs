@@ -298,45 +298,6 @@ mod fabric_tests {
         assert_eq!(run(), run());
     }
 
-    /// With probes compiled in, the registry observes the run without
-    /// perturbing it: two identical runs produce identical delivery
-    /// schedules (the unit-level analogue of the probes-on golden-digest
-    /// guarantee), and the fabric's probe sites actually fire.
-    #[cfg(feature = "probes")]
-    #[test]
-    fn probes_observe_without_perturbing() {
-        use prdrb_simcore::ProbeKind;
-        let run = || {
-            let mut f = Fabric::new(AnyTopology::mesh8x8(), NetworkConfig::default());
-            for i in 0..50u64 {
-                data(
-                    &mut f,
-                    (i % 16) as u32,
-                    ((i * 7) % 64) as u32,
-                    i * 997,
-                    PathDescriptor::Minimal,
-                    true,
-                );
-            }
-            f.run_to_quiescence(MILLISECOND * 100);
-            let mut d = taken(&mut f);
-            d.sort_by_key(|x| (x.at, x.packet.id));
-            d.iter().map(|x| (x.at, x.packet.id)).collect::<Vec<_>>()
-        };
-        let a = run();
-        let rows = prdrb_simcore::probe::snapshot();
-        let fired: Vec<ProbeKind> = rows.iter().map(|r| r.kind).collect();
-        for kind in [
-            ProbeKind::QueueWait,
-            ProbeKind::OutputWait,
-            ProbeKind::ArbSteps,
-            ProbeKind::LinkOccupancy,
-        ] {
-            assert!(fired.contains(&kind), "{kind:?} probe never fired");
-        }
-        assert_eq!(a, run(), "probe recording perturbed the schedule");
-    }
-
     #[test]
     fn mixed_msp_traffic_does_not_deadlock() {
         // Crossing MSPs with opposing turn patterns; the per-segment VC

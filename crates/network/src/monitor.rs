@@ -173,8 +173,8 @@ mod tests {
     fn equal_shares_order_by_flow_key_regardless_of_queue_order() {
         // Three flows with identical occupancy shares, queued in
         // descending key order: the output must come back in ascending
-        // FlowPair order, not queue/insertion order, so probe exports
-        // and GPA notification order are stable across runs.
+        // FlowPair order, not queue/insertion order, so GPA
+        // notification order is stable across runs.
         let mut q = VecDeque::new();
         q.push_back(pkt(7, 9, 100));
         q.push_back(pkt(3, 4, 100));

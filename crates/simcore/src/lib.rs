@@ -18,14 +18,12 @@
 
 pub mod event;
 pub mod hash;
-pub mod probe;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use event::{EventEntry, EventQueue, QueueKind};
 pub use hash::StableHasher;
-pub use probe::{ProbeKind, ProbeRow};
 pub use rng::SimRng;
 pub use stats::{Histogram, RunningMean, TimeSeries};
 pub use time::{Time, MICROSECOND, MILLISECOND, NANOSECOND, SECOND};

@@ -9,8 +9,8 @@
 //! threshold re-applies without re-exploring. A [`PhaseProgram`] is the
 //! time-indexed schedule; the engine drives per-node injection from
 //! [`PhaseProgram::at`] exactly as it does for [`crate::bursty`]
-//! schedules, and the per-phase probe export reports solution-store hit
-//! rates phase by phase.
+//! schedules, and each run report carries solution-store hits and
+//! expansions phase by phase.
 
 use crate::patterns::TrafficPattern;
 use prdrb_simcore::time::Time;
@@ -97,9 +97,9 @@ impl PhaseProgram {
 
     /// The phase in force at `t`: `(global phase index, spec)`, or
     /// `None` once the program has completed. The global index is
-    /// `iteration * phases.len() + position` — the per-phase probe
-    /// entity, so hit rates can be compared across iterations of the
-    /// *same* position.
+    /// `iteration * phases.len() + position` — the index of the run
+    /// report's per-phase counts, so hit rates can be compared across
+    /// iterations of the *same* position.
     pub fn at(&self, t: Time) -> Option<(u32, &PhaseSpec)> {
         if t >= self.total_ns() {
             return None;
