@@ -14,7 +14,8 @@ pub enum Similarity {
     Containment,
 }
 
-/// Tunables shared by DRB, FR-DRB and PR-DRB.
+/// Tunables shared by DRB, FR-DRB, PR-DRB and PR-FR-DRB. The variant
+/// itself is the [`PolicyKind`](crate::PolicyKind), not a field here.
 #[derive(Debug, Clone, Copy)]
 pub struct DrbConfig {
     /// `Threshold_Low`: below this metapath latency, alternative paths
@@ -49,14 +50,11 @@ pub struct DrbConfig {
     /// Which similarity measure to use.
     pub similarity: Similarity,
     /// FR-DRB watchdog: expand when no ACK arrived for this long after a
-    /// send (§4.8.4; `None` disables the watchdog).
-    pub watchdog_ns: Option<Time>,
-    /// Save/lookup solutions in the predictive database (PR-DRB); plain
-    /// DRB runs with this off.
-    pub predictive: bool,
+    /// send (§4.8.4). Only FR-DRB and PR-FR-DRB read it.
+    pub watchdog_ns: Time,
     /// Use router-based early notification (§3.4.1) instead of the
-    /// default destination-based scheme (§3.2.2). Only meaningful when
-    /// `predictive` is set.
+    /// default destination-based scheme (§3.2.2). Only PR-DRB and
+    /// PR-FR-DRB read it.
     pub router_based: bool,
     /// Latency-trend prediction (§5.2 open line): sliding-window size
     /// for the per-flow trend detector; 0 disables it.
@@ -77,8 +75,7 @@ impl Default for DrbConfig {
             min_similarity: 0.8,
             max_solutions: 1024,
             similarity: Similarity::Overlap,
-            watchdog_ns: None,
-            predictive: false,
+            watchdog_ns: 60 * MICROSECOND,
             router_based: false,
             trend_window: 0,
             trend_horizon_ns: 60 * MICROSECOND,
@@ -87,35 +84,6 @@ impl Default for DrbConfig {
 }
 
 impl DrbConfig {
-    /// Plain DRB (the CLUSTER 2011 baseline from Franco et al.).
-    pub fn drb() -> Self {
-        Self::default()
-    }
-
-    /// PR-DRB: DRB plus the predictive solution database.
-    pub fn pr_drb() -> Self {
-        Self {
-            predictive: true,
-            ..Self::default()
-        }
-    }
-
-    /// FR-DRB: DRB with the fast-response watchdog timer.
-    pub fn fr_drb() -> Self {
-        Self {
-            watchdog_ns: Some(60 * MICROSECOND),
-            ..Self::default()
-        }
-    }
-
-    /// Predictive FR-DRB (the modular composition shown for POP, §4.8.4).
-    pub fn pr_fr_drb() -> Self {
-        Self {
-            predictive: true,
-            ..Self::fr_drb()
-        }
-    }
-
     /// Sanity-check the configuration.
     pub fn validate(&self) {
         assert!(
@@ -134,12 +102,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets() {
-        assert!(!DrbConfig::drb().predictive);
-        assert!(DrbConfig::pr_drb().predictive);
-        assert!(DrbConfig::fr_drb().watchdog_ns.is_some());
-        let prfr = DrbConfig::pr_fr_drb();
-        assert!(prfr.predictive && prfr.watchdog_ns.is_some());
+    fn default_is_valid() {
         DrbConfig::default().validate();
     }
 

@@ -16,10 +16,12 @@
 //! * **FR-DRB** adds the watchdog timer: missing ACKs for `watchdog_ns`
 //!   is itself a congestion signal and triggers the same reaction
 //!   without waiting for a notification.
+//!
+//! The [`PolicyKind`] alone picks the variant; [`DrbConfig`] only tunes it.
 
 use crate::config::DrbConfig;
 use crate::metapath::Metapath;
-use crate::policy::{base_path, PolicyStats, RoutingPolicy};
+use crate::policy::{base_path, PolicyKind, PolicyStats, RoutingPolicy};
 use crate::solutions::SolutionDb;
 use crate::trend::TrendDetector;
 use crate::zones::{Transition, Zone, ZoneTracker};
@@ -54,12 +56,18 @@ struct FlowState {
     outstanding: u64,
 }
 
-/// The DRB-family policy (§3.2). Behaviour is selected by [`DrbConfig`]:
-/// `predictive` turns on the PR layer, `watchdog_ns` the FR layer.
+/// The DRB-family policy (§3.2). The kind selects the layers: PR-DRB
+/// and PR-FR-DRB run the predictive solution database, FR-DRB and
+/// PR-FR-DRB the watchdog.
 #[derive(Debug)]
 pub struct DrbPolicy {
     topo: AnyTopology,
+    kind: PolicyKind,
     cfg: DrbConfig,
+    /// Save/lookup solutions in the predictive database (PR layer).
+    predictive: bool,
+    /// Watchdog period (FR layer), `None` when the kind has no watchdog.
+    watchdog: Option<Time>,
     /// Number of terminals — the stride of the dense per-flow table.
     nodes: usize,
     /// Per-flow state, indexed `src.idx() * nodes + dst.idx()`. Dense
@@ -85,14 +93,24 @@ pub struct DrbPolicy {
 }
 
 impl DrbPolicy {
-    /// A DRB-family policy over `topo`.
-    pub fn new(topo: AnyTopology, cfg: DrbConfig) -> Self {
+    /// A DRB-family policy of variant `kind` over `topo`. Panics when
+    /// `kind` is not one of DRB, PR-DRB, FR-DRB and PR-FR-DRB.
+    pub fn new(topo: AnyTopology, kind: PolicyKind, cfg: DrbConfig) -> Self {
         cfg.validate();
+        use PolicyKind::{Drb, FrDrb, PrDrb, PrFrDrb};
+        assert!(
+            matches!(kind, Drb | PrDrb | FrDrb | PrFrDrb),
+            "{} is not a DRB-family policy",
+            kind.label()
+        );
         let nodes = topo.num_terminals();
         let faults = FaultState::new(&topo);
         Self {
             topo,
+            kind,
             cfg,
+            predictive: matches!(kind, PrDrb | PrFrDrb),
+            watchdog: matches!(kind, FrDrb | PrFrDrb).then_some(cfg.watchdog_ns),
             nodes,
             flows: std::iter::repeat_with(|| None)
                 .take(nodes * nodes)
@@ -113,6 +131,11 @@ impl DrbPolicy {
     /// The configured tunables.
     pub fn config(&self) -> &DrbConfig {
         &self.cfg
+    }
+
+    /// Whether this variant runs the predictive solution database.
+    pub(crate) fn is_predictive(&self) -> bool {
+        self.predictive
     }
 
     /// The topology this policy routes over.
@@ -226,11 +249,11 @@ impl DrbPolicy {
         fs.alts = Some(alts);
     }
 
-    /// Congestion reaction: try the solution database (PR, on episode
-    /// entry), otherwise open the next alternative path (Fig 3.10).
-    fn react(&mut self, src: NodeId, dst: NodeId, entering: bool, now: Time) {
+    /// Congestion reaction: try the solution database (PR, until a
+    /// solution is installed this episode), otherwise open the next
+    /// alternative path (Fig 3.10).
+    fn react(&mut self, src: NodeId, dst: NodeId, now: Time) {
         let cfg = self.cfg;
-        let _ = entering;
         let i = self.fidx(src, dst);
         // Disjoint field borrows: the flow table, the databases and the
         // topology are used side by side — no per-call `topo.clone()`.
@@ -240,12 +263,13 @@ impl DrbPolicy {
             dbs,
             faults,
             expansions,
+            predictive,
             ..
         } = self;
         // Predictive lookup first (Fig 3.8 / Fig 3.15: every congestion
         // notification checks the database until a solution has been
         // installed for the current episode).
-        let try_lookup = cfg.predictive
+        let try_lookup = *predictive
             && flows[i]
                 .as_ref()
                 .map(|f| !f.solution_applied)
@@ -337,15 +361,15 @@ impl DrbPolicy {
         };
         if trend_fires {
             self.trend_predictions += 1;
-            self.react(src, dst, true, now);
+            self.react(src, dst, now);
             return;
         }
         match tr {
-            Transition::EnterHigh => self.react(src, dst, true, now),
+            Transition::EnterHigh => self.react(src, dst, now),
             Transition::SettleMedium => {
                 // Congestion controlled: save the winning combination
                 // (H→M of Fig 3.12).
-                if cfg.predictive {
+                if self.predictive {
                     let (pattern, snapshot) = {
                         let i = self.fidx(src, dst);
                         let fs = self.flows[i].as_mut().expect("exists");
@@ -384,7 +408,7 @@ impl DrbPolicy {
                 // Alg A.2's continuous rule: keep expanding while the
                 // metapath stays saturated, keep shrinking while idle.
                 if zone == Zone::High {
-                    self.react(src, dst, false, now);
+                    self.react(src, dst, now);
                 } else if zone == Zone::Low {
                     let i = self.fidx(src, dst);
                     let fs = self.flows[i].as_mut().expect("exists");
@@ -403,12 +427,7 @@ impl DrbPolicy {
 
 impl RoutingPolicy for DrbPolicy {
     fn name(&self) -> &'static str {
-        match (self.cfg.predictive, self.cfg.watchdog_ns.is_some()) {
-            (false, false) => "drb",
-            (true, false) => "pr-drb",
-            (false, true) => "fr-drb",
-            (true, true) => "pr-fr-drb",
-        }
+        self.kind.label()
     }
 
     fn needs_acks(&self) -> bool {
@@ -416,7 +435,7 @@ impl RoutingPolicy for DrbPolicy {
     }
 
     fn notify_mode(&self) -> NotifyMode {
-        if !self.cfg.predictive {
+        if !self.predictive {
             NotifyMode::Off
         } else if self.cfg.router_based {
             NotifyMode::Router
@@ -463,8 +482,7 @@ impl RoutingPolicy for DrbPolicy {
             for &(s, d) in flows.iter().filter(|(s, _)| *s == me) {
                 let fs = self.flow_state(s, d);
                 Self::note_contenders(&mut fs.pattern, flows);
-                let already_high = fs.zone.zone() == Zone::High;
-                self.react(s, d, !already_high, now);
+                self.react(s, d, now);
             }
         } else {
             // Destination ACK: latency sample for the flow it acknowledges.
@@ -474,7 +492,7 @@ impl RoutingPolicy for DrbPolicy {
     }
 
     fn tick(&mut self, now: Time) {
-        let Some(watchdog) = self.cfg.watchdog_ns else {
+        let Some(watchdog) = self.watchdog else {
             return;
         };
         // FR-DRB: an ACK overdue on an active flow is a congestion sign
@@ -489,7 +507,7 @@ impl RoutingPolicy for DrbPolicy {
             });
             if overdue {
                 self.watchdog_fires += 1;
-                self.react(src, dst, true, now);
+                self.react(src, dst, now);
                 if let Some(fs) = self.flows[i].as_mut() {
                     fs.last_ack = now; // re-arm instead of firing every tick
                 }
@@ -498,7 +516,7 @@ impl RoutingPolicy for DrbPolicy {
     }
 
     fn tick_interval(&self) -> Option<Time> {
-        self.cfg.watchdog_ns.map(|w| (w / 2).max(1))
+        self.watchdog.map(|w| (w / 2).max(1))
     }
 
     fn on_fault(&mut self, faults: &FaultState, now: Time) {
@@ -547,13 +565,8 @@ impl RoutingPolicy for DrbPolicy {
         }
     }
 
-    fn preload_profile(
-        &mut self,
-        topo: &prdrb_topology::AnyTopology,
-        profile: &[crate::offline::ProfiledFlow],
-    ) {
-        let _ = topo;
-        if self.cfg.predictive {
+    fn preload_profile(&mut self, profile: &[crate::offline::ProfiledFlow]) {
+        if self.predictive {
             crate::offline::preload(self, profile);
         }
     }
@@ -624,11 +637,12 @@ mod tests {
         a
     }
 
-    fn drb(topo: AnyTopology, cfg: DrbConfig) -> DrbPolicy {
+    fn drb_with(topo: AnyTopology, kind: PolicyKind, cfg: DrbConfig) -> DrbPolicy {
         // Tests drive ACKs at arbitrary timestamps; disable the settle
         // pacing except where a test exercises it explicitly.
         DrbPolicy::new(
             topo,
+            kind,
             DrbConfig {
                 adjust_settle_ns: 0,
                 ..cfg
@@ -636,18 +650,31 @@ mod tests {
         )
     }
 
+    fn drb(topo: AnyTopology, kind: PolicyKind) -> DrbPolicy {
+        drb_with(topo, kind, DrbConfig::default())
+    }
+
     #[test]
     fn names_cover_the_family() {
         let t = AnyTopology::mesh8x8();
-        assert_eq!(drb(t.clone(), DrbConfig::drb()).name(), "drb");
-        assert_eq!(drb(t.clone(), DrbConfig::pr_drb()).name(), "pr-drb");
-        assert_eq!(drb(t.clone(), DrbConfig::fr_drb()).name(), "fr-drb");
-        assert_eq!(drb(t, DrbConfig::pr_fr_drb()).name(), "pr-fr-drb");
+        for kind in [
+            PolicyKind::Drb,
+            PolicyKind::PrDrb,
+            PolicyKind::FrDrb,
+            PolicyKind::PrFrDrb,
+        ] {
+            let p = drb(t.clone(), kind);
+            assert_eq!(p.name(), kind.label());
+            let predictive = matches!(kind, PolicyKind::PrDrb | PolicyKind::PrFrDrb);
+            let watchdog = matches!(kind, PolicyKind::FrDrb | PolicyKind::PrFrDrb);
+            assert_eq!(p.notify_mode() != NotifyMode::Off, predictive, "{kind:?}");
+            assert_eq!(p.tick_interval().is_some(), watchdog, "{kind:?}");
+        }
     }
 
     #[test]
     fn high_latency_acks_open_paths_gradually() {
-        let mut p = drb(AnyTopology::mesh8x8(), DrbConfig::drb());
+        let mut p = drb(AnyTopology::mesh8x8(), PolicyKind::Drb);
         let mut rng = SimRng::new(1);
         let _ = p.choose(NodeId(0), NodeId(63), 0, &mut rng);
         assert_eq!(p.open_paths(NodeId(0), NodeId(63)), 1);
@@ -667,9 +694,9 @@ mod tests {
     fn settle_window_paces_openings() {
         let cfg = DrbConfig {
             adjust_settle_ns: 40_000,
-            ..DrbConfig::drb()
+            ..DrbConfig::default()
         };
-        let mut p = DrbPolicy::new(AnyTopology::mesh8x8(), cfg);
+        let mut p = DrbPolicy::new(AnyTopology::mesh8x8(), PolicyKind::Drb, cfg);
         let mut rng = SimRng::new(1);
         let _ = p.choose(NodeId(0), NodeId(63), 0, &mut rng);
         // A burst of saturated ACKs within one settle window opens only
@@ -685,7 +712,7 @@ mod tests {
 
     #[test]
     fn low_latency_acks_close_paths() {
-        let mut p = drb(AnyTopology::mesh8x8(), DrbConfig::drb());
+        let mut p = drb(AnyTopology::mesh8x8(), PolicyKind::Drb);
         let mut rng = SimRng::new(1);
         let _ = p.choose(NodeId(0), NodeId(63), 0, &mut rng);
         for i in 0..3u64 {
@@ -705,7 +732,7 @@ mod tests {
 
     #[test]
     fn selection_spreads_over_open_paths() {
-        let mut p = drb(AnyTopology::fat_tree_64(), DrbConfig::drb());
+        let mut p = drb(AnyTopology::fat_tree_64(), PolicyKind::Drb);
         let mut rng = SimRng::new(5);
         let _ = p.choose(NodeId(0), NodeId(63), 0, &mut rng);
         for i in 0..3u64 {
@@ -724,7 +751,7 @@ mod tests {
 
     #[test]
     fn predictive_saves_and_reapplies_solutions() {
-        let mut p = drb(AnyTopology::mesh8x8(), DrbConfig::pr_drb());
+        let mut p = drb(AnyTopology::mesh8x8(), PolicyKind::PrDrb);
         let mut rng = SimRng::new(5);
         let _ = p.choose(NodeId(0), NodeId(63), 0, &mut rng);
         let pattern = [(0, 63), (1, 62), (2, 61)];
@@ -767,7 +794,7 @@ mod tests {
 
     #[test]
     fn plain_drb_never_uses_the_database() {
-        let mut p = drb(AnyTopology::mesh8x8(), DrbConfig::drb());
+        let mut p = drb(AnyTopology::mesh8x8(), PolicyKind::Drb);
         let mut rng = SimRng::new(5);
         let _ = p.choose(NodeId(0), NodeId(63), 0, &mut rng);
         let pattern = [(0, 63), (1, 62)];
@@ -786,10 +813,10 @@ mod tests {
     #[test]
     fn watchdog_fires_without_acks() {
         let cfg = DrbConfig {
-            watchdog_ns: Some(10 * MICROSECOND),
-            ..DrbConfig::drb()
+            watchdog_ns: 10 * MICROSECOND,
+            ..DrbConfig::default()
         };
-        let mut p = drb(AnyTopology::mesh8x8(), cfg);
+        let mut p = drb_with(AnyTopology::mesh8x8(), PolicyKind::FrDrb, cfg);
         let mut rng = SimRng::new(5);
         let _ = p.choose(NodeId(0), NodeId(63), 0, &mut rng);
         assert_eq!(p.tick_interval(), Some(5 * MICROSECOND));
@@ -811,9 +838,9 @@ mod tests {
     fn router_based_predictive_ack_reacts_immediately() {
         let cfg = DrbConfig {
             router_based: true,
-            ..DrbConfig::pr_drb()
+            ..DrbConfig::default()
         };
-        let mut p = drb(AnyTopology::mesh8x8(), cfg);
+        let mut p = drb_with(AnyTopology::mesh8x8(), PolicyKind::PrDrb, cfg);
         assert_eq!(p.notify_mode(), NotifyMode::Router);
         let mut rng = SimRng::new(5);
         let _ = p.choose(NodeId(3), NodeId(60), 0, &mut rng);
@@ -858,7 +885,7 @@ mod tests {
     fn faults_prune_metapaths_and_cap_relearning_to_live_paths() {
         use prdrb_topology::{FaultEvent, Mesh2D};
         let topo = AnyTopology::mesh8x8();
-        let mut p = drb(topo.clone(), DrbConfig::drb());
+        let mut p = drb(topo.clone(), PolicyKind::Drb);
         let mut rng = SimRng::new(5);
         let _ = p.choose(NodeId(0), NodeId(63), 0, &mut rng);
         for i in 0..3u64 {
@@ -909,7 +936,7 @@ mod tests {
     fn faults_invalidate_saved_solutions_and_the_repaired_set_reapplies() {
         use prdrb_topology::{FaultEvent, Mesh2D};
         let topo = AnyTopology::mesh8x8();
-        let mut p = drb(topo.clone(), DrbConfig::pr_drb());
+        let mut p = drb(topo.clone(), PolicyKind::PrDrb);
         let mut rng = SimRng::new(5);
         let _ = p.choose(NodeId(0), NodeId(63), 0, &mut rng);
         let pattern = [(0, 63), (1, 62), (2, 61)];
@@ -962,7 +989,7 @@ mod tests {
 
     #[test]
     fn tree_flows_expand_across_ncas() {
-        let mut p = drb(AnyTopology::fat_tree_64(), DrbConfig::drb());
+        let mut p = drb(AnyTopology::fat_tree_64(), PolicyKind::Drb);
         let mut rng = SimRng::new(5);
         let _ = p.choose(NodeId(0), NodeId(4), 0, &mut rng);
         for i in 0..5u64 {

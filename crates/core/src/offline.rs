@@ -79,7 +79,7 @@ pub fn predicted_contenders(
 pub fn preload(policy: &mut DrbPolicy, profile: &[ProfiledFlow]) -> usize {
     let cfg: DrbConfig = *policy.config();
     assert!(
-        cfg.predictive,
+        policy.is_predictive(),
         "preloading is only meaningful for the predictive variants"
     );
     // Two phases: plan every solution while borrowing the policy's
@@ -119,7 +119,7 @@ pub fn preload(policy: &mut DrbPolicy, profile: &[ProfiledFlow]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::RoutingPolicy;
+    use crate::policy::{PolicyKind, RoutingPolicy};
     use prdrb_network::{Packet, PacketKind, PredictiveHeader};
     use prdrb_simcore::time::MICROSECOND;
     use prdrb_simcore::SimRng;
@@ -180,9 +180,10 @@ mod tests {
         let topo = AnyTopology::mesh8x8();
         let mut p = DrbPolicy::new(
             topo.clone(),
+            PolicyKind::PrDrb,
             DrbConfig {
                 adjust_settle_ns: 0,
-                ..DrbConfig::pr_drb()
+                ..DrbConfig::default()
             },
         );
         let n = preload(&mut p, &profile_mesh_corridor());
@@ -234,14 +235,14 @@ mod tests {
     #[should_panic(expected = "predictive")]
     fn preload_rejects_plain_drb() {
         let topo = AnyTopology::mesh8x8();
-        let mut p = DrbPolicy::new(topo.clone(), DrbConfig::drb());
+        let mut p = DrbPolicy::new(topo.clone(), PolicyKind::Drb, DrbConfig::default());
         let _ = preload(&mut p, &profile_mesh_corridor());
     }
 
     #[test]
     fn tree_profiles_preload_too() {
         let topo = AnyTopology::fat_tree_64();
-        let mut p = DrbPolicy::new(topo.clone(), DrbConfig::pr_drb());
+        let mut p = DrbPolicy::new(topo.clone(), PolicyKind::PrDrb, DrbConfig::default());
         // Four same-leaf sources all crossing to the far subtree share
         // their column's uplinks under the deterministic routing.
         let profile: Vec<ProfiledFlow> = (0..4)

@@ -122,8 +122,8 @@ pub trait RoutingPolicy: std::fmt::Debug {
 
     /// Install an offline communication profile (§5.2 static variant).
     /// Baseline policies ignore it.
-    fn preload_profile(&mut self, topo: &AnyTopology, profile: &[crate::offline::ProfiledFlow]) {
-        let _ = (topo, profile);
+    fn preload_profile(&mut self, profile: &[crate::offline::ProfiledFlow]) {
+        let _ = profile;
     }
 }
 
@@ -561,8 +561,8 @@ impl PolicyKind {
     }
 }
 
-/// Instantiate a policy over `topo`. DRB-family policies take their
-/// tunables from `drb_cfg`.
+/// Instantiate a policy over `topo`. `kind` alone selects the DRB
+/// variant; DRB-family policies take their tunables from `drb_cfg`.
 pub fn make_policy(
     kind: PolicyKind,
     topo: &AnyTopology,
@@ -575,42 +575,9 @@ pub fn make_policy(
         PolicyKind::Adaptive => Box::new(AdaptivePerHop::new(topo.clone())),
         PolicyKind::Valiant => Box::new(Valiant::new(topo.clone())),
         PolicyKind::Ugal => Box::new(Ugal::new(topo.clone(), drb_cfg.ewma_alpha)),
-        PolicyKind::Drb => Box::new(crate::drb::DrbPolicy::new(
-            topo.clone(),
-            crate::config::DrbConfig {
-                predictive: false,
-                watchdog_ns: None,
-                ..drb_cfg
-            },
-        )),
-        PolicyKind::PrDrb => Box::new(crate::drb::DrbPolicy::new(
-            topo.clone(),
-            crate::config::DrbConfig {
-                predictive: true,
-                watchdog_ns: None,
-                ..drb_cfg
-            },
-        )),
-        PolicyKind::FrDrb => Box::new(crate::drb::DrbPolicy::new(
-            topo.clone(),
-            crate::config::DrbConfig {
-                predictive: false,
-                watchdog_ns: drb_cfg
-                    .watchdog_ns
-                    .or(crate::config::DrbConfig::fr_drb().watchdog_ns),
-                ..drb_cfg
-            },
-        )),
-        PolicyKind::PrFrDrb => Box::new(crate::drb::DrbPolicy::new(
-            topo.clone(),
-            crate::config::DrbConfig {
-                predictive: true,
-                watchdog_ns: drb_cfg
-                    .watchdog_ns
-                    .or(crate::config::DrbConfig::fr_drb().watchdog_ns),
-                ..drb_cfg
-            },
-        )),
+        PolicyKind::Drb | PolicyKind::PrDrb | PolicyKind::FrDrb | PolicyKind::PrFrDrb => {
+            Box::new(crate::drb::DrbPolicy::new(topo.clone(), kind, drb_cfg))
+        }
     }
 }
 

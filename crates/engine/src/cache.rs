@@ -68,7 +68,12 @@ use std::sync::Arc;
 /// v8: reports carry per-phase solution counts (a `phases` line), and
 /// `net.acks_enabled` / `net.monitor.mode` left the key — the policy
 /// overrides both when the run is built.
-const CACHE_FORMAT: u32 = 8;
+///
+/// v9: the DRB config's `predictive` flag left the key (the policy
+/// kind alone selects the DRB variant), `watchdog_ns` hashes as a plain
+/// `u64` instead of an option, and topology tag 4 (the board mesh) is
+/// retired.
+const CACHE_FORMAT: u32 = 9;
 
 /// First line of every cache file.
 const MAGIC: &str = "prdrb-run-cache,v1";
@@ -139,16 +144,7 @@ fn fold_config(cfg: &SimConfig, h: &mut StableHasher) {
             h.write_u32(k);
             h.write_u32(n);
         }
-        TopologyKind::BoardMesh {
-            w,
-            h: rows,
-            board_h,
-        } => {
-            h.write_u8(4);
-            h.write_u32(w);
-            h.write_u32(rows);
-            h.write_u32(board_h);
-        }
+        // Tag 4 (the board mesh) is retired.
         TopologyKind::Dragonfly { a, r, h: gp } => {
             h.write_u8(5);
             h.write_u32(a);
@@ -185,7 +181,6 @@ fn fold_config(cfg: &SimConfig, h: &mut StableHasher) {
         max_solutions,
         similarity,
         watchdog_ns,
-        predictive,
         router_based,
         trend_window,
         trend_horizon_ns,
@@ -202,8 +197,7 @@ fn fold_config(cfg: &SimConfig, h: &mut StableHasher) {
         Similarity::Overlap => 1,
         Similarity::Containment => 2,
     });
-    fold_option_u64(watchdog_ns, h);
-    h.write_bool(predictive);
+    h.write_u64(watchdog_ns);
     h.write_bool(router_based);
     h.write_usize(trend_window);
     h.write_u64(trend_horizon_ns);
@@ -850,21 +844,13 @@ mod tests {
             Box::new(|c| c.drb.min_similarity += 1e-9),
             Box::new(|c| c.drb.max_solutions += 1),
             Box::new(|c| c.drb.similarity = Similarity::Jaccard),
-            Box::new(|c| c.drb.watchdog_ns = Some(1)),
-            Box::new(|c| c.drb.predictive = !c.drb.predictive),
+            Box::new(|c| c.drb.watchdog_ns += 1),
             Box::new(|c| c.drb.router_based = true),
             Box::new(|c| c.drb.trend_window += 1),
             Box::new(|c| c.drb.trend_horizon_ns += 1),
             Box::new(|c| c.net.link_gbps += 1e-9),
             Box::new(|c| c.net.wire_class_extra_ns[1] += 160),
             Box::new(|c| c.net.wire_class_extra_ns[2] += 5),
-            Box::new(|c| {
-                c.topology = TopologyKind::BoardMesh {
-                    w: 8,
-                    h: 8,
-                    board_h: 4,
-                }
-            }),
             Box::new(|c| c.topology = TopologyKind::Dragonfly { a: 9, r: 4, h: 2 }),
             Box::new(|c| c.topology = TopologyKind::Dragonfly { a: 9, r: 4, h: 3 }),
             Box::new(|c| {

@@ -29,17 +29,6 @@ pub enum TopologyKind {
         /// Levels.
         n: u32,
     },
-    /// A mesh assembled from boards of `board_h` rows: links crossing a
-    /// board seam are global-class wires and pay the inter-board delay
-    /// (`NetworkConfig::wire_class_extra_ns`).
-    BoardMesh {
-        /// Width.
-        w: u32,
-        /// Height.
-        h: u32,
-        /// Rows per board.
-        board_h: u32,
-    },
     /// A palm-tree-wired dragonfly: `a` groups of `r` fully connected
     /// routers with `h` global ports each (global links carry the
     /// GLOBAL wire class and pay the inter-group delay).
@@ -73,9 +62,6 @@ impl TopologyKind {
             TopologyKind::FatTree443 => AnyTopology::fat_tree_64(),
             TopologyKind::Mesh { w, h } => AnyTopology::Mesh(Mesh2D::new(w, h)),
             TopologyKind::Tree { k, n } => AnyTopology::Tree(KAryNTree::new(k, n)),
-            TopologyKind::BoardMesh { w, h, board_h } => {
-                AnyTopology::Mesh(Mesh2D::with_boards(w, h, board_h))
-            }
             TopologyKind::Dragonfly { a, r, h } => AnyTopology::Dragonfly(Dragonfly::new(a, r, h)),
             TopologyKind::Megafly { a, l, s, h } => AnyTopology::Megafly(Megafly::new(a, l, s, h)),
         }
@@ -316,14 +302,6 @@ mod tests {
         assert_eq!(TopologyKind::FatTree443.build().num_terminals(), 64);
         assert_eq!(TopologyKind::Mesh { w: 4, h: 2 }.build().num_terminals(), 8);
         assert_eq!(TopologyKind::Tree { k: 2, n: 3 }.build().num_terminals(), 8);
-        let boarded = TopologyKind::BoardMesh {
-            w: 4,
-            h: 12,
-            board_h: 4,
-        }
-        .build();
-        assert_eq!(boarded.num_terminals(), 48);
-        assert!(boarded.label().contains("boards"));
         assert_eq!(
             TopologyKind::Dragonfly { a: 9, r: 4, h: 2 }
                 .build()

@@ -104,7 +104,7 @@ impl Simulation {
         let mut net = cfg.net;
         let mut policy = make_policy(cfg.policy, &topo, cfg.drb);
         if !cfg.preload_profile.is_empty() {
-            policy.preload_profile(&topo, &cfg.preload_profile);
+            policy.preload_profile(&cfg.preload_profile);
         }
         net.acks_enabled = policy.needs_acks();
         net.monitor.mode = policy.notify_mode();
@@ -568,6 +568,49 @@ impl Simulation {
         self.fabric.recycle(pkt);
     }
 
+    /// Fail loudly when the run stalled: nothing is left to happen (the
+    /// fabric calendar is empty and the run was not cut at `max_ns`),
+    /// yet data packets are still queued in the fabric or trace ranks
+    /// are still blocked. A stalled run would otherwise end silently
+    /// with `offered > accepted + dropped`.
+    fn check_not_stalled(&mut self, truncated: bool) {
+        const MAX_LANES: usize = 32;
+        let stats = self.fabric.stats;
+        let queued = stats
+            .offered_data
+            .saturating_sub(stats.accepted_data + stats.dropped_data);
+        let blocked = self.player.as_ref().filter(|p| !p.all_done());
+        if truncated
+            || (queued == 0 && blocked.is_none())
+            || self.fabric.next_event_time().is_some()
+        {
+            return;
+        }
+        let mut lines = vec![format!(
+            "run stalled with no pending events: {queued} data packets still queued \
+             ({} offered, {} accepted, {} dropped)",
+            stats.offered_data, stats.accepted_data, stats.dropped_data
+        )];
+        if let Some(p) = blocked {
+            lines.push("trace player deadlocked; stuck ranks:".into());
+            lines.extend(
+                (0..p.num_ranks() as u32)
+                    .map(|r| p.describe_block(r))
+                    .filter(|s| !s.contains("done=true"))
+                    .take(8),
+            );
+        }
+        let lanes = self.fabric.blocked_lanes();
+        if !lanes.is_empty() {
+            lines.push("blocked lanes:".into());
+        }
+        lines.extend(lanes.iter().take(MAX_LANES).cloned());
+        if lanes.len() > MAX_LANES {
+            lines.push(format!("... and {} more", lanes.len() - MAX_LANES));
+        }
+        panic!("{}", lines.join("\n"));
+    }
+
     fn finish(mut self, truncated: bool) -> RunReport {
         // Drain leftover control traffic for final accounting.
         self.fabric.run_to_quiescence(self.cfg.max_ns);
@@ -575,19 +618,7 @@ impl Simulation {
         // The last phase's deltas include the drain's ACK-driven
         // policy activity — flush them now that everything settled.
         self.flush_phase_counts();
-        if let Some(p) = &self.player {
-            if !p.all_done() && !truncated {
-                let stuck: Vec<String> = (0..p.num_ranks() as u32)
-                    .map(|r| p.describe_block(r))
-                    .filter(|s| !s.contains("done=true"))
-                    .take(8)
-                    .collect();
-                panic!(
-                    "trace player deadlocked with no pending events:\n{}",
-                    stuck.join("\n")
-                );
-            }
-        }
+        self.check_not_stalled(truncated);
         let global = {
             // Eq 4.2: average the per-destination means over the
             // destinations that received traffic.
@@ -733,6 +764,34 @@ mod tests {
             r.accepted + r.dropped,
             "lossless semantics end at a dead wire"
         );
+    }
+
+    /// Fat-tree Valiant at twice line rate stalls (ROADMAP item 1): it
+    /// used to end silently with 1,276 of 31,229 packets delivered, 0
+    /// dropped and `truncated = false`. The end-of-run check must fail
+    /// it, naming the blocked lanes and what their heads wait for.
+    #[test]
+    fn a_stalled_fabric_fails_loudly() {
+        let mut cfg = SimConfig::synthetic(
+            TopologyKind::FatTree443,
+            PolicyKind::Valiant,
+            BurstSchedule::continuous(TrafficPattern::Uniform, 4000.0),
+            64,
+        );
+        cfg.duration_ns = MILLISECOND;
+        cfg.seed = 1;
+        let err = std::panic::catch_unwind(|| Simulation::new(cfg).run())
+            .expect_err("the stalled run must fail");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains("run stalled with no pending events"), "{msg}");
+        assert!(
+            msg.contains("31229 offered, 1276 accepted, 0 dropped"),
+            "{msg}"
+        );
+        assert!(msg.contains("waits for vc"), "{msg}");
+        assert!(msg.contains("credit"), "{msg}");
     }
 
     #[test]

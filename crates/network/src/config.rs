@@ -69,10 +69,11 @@ pub struct NetworkConfig {
     /// Wire propagation delay per link.
     pub wire_delay_ns: Time,
     /// Extra propagation delay per latency class on top of
-    /// `wire_delay_ns`, indexed by [`Topology::link_class`]:
+    /// `wire_delay_ns`, indexed by
+    /// [`Topology::link_class`](prdrb_topology::Topology::link_class):
     /// `[local, global, server]`. All-zero by default, which reproduces
     /// the uniform-wire model exactly; nonzero global delay models long
-    /// inter-board / spine cables (the dragonfly figure's 500 ns global
+    /// spine / inter-group cables (the dragonfly figure's 500 ns global
     /// wires).
     pub wire_class_extra_ns: [Time; prdrb_topology::NUM_LINK_CLASSES],
     /// Cut-through handoff latency (header serialization).

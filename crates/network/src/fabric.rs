@@ -145,6 +145,13 @@ fn event_key(ev: &NetEvent) -> u64 {
     }
 }
 
+/// The virtual channel a packet occupies: its `Header_id`, capped at
+/// the last escape layer.
+#[inline]
+fn vc_of(pkt: &Packet) -> usize {
+    (pkt.route.header_id as usize).min(NUM_VCS - 1)
+}
+
 #[derive(Debug)]
 struct RouterState {
     /// `in_q[port][vc]`.
@@ -459,16 +466,29 @@ impl Fabric {
         self.q.peek_time()
     }
 
-    /// Process all events with time ≤ `until`. Returns the number of
-    /// events processed.
-    pub fn run_until(&mut self, until: Time) -> u64 {
+    /// The one event loop every `run_*` entry point shares: pop each
+    /// event with time ≤ `until`, apply the faults due by then and
+    /// dispatch it. With `stop_at_delivery` it stops as soon as a
+    /// delivery is pending. Returns the number of events processed.
+    #[inline]
+    fn run_events(&mut self, until: Time, stop_at_delivery: bool) -> u64 {
         let mut n = 0;
-        while let Some(entry) = self.q.pop_before(until) {
+        while !stop_at_delivery || self.deliveries.is_empty() {
+            let Some(entry) = self.q.pop_before(until) else {
+                break;
+            };
             self.apply_faults_through(entry.time);
             self.clock = entry.time;
             self.dispatch(entry.event);
             n += 1;
         }
+        n
+    }
+
+    /// Process all events with time ≤ `until`. Returns the number of
+    /// events processed.
+    pub fn run_until(&mut self, until: Time) -> u64 {
+        let n = self.run_events(until, false);
         self.apply_faults_through(until);
         self.clock = self.clock.max(until);
         n
@@ -481,16 +501,7 @@ impl Fabric {
     /// their actual timestamps (the trace player must unblock receives
     /// promptly).
     pub fn run_until_delivery(&mut self, until: Time) -> bool {
-        while self.deliveries.is_empty() {
-            match self.q.pop_before(until) {
-                Some(entry) => {
-                    self.apply_faults_through(entry.time);
-                    self.clock = entry.time;
-                    self.dispatch(entry.event);
-                }
-                None => break,
-            }
-        }
+        self.run_events(until, true);
         if self.deliveries.is_empty() {
             // No event ≤ `until` remains, so time passes to `until`;
             // faults scheduled in the quiet stretch take effect now.
@@ -505,11 +516,7 @@ impl Fabric {
     /// Drain the network completely (or until `max_t`). Returns the time
     /// of the last event.
     pub fn run_to_quiescence(&mut self, max_t: Time) -> Time {
-        while let Some(entry) = self.q.pop_before(max_t) {
-            self.apply_faults_through(entry.time);
-            self.clock = entry.time;
-            self.dispatch(entry.event);
-        }
+        self.run_events(max_t, false);
         self.clock
     }
 
@@ -537,6 +544,57 @@ impl Fabric {
     /// numerator.
     pub fn events_processed(&self) -> u64 {
         self.q.total_processed()
+    }
+
+    /// One line per non-empty queue, naming what its head packet waits
+    /// for: a router input lane `(router, port, VC)` waits for room in
+    /// its output queue, and a router output queue or a NIC queue waits
+    /// for credit on the head's downstream VC. Once the calendar is
+    /// empty nothing moves these packets again — they are the lanes of
+    /// a stall.
+    pub fn blocked_lanes(&self) -> Vec<String> {
+        let credit = |lane: String, q: &VecDeque<Box<Packet>>, credits: &[i64; NUM_VCS]| {
+            let head = q.front()?;
+            let vc = vc_of(head);
+            Some(format!(
+                "{lane}: {} packets, head #{} waits for vc{vc} credit ({} of {} bytes)",
+                q.len(),
+                head.id,
+                credits[vc],
+                head.size
+            ))
+        };
+        let mut lines = Vec::new();
+        for (r, rs) in self.routers.iter().enumerate() {
+            for (p, lanes) in rs.in_q.iter().enumerate() {
+                for (vc, q) in lanes.iter().enumerate() {
+                    let Some(head) = q.front() else { continue };
+                    let out = head.decided_port.map_or("a route".into(), |o| {
+                        let cap = self.cfg.output_buf_bytes;
+                        format!("{o} ({} of {cap} bytes used)", rs.out_bytes[o.idx()])
+                    });
+                    lines.push(format!(
+                        "input r{r} p{p} vc{vc}: {} packets, head #{} waits for \
+                         output-queue room at {out}",
+                        q.len(),
+                        head.id
+                    ));
+                }
+            }
+            lines.extend(
+                rs.out_q
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(p, q)| credit(format!("output r{r} p{p}"), q, &rs.credits[p])),
+            );
+        }
+        lines.extend(
+            self.nics
+                .iter()
+                .enumerate()
+                .filter_map(|(n, nic)| credit(format!("nic n{n}"), &nic.queue, &nic.credits)),
+        );
+        lines
     }
 
     /// Average contention latency observed at router `r`, in µs.
@@ -568,7 +626,7 @@ impl Fabric {
                 }
                 packet.queued_at = self.clock;
                 packet.decided_port = None;
-                let vc = (packet.route.header_id as usize).min(NUM_VCS - 1);
+                let vc = vc_of(&packet);
                 let r = &mut self.routers[router.idx()];
                 r.in_q[port.idx()][vc].push_back(packet);
                 r.in_occ |= 1 << (port.idx() * NUM_VCS + vc);
@@ -629,7 +687,7 @@ impl Fabric {
             // link is busy, so no extra retry is needed.
             return;
         }
-        let vc = (head.route.header_id as usize).min(NUM_VCS - 1);
+        let vc = vc_of(head);
         if nic.credits[vc] < head.size as i64 {
             return; // NicCredit will retry
         }
@@ -779,32 +837,33 @@ impl Fabric {
         rs.out_bytes[out.idx()] += size;
         rs.out_q[out.idx()].push_back(pkt);
         self.sample_contention(router, wait);
-        // Return the credit upstream now that the input slot is free;
-        // it travels back over the same physical wire the packet came
-        // in on, so it pays that wire's class delay.
-        let wire = self.routers[router.idx()].wire_ns[p];
+        self.return_credit(router, p, vc, size);
+        self.sched(self.clock, NetEvent::TryTx { router, port: out });
+        true
+    }
+
+    /// Return `bytes` of credit for the freed slot of input lane
+    /// `(p, vc)` at `router` to whoever feeds it. The credit travels
+    /// back over the same physical wire the packet came in on, so it
+    /// pays that wire's class delay.
+    fn return_credit(&mut self, router: RouterId, p: usize, vc: usize, bytes: u32) {
+        let at = self.clock + self.routers[router.idx()].wire_ns[p];
+        let vc = vc as u8;
         match self.table.neighbor(router, Port(p as u8)) {
             Some(Endpoint::Router(ur, up)) => self.sched(
-                self.clock + wire,
+                at,
                 NetEvent::Credit {
                     router: ur,
                     port: up,
-                    vc: vc as u8,
-                    bytes: size,
+                    vc,
+                    bytes,
                 },
             ),
-            Some(Endpoint::Terminal(n)) => self.sched(
-                self.clock + wire,
-                NetEvent::NicCredit {
-                    node: n,
-                    vc: vc as u8,
-                    bytes: size,
-                },
-            ),
+            Some(Endpoint::Terminal(node)) => {
+                self.sched(at, NetEvent::NicCredit { node, vc, bytes })
+            }
             None => {}
         }
-        self.sched(self.clock, NetEvent::TryTx { router, port: out });
-        true
     }
 
     /// Drop the head of input lane `(p, vc)` at `router` — no live
@@ -820,27 +879,7 @@ impl Fabric {
         }
         let size = pkt.size;
         self.drop_boxed(pkt);
-        let wire = self.routers[router.idx()].wire_ns[p];
-        match self.table.neighbor(router, Port(p as u8)) {
-            Some(Endpoint::Router(ur, up)) => self.sched(
-                self.clock + wire,
-                NetEvent::Credit {
-                    router: ur,
-                    port: up,
-                    vc: vc as u8,
-                    bytes: size,
-                },
-            ),
-            Some(Endpoint::Terminal(n)) => self.sched(
-                self.clock + wire,
-                NetEvent::NicCredit {
-                    node: n,
-                    vc: vc as u8,
-                    bytes: size,
-                },
-            ),
-            None => {}
-        }
+        self.return_credit(router, p, vc, size);
         true
     }
 
@@ -862,7 +901,7 @@ impl Fabric {
             return;
         }
         let neighbor = self.table.neighbor(router, port);
-        let vc = (head.route.header_id as usize).min(NUM_VCS - 1);
+        let vc = vc_of(head);
         if let Some(Endpoint::Router(..)) = neighbor {
             if rs.credits[port.idx()][vc] < head.size as i64 {
                 return; // a Credit event will retry

@@ -99,6 +99,57 @@ mod fabric_tests {
         assert_eq!(f.stats.accepted_data, 1);
     }
 
+    /// The fabric's memoized routing (`RouteTable`) and the static
+    /// walker (`walk_route`) agree: for every static descriptor on
+    /// every topology family, one packet in a quiet fabric crosses as
+    /// many routers as its walk lists.
+    #[test]
+    fn static_routes_match_the_walker_hop_for_hop() {
+        use prdrb_topology::{walk_route, AltPathProvider};
+        for topo in [
+            AnyTopology::mesh8x8(),
+            AnyTopology::fat_tree_64(),
+            AnyTopology::dragonfly72(),
+            AnyTopology::megafly20(),
+        ] {
+            let n = topo.num_terminals() as u32;
+            for (src, dst) in [(0, n - 1), (1, n / 2), (n / 3, 2), (n - 2, n / 4)] {
+                let (src, dst) = (NodeId(src), NodeId(dst));
+                let mut descs = vec![
+                    PathDescriptor::Minimal,
+                    PathDescriptor::Msp {
+                        in1: NodeId(n / 3 + 1),
+                        in2: NodeId(2 * n / 3),
+                    },
+                ];
+                match topo {
+                    AnyTopology::Mesh(_) => {
+                        descs.extend([false, true].map(|yx| PathDescriptor::MeshOrder { yx }))
+                    }
+                    AnyTopology::Tree(_) => {
+                        descs.extend((0..16).map(|seed| PathDescriptor::TreeSeed { seed }))
+                    }
+                    _ => {}
+                }
+                descs.extend(AltPathProvider::new(&topo).alternatives(src, dst, 8));
+                for desc in descs {
+                    let walk = walk_route(&topo, src, dst, desc, 256).expect("valid walk");
+                    let mut f = Fabric::new(topo.clone(), quiet_cfg());
+                    data(&mut f, src.0, dst.0, 0, desc, false);
+                    f.run_to_quiescence(MILLISECOND);
+                    let d = taken(&mut f);
+                    assert_eq!(d.len(), 1, "{} {src}->{dst} {desc:?}", topo.label());
+                    assert_eq!(
+                        d[0].packet.hops as usize,
+                        walk.len(),
+                        "{} {src}->{dst} {desc:?}",
+                        topo.label()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn single_packet_crosses_the_tree() {
         let mut f = Fabric::new(AnyTopology::fat_tree_64(), quiet_cfg());

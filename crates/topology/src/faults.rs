@@ -19,7 +19,7 @@
 //! crosses any dead link.
 
 use crate::ids::{Endpoint, NodeId, Port, RouterId};
-use crate::route::{next_port, PathDescriptor, RouteState};
+use crate::route::{walk_hops, PathDescriptor};
 use crate::{AnyTopology, Topology};
 use prdrb_simcore::rng::Splitmix64;
 
@@ -258,29 +258,10 @@ pub fn route_survives(
     if !faults.any() {
         return true;
     }
-    let mut state = RouteState::new(descriptor);
-    let mut r = topo.router_of(src);
-    if faults.router_dead(r) {
-        return false;
-    }
     let limit = 4 * (topo.num_routers() + 1);
-    for _ in 0..limit {
-        let p = next_port(topo, r, dst, &mut state);
-        if faults.link_dead(r, p) {
-            return false;
-        }
-        match topo.neighbor(r, p) {
-            Some(Endpoint::Terminal(n)) if n == dst => return !faults.router_dead(r),
-            Some(Endpoint::Router(nr, _)) => {
-                if faults.router_dead(nr) {
-                    return false;
-                }
-                r = nr;
-            }
-            _ => return false,
-        }
-    }
-    false
+    walk_hops(topo, src, dst, descriptor, limit, |r, p| {
+        !faults.router_dead(r) && !faults.link_dead(r, p)
+    })
 }
 
 #[cfg(test)]

@@ -73,27 +73,25 @@ pub trait Topology {
     /// Real interconnects are built from heterogeneous cables: short
     /// backplane traces inside a board or pod, long inter-cabinet
     /// (optical) runs, and the server/NIC attachment itself. Classes
-    /// index into [`prdrb-network`]'s per-class extra-delay table:
+    /// index into the network crate's per-class extra-delay table
+    /// (`NetworkConfig::wire_class_extra_ns`):
     ///
     /// * `LINK_CLASS_LOCAL` (0) — intra-board / intra-pod electrical,
-    /// * `LINK_CLASS_GLOBAL` (1) — long inter-board / root-level wires,
+    /// * `LINK_CLASS_GLOBAL` (1) — long root-level / inter-group wires,
     /// * `LINK_CLASS_SERVER` (2) — the terminal ↔ router attachment.
     ///
     /// The class must be a property of the *wire*, not the endpoint:
     /// `link_class(r, p)` and `link_class` of the reverse endpoint must
     /// agree, so a packet and the credit it returns over the same wire
     /// pay the same delay.
-    fn link_class(&self, r: RouterId, p: Port) -> u8 {
-        let _ = (r, p);
-        LINK_CLASS_LOCAL
-    }
+    fn link_class(&self, r: RouterId, p: Port) -> u8;
     /// Human-readable name for reports.
     fn label(&self) -> String;
 }
 
 /// Short intra-board / intra-pod wire.
 pub const LINK_CLASS_LOCAL: u8 = 0;
-/// Long inter-board / root-level wire.
+/// Long root-level (fat-tree spine) or inter-group (dragonfly family) wire.
 pub const LINK_CLASS_GLOBAL: u8 = 1;
 /// Terminal (server NIC) attachment wire.
 pub const LINK_CLASS_SERVER: u8 = 2;

@@ -6,7 +6,7 @@
 //! (X then Y), the classic DOR scheme.
 
 use crate::ids::{Endpoint, NodeId, Port, RouterId};
-use crate::{Topology, LINK_CLASS_GLOBAL, LINK_CLASS_LOCAL, LINK_CLASS_SERVER};
+use crate::{Topology, LINK_CLASS_LOCAL, LINK_CLASS_SERVER};
 
 /// Mesh port layout: 0=east(+x) 1=west(−x) 2=north(+y) 3=south(−y)
 /// 4=terminal.
@@ -25,35 +25,13 @@ pub const TERMINAL: Port = Port(4);
 pub struct Mesh2D {
     w: u32,
     h: u32,
-    /// Rows per board; 0 means the whole mesh is one board. Vertical
-    /// links that cross a board boundary are long inter-board wires
-    /// ([`LINK_CLASS_GLOBAL`]); everything else router-to-router is a
-    /// backplane trace ([`LINK_CLASS_LOCAL`]).
-    board_h: u32,
 }
 
 impl Mesh2D {
     /// Build a `w × h` mesh. Both dimensions must be at least 1.
     pub fn new(w: u32, h: u32) -> Self {
         assert!(w >= 1 && h >= 1, "mesh dimensions must be positive");
-        Self { w, h, board_h: 0 }
-    }
-
-    /// Build a `w × h` mesh packaged as stacked boards of `board_h`
-    /// rows each. Routing and geometry are identical to [`Mesh2D::new`];
-    /// only [`Topology::link_class`] changes — vertical links between
-    /// row `board_h·i − 1` and row `board_h·i` become
-    /// [`LINK_CLASS_GLOBAL`] inter-board wires.
-    pub fn with_boards(w: u32, h: u32, board_h: u32) -> Self {
-        assert!(w >= 1 && h >= 1, "mesh dimensions must be positive");
-        assert!(board_h >= 1, "board height must be positive");
-        Self { w, h, board_h }
-    }
-
-    /// Does the vertical link between rows `y` and `y + 1` cross a
-    /// board boundary?
-    fn board_cut(&self, y: u32) -> bool {
-        self.board_h > 0 && (y + 1).is_multiple_of(self.board_h)
+        Self { w, h }
     }
 
     /// Mesh width.
@@ -175,24 +153,17 @@ impl Topology for Mesh2D {
         ax.abs_diff(bx) + ay.abs_diff(by)
     }
 
-    fn link_class(&self, r: RouterId, p: Port) -> u8 {
-        let (_, y) = self.coords(r);
-        match p {
-            TERMINAL => LINK_CLASS_SERVER,
-            // The wire spans rows (y, y+1) going north and (y-1, y)
-            // going south; both sides of one physical link agree.
-            NORTH if self.board_cut(y) => LINK_CLASS_GLOBAL,
-            SOUTH if y > 0 && self.board_cut(y - 1) => LINK_CLASS_GLOBAL,
-            _ => LINK_CLASS_LOCAL,
+    fn link_class(&self, _r: RouterId, p: Port) -> u8 {
+        // One board: every router-to-router wire is a backplane trace.
+        if p == TERMINAL {
+            LINK_CLASS_SERVER
+        } else {
+            LINK_CLASS_LOCAL
         }
     }
 
     fn label(&self) -> String {
-        if self.board_h > 0 {
-            format!("mesh {}x{} boards/{}", self.w, self.h, self.board_h)
-        } else {
-            format!("mesh {}x{}", self.w, self.h)
-        }
+        format!("mesh {}x{}", self.w, self.h)
     }
 }
 
@@ -293,34 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn link_classes_mark_board_cuts_symmetrically() {
-        let m = Mesh2D::with_boards(4, 8, 2);
-        // Inside a board: local.
-        assert_eq!(m.link_class(m.at(1, 0), NORTH), LINK_CLASS_LOCAL);
-        // Crossing rows 1→2 (boundary after every 2 rows): global.
-        assert_eq!(m.link_class(m.at(1, 1), NORTH), LINK_CLASS_GLOBAL);
-        assert_eq!(m.link_class(m.at(1, 2), SOUTH), LINK_CLASS_GLOBAL);
-        // Horizontal links never cross boards.
-        assert_eq!(m.link_class(m.at(1, 1), EAST), LINK_CLASS_LOCAL);
-        assert_eq!(m.link_class(m.at(1, 1), TERMINAL), LINK_CLASS_SERVER);
-        // The class is a property of the wire: both endpoints agree.
+    fn router_links_are_local() {
+        let m = Mesh2D::new(4, 4);
         for r in 0..m.num_routers() as u32 {
             for p in 0..4u8 {
-                if let Some(Endpoint::Router(nr, np)) = m.neighbor(RouterId(r), Port(p)) {
-                    assert_eq!(
-                        m.link_class(RouterId(r), Port(p)),
-                        m.link_class(nr, np),
-                        "asymmetric class on ({r},{p})"
-                    );
-                }
+                assert_eq!(m.link_class(RouterId(r), Port(p)), LINK_CLASS_LOCAL);
             }
-        }
-        // A plain mesh is one board: every router link is local.
-        let plain = Mesh2D::new(4, 4);
-        for r in 0..plain.num_routers() as u32 {
-            for p in 0..4u8 {
-                assert_eq!(plain.link_class(RouterId(r), Port(p)), LINK_CLASS_LOCAL);
-            }
+            assert_eq!(m.link_class(RouterId(r), TERMINAL), LINK_CLASS_SERVER);
         }
     }
 

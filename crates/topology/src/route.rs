@@ -11,7 +11,7 @@
 //! *seed* — each distinct seed selects one distinct minimal path through
 //! a different nearest common ancestor (§2.1.5, §3.2.3).
 
-use crate::ids::{NodeId, Port, RouterId};
+use crate::ids::{Endpoint, NodeId, Port, RouterId};
 use crate::mesh::{self, Mesh2D};
 use crate::{AnyTopology, Topology};
 
@@ -140,12 +140,44 @@ pub(crate) fn yx_port(m: &Mesh2D, r: RouterId, dst: NodeId) -> Port {
     }
 }
 
+/// Follow `descriptor`'s static route from `src` toward `dst` — the
+/// one walk loop every route query shares. `visit(r, p)` sees each
+/// router `r` the route enters, in order, with the port `p` it leaves
+/// by (the last one faces `dst`); returning false stops the walk.
+///
+/// Returns true when the route reached `dst`. A stopped walk, a port
+/// into the void or a route of more than `limit` routers returns false.
+pub(crate) fn walk_hops(
+    topo: &AnyTopology,
+    src: NodeId,
+    dst: NodeId,
+    descriptor: PathDescriptor,
+    limit: usize,
+    mut visit: impl FnMut(RouterId, Port) -> bool,
+) -> bool {
+    let mut state = RouteState::new(descriptor);
+    let mut r = topo.router_of(src);
+    for _ in 0..limit {
+        let p = next_port(topo, r, dst, &mut state);
+        if !visit(r, p) {
+            return false;
+        }
+        match topo.neighbor(r, p) {
+            Some(Endpoint::Terminal(n)) if n == dst => return true,
+            Some(Endpoint::Router(nr, _)) => r = nr,
+            _ => return false,
+        }
+    }
+    false
+}
+
 /// Walk a full route from `src` to `dst`, returning the sequence of
 /// routers traversed (used by tests, path-length accounting and the
 /// path-distribution analysis of §4.5.1).
 ///
-/// Returns `Err` with the partial walk if the route exceeds `limit` hops
-/// — which would indicate a routing bug (livelock, §3.3).
+/// Returns `Err` with the partial walk if the route is broken or
+/// exceeds `limit` routers — which would indicate a routing bug
+/// (livelock, §3.3).
 pub fn walk_route(
     topo: &AnyTopology,
     src: NodeId,
@@ -153,22 +185,15 @@ pub fn walk_route(
     descriptor: PathDescriptor,
     limit: usize,
 ) -> Result<Vec<RouterId>, Vec<RouterId>> {
-    let mut state = RouteState::new(descriptor);
-    let mut r = topo.router_of(src);
-    let mut path = vec![r];
-    loop {
-        let p = next_port(topo, r, dst, &mut state);
-        match topo.neighbor(r, p) {
-            Some(crate::ids::Endpoint::Terminal(n)) if n == dst => return Ok(path),
-            Some(crate::ids::Endpoint::Router(nr, _)) => {
-                r = nr;
-                path.push(r);
-                if path.len() > limit {
-                    return Err(path);
-                }
-            }
-            _ => return Err(path),
-        }
+    let mut path = Vec::new();
+    let reached = walk_hops(topo, src, dst, descriptor, limit, |r, _| {
+        path.push(r);
+        true
+    });
+    if reached {
+        Ok(path)
+    } else {
+        Err(path)
     }
 }
 

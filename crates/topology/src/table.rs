@@ -3,14 +3,14 @@
 //! Static routes never change during a run, yet the fabric recomputes
 //! them per hop — coordinate branching on the mesh, repeated base-k
 //! digit divisions on the fat-tree. A [`RouteTable`] is built once per
-//! run and answers every [`next_port`]-equivalent query with one or two
+//! run and answers every [`next_port`](route::next_port)-equivalent query with one or two
 //! array loads. MSP segments reuse the minimal table (each segment *is*
 //! a minimal route toward the segment target, §3.3.1), and fat-tree
 //! seed routes split into a tabled descending port plus a single cached
 //! digit extraction for the ascending choice.
 //!
 //! `table_matches_next_port` in the tests proves the lookup path agrees
-//! with [`next_port`] on every (router, destination, descriptor).
+//! with [`next_port`](route::next_port) on every (router, destination, descriptor).
 
 use crate::ids::{Endpoint, NodeId, Port, RouterId};
 use crate::route::{self, PathDescriptor, RouteState};
@@ -174,7 +174,7 @@ impl RouteTable {
         }
     }
 
-    /// Memoized equivalent of [`next_port`]: the output port at router
+    /// Memoized equivalent of [`next_port`](route::next_port): the output port at router
     /// `r` for a packet heading to `dst` with routing state `state`,
     /// advancing `Header_id` exactly as the uncached path does.
     #[inline]

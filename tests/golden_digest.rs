@@ -152,38 +152,6 @@ fn open_loop_digest_is_backend_invariant() {
     assert_backend_invariant("open-loop heavy-tail", cfg);
 }
 
-/// Per-link latency classes on a board-assembled mesh: wires crossing a
-/// board seam carry a large global-class extra
-/// (`NetworkConfig::wire_class_extra_ns`). The extra delay is physical
-/// (it changes every seam crossing's timing), so it must enter the run
-/// key, and the run must stay bit-identical under both calendar
-/// backends.
-#[test]
-fn board_mesh_latency_class_digest_is_backend_invariant() {
-    let schedule = BurstSchedule::continuous(TrafficPattern::Shuffle, 400.0);
-    let mut cfg = SimConfig::synthetic(
-        TopologyKind::BoardMesh {
-            w: 8,
-            h: 8,
-            board_h: 2,
-        },
-        PolicyKind::PrDrb,
-        schedule,
-        32,
-    );
-    cfg.net.wire_class_extra_ns = [0, 240, 0];
-    cfg.duration_ns = MILLISECOND / 2;
-    cfg.max_ns = 50 * MILLISECOND;
-    let mut flat = cfg.clone();
-    flat.net.wire_class_extra_ns = [0, 0, 0];
-    assert_ne!(
-        RunKey::of(&cfg),
-        RunKey::of(&flat),
-        "latency-class extras are physical and must enter the run key"
-    );
-    assert_backend_invariant("board-mesh latency classes", cfg);
-}
-
 /// Shortened `load_sweep` point: continuous shuffle near saturation for
 /// every policy family member — the deterministic route floods the
 /// calendar with far-apart retries, stressing the wheel's overflow path.

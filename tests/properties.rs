@@ -233,7 +233,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Randomized per-link latency classes: for any global/server-class
-    /// wire extras, board shape, policy and seed, a repeated run
+    /// wire extras, shape (dragonfly72, megafly20 or the fat-tree — all
+    /// three carry global-class wires), policy and seed, a repeated run
     /// reproduces the reference report byte for byte under BOTH
     /// calendar backends. The extras move every long-wire crossing in
     /// simulated time, but they must never open a gap between the
@@ -252,8 +253,8 @@ proptest! {
         use pr_drb::simcore::QueueKind;
         let policy = PolicyKind::ALL[policy_idx];
         let topology = match shape {
-            0 => TopologyKind::BoardMesh { w: 4, h: 8, board_h: 2 },
-            1 => TopologyKind::BoardMesh { w: 8, h: 8, board_h: 4 },
+            0 => TopologyKind::Dragonfly { a: 9, r: 4, h: 2 },
+            1 => TopologyKind::Megafly { a: 5, l: 2, s: 2, h: 2 },
             _ => TopologyKind::FatTree443,
         };
         let schedule = BurstSchedule::continuous(TrafficPattern::Uniform, 500.0);
