@@ -231,13 +231,7 @@ fn trend() -> FigureOutput {
         "latency-trend prediction (react before Threshold_High is hit)",
     );
     let base = base_run(|_| {}, "pr-drb".into());
-    let trended = base_run(
-        |c| {
-            c.drb.trend_window = 8;
-            c.drb.trend_horizon_ns = 60 * MICROSECOND;
-        },
-        "pr-drb + trend".into(),
-    );
+    let trended = base_run(|c| c.drb.trend_window = 8, "pr-drb + trend".into());
     out.push(base.oneline());
     out.push(trended.oneline());
     out.push(format!(

@@ -8,6 +8,7 @@ use prdrb_apps::{
     analyze_phases, call_breakdown, lammps, nas_ft, nas_lu, nas_mg, pop, render_table, smg2000,
     sweep3d, CommMatrix, LammpsProblem, NasClass,
 };
+use prdrb_metrics::{Cell, Table};
 use prdrb_simcore::SimRng;
 use prdrb_topology::NodeId;
 use prdrb_traffic::{BurstSchedule, TrafficPattern};
@@ -200,19 +201,24 @@ fn fig2_6() -> FigureOutput {
         ]),
         ..fixed.clone()
     };
-    let mut csv = String::from("t_ms,fixed_mbps,fixed_pattern,variable_mbps,variable_pattern\n");
+    let mut table = Table::new([
+        "t_ms",
+        "fixed_mbps",
+        "fixed_pattern",
+        "variable_mbps",
+        "variable_pattern",
+    ]);
     for step in 0..60u64 {
         let t = step * 100_000;
         let (fr, fp) = fixed.at(t);
         let (vr, vp) = variable.at(t);
-        csv.push_str(&format!(
-            "{:.1},{},{},{},{}\n",
-            t as f64 / 1e6,
-            fr,
-            fp.label(),
-            vr,
-            vp.label()
-        ));
+        table.push_row(vec![
+            Cell::Num(t as f64 / 1e6, 1),
+            Cell::Text(fr.to_string()),
+            Cell::Text(fp.label().into()),
+            Cell::Text(vr.to_string()),
+            Cell::Text(vp.label().into()),
+        ]);
     }
     out.push("Rate/pattern timeline written to fig2_6.csv");
     // Fig 2.6a: same pattern each burst; Fig 2.6b: pattern changes.
@@ -230,7 +236,8 @@ fn fig2_6() -> FigureOutput {
         format!("{v0} then {v1}"),
         v0 != v1,
     );
-    out.artifacts.push(write_artifact("fig2_6.csv", &csv));
+    out.artifacts
+        .push(write_artifact("fig2_6.csv", &table.to_csv()));
     out
 }
 
@@ -251,15 +258,19 @@ fn matrix_figure(id: &'static str, title: &'static str, m: CommMatrix) -> Figure
 }
 
 fn matrix_csv(m: &CommMatrix) -> String {
-    let mut s = String::from("src,dst,bytes\n");
+    let mut table = Table::new(["src", "dst", "bytes"]);
     for a in 0..m.n() {
         for b in 0..m.n() {
             if m.get(a, b) > 0 {
-                s.push_str(&format!("{a},{b},{}\n", m.get(a, b)));
+                table.push_row(vec![
+                    Cell::Int(a as u64),
+                    Cell::Int(b as u64),
+                    Cell::Int(m.get(a, b)),
+                ]);
             }
         }
     }
-    s
+    table.to_csv()
 }
 
 fn fig2_10() -> FigureOutput {

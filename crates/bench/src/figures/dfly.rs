@@ -12,6 +12,7 @@ use super::{run_policies, Target};
 use crate::{pct, scaled, write_artifact, FigureOutput};
 use prdrb_core::PolicyKind;
 use prdrb_engine::{RunReport, SimConfig, TopologyKind, Workload};
+use prdrb_metrics::{Cell, Table};
 use prdrb_simcore::time::MILLISECOND;
 use prdrb_topology::{NodeId, LINK_CLASS_GLOBAL};
 use prdrb_traffic::{BurstSchedule, TrafficPattern};
@@ -133,12 +134,20 @@ fn fig_dfly() -> FigureOutput {
         lat(&noisy[3]),
     );
 
-    let mut csv = String::from("policy,scenario,avg_latency_us\n");
-    csv.push_str(&format!("deterministic,quiet,{quiet_us:.4}\n"));
+    let mut table = Table::new(["policy", "scenario", "avg_latency_us"]);
+    let row = |policy: &str, scenario: &str, us: f64| {
+        vec![
+            Cell::Text(policy.into()),
+            Cell::Text(scenario.into()),
+            Cell::Num(us, 4),
+        ]
+    };
+    table.push_row(row("deterministic", "quiet", quiet_us));
     for (k, r) in kinds.iter().zip(&noisy) {
-        csv.push_str(&format!("{},adversarial,{:.4}\n", k.label(), lat(r)));
+        table.push_row(row(k.label(), "adversarial", lat(r)));
     }
-    out.artifacts.push(write_artifact("fig_dfly.csv", &csv));
+    out.artifacts
+        .push(write_artifact("fig_dfly.csv", &table.to_csv()));
 
     out.push(format!("quiet minimal reference : {quiet_us:9.2} us"));
     for (k, r) in kinds.iter().zip(&noisy) {

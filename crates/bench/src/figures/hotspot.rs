@@ -8,6 +8,7 @@ use crate::{pct, scaled, write_artifact, FigureOutput};
 use prdrb_core::PolicyKind;
 use prdrb_engine::{SimConfig, TopologyKind, Workload};
 use prdrb_metrics::{render_series, series_csv, SeriesSummary};
+use prdrb_network::config::{INPUT_BUF_BYTES, LINK_GBPS, OUTPUT_BUF_BYTES};
 use prdrb_simcore::time::MILLISECOND;
 use prdrb_topology::Mesh2D;
 use prdrb_traffic::{BurstSchedule, HotSpotScenario, TrafficPattern};
@@ -53,15 +54,15 @@ fn table4_2() -> FigureOutput {
     let cfg = mesh_cfg(PolicyKind::PrDrb, 400.0);
     out.push("Topology            : mesh 8x8");
     out.push("Flow control        : virtual cut-through (credits)");
-    out.push(format!("Link bandwidth      : {} Gbps", cfg.net.link_gbps));
+    out.push(format!("Link bandwidth      : {LINK_GBPS} Gbps"));
     out.push(format!(
         "Packet size         : {} bytes",
         cfg.net.packet_bytes
     ));
     out.push(format!(
         "Buffers             : {} KiB/input-VC, {} KiB/output",
-        cfg.net.input_buf_bytes / 1024,
-        cfg.net.output_buf_bytes / 1024
+        INPUT_BUF_BYTES / 1024,
+        OUTPUT_BUF_BYTES / 1024
     ));
     out.push("Generation rate     : 400 / 600 Mbps per node");
     out.push("Patterns            : perfect shuffle bursts + uniform noise");

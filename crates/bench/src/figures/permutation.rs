@@ -6,7 +6,8 @@
 use super::{ft_cfg, run_policies, Target};
 use crate::{pct, write_artifact, FigureOutput};
 use prdrb_core::PolicyKind;
-use prdrb_metrics::{render_series, series_csv, SeriesSummary};
+use prdrb_metrics::{render_series, series_csv, Cell, SeriesSummary, Table};
+use prdrb_network::config::LINK_GBPS;
 use prdrb_traffic::TrafficPattern;
 
 /// Registry entries for this module.
@@ -109,7 +110,7 @@ fn load_sweep() -> FigureOutput {
             (rate, k, r.global_avg_latency_us, p99)
         })
         .collect();
-    let mut csv = String::from("mbps,policy,avg_us,p99_us\n");
+    let mut table = Table::new(["mbps", "policy", "avg_us", "p99_us"]);
     out.push(format!(
         "{:<8} {:<15} {:>10} {:>10}",
         "Mbps", "policy", "avg us", "p99 us"
@@ -122,10 +123,15 @@ fn load_sweep() -> FigureOutput {
             avg,
             p99
         ));
-        csv.push_str(&format!("{rate},{},{avg:.3},{p99:.3}\n", k.label()));
+        table.push_row(vec![
+            Cell::Text(rate.to_string()),
+            Cell::Text(k.label().into()),
+            Cell::Num(avg, 3),
+            Cell::Num(p99, 3),
+        ]);
     }
     out.artifacts
-        .push(crate::write_artifact("load_sweep.csv", &csv));
+        .push(crate::write_artifact("load_sweep.csv", &table.to_csv()));
     let at = |rate: f64, k: PolicyKind| {
         runs.iter()
             .find(|&&(r, p, _, _)| r == rate && p == k)
@@ -163,7 +169,7 @@ fn table4_3() -> FigureOutput {
     let cfg = ft_cfg(PolicyKind::PrDrb, TrafficPattern::Shuffle, 400.0, 32);
     out.push("Topology            : fat-tree 4-ary 3-tree (64 terminals)");
     out.push("Flow control        : virtual cut-through (credits)");
-    out.push(format!("Link bandwidth      : {} Gbps", cfg.net.link_gbps));
+    out.push(format!("Link bandwidth      : {LINK_GBPS} Gbps"));
     out.push(format!(
         "Packet size         : {} bytes",
         cfg.net.packet_bytes

@@ -84,24 +84,19 @@ fn workload_row(r: &RunReport) -> Vec<Cell> {
 }
 
 fn workload_table() -> Table {
-    Table::new(
-        [
-            "workload",
-            "policy",
-            "messages",
-            "p50_us",
-            "p99_us",
-            "p999_us",
-            "exec_ms",
-            "store_lookups",
-            "reuse_applications",
-            "store_evictions",
-            "hit_rate_pct",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-    )
+    Table::new([
+        "workload",
+        "policy",
+        "messages",
+        "p50_us",
+        "p99_us",
+        "p999_us",
+        "exec_ms",
+        "store_lookups",
+        "reuse_applications",
+        "store_evictions",
+        "hit_rate_pct",
+    ])
 }
 
 /// Iterations for the collective / phase loops: `PRDRB_SCALE` shrinks
@@ -257,12 +252,7 @@ fn wl_phases() -> FigureOutput {
 /// Per-phase hit/expansion table of the warm PR-DRB run (replicas
 /// summed), one row per global phase of `program`.
 fn export_phase_table(out: &mut FigureOutput, program: &PhaseProgram, pr: &RunReport) {
-    let mut table = Table::new(
-        ["phase", "iteration", "label", "solution_hits", "expansions"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-    );
+    let mut table = Table::new(["phase", "iteration", "label", "solution_hits", "expansions"]);
     let np = program.phases.len();
     for g in 0..np * program.iterations as usize {
         let (hits, exps) = pr.phase_counts.get(g).copied().unwrap_or_default();

@@ -4,7 +4,7 @@
 //! repro list            # all targets
 //! repro fig4_13         # one target
 //! repro fig4_13 fig4_14 # several
-//! repro all             # everything, targets run in parallel
+//! repro all             # everything, one target after another
 //! repro workloads       # the wl_* application-workload targets
 //! repro workloads --quick # same, shrunk for CI smoke use
 //! ```
@@ -16,6 +16,10 @@
 //! Any other argument — a stray flag included — is an unknown target
 //! and stops `repro` with exit status 2.
 //!
+//! Targets run one after another; each spreads its own runs over the
+//! cores through `run_many`. So a config that two targets share is
+//! simulated once and replayed from the run cache the second time.
+//!
 //! Environment: `PRDRB_RESULTS` (output dir, default `results/`),
 //! `PRDRB_SCALE` (duration multiplier for quick runs, default 1.0),
 //! `PRDRB_SEEDS` (replicas per config, default 5), `PRDRB_CACHE`
@@ -25,7 +29,6 @@
 //! exit status 2.
 
 use prdrb_bench::figures::{registry, Target};
-use rayon::prelude::*;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,7 +85,7 @@ fn main() {
     };
     let started = std::time::Instant::now();
     let outputs: Vec<(String, String, bool, f64)> = selected
-        .par_iter()
+        .iter()
         .map(|t| {
             let t0 = std::time::Instant::now();
             let out = (t.run)();

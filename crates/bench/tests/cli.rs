@@ -122,3 +122,39 @@ fn stray_flags_are_unknown_targets() {
         let _ = std::fs::remove_dir_all(&results);
     }
 }
+
+/// `fig4_10` and `fig4_11` render from the same runs. Targets run one
+/// after another, so the second target replays every run the first one
+/// stored instead of simulating it again beside it.
+#[test]
+fn a_config_shared_by_two_targets_is_simulated_once() {
+    let results = scratch("shared");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig4_10", "fig4_11"])
+        .env("PRDRB_RESULTS", &results)
+        .env("PRDRB_CACHE", results.join("cache"))
+        .env("PRDRB_SEEDS", "1")
+        .env("PRDRB_SCALE", "0.05")
+        .output()
+        .expect("run repro");
+    let _ = std::fs::remove_dir_all(&results);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "repro failed:\n{stdout}");
+    // "... run cache: {hits} hit(s), {misses} miss(es) in {dir}"
+    let summary = stdout
+        .split("run cache: ")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no cache summary:\n{stdout}"));
+    let counts: Vec<u64> = summary
+        .split_whitespace()
+        .take(4)
+        .step_by(2)
+        .map(|n| n.parse().expect("a hit or miss count"))
+        .collect();
+    let (hits, misses) = (counts[0], counts[1]);
+    assert!(
+        hits > 0 && hits == misses,
+        "the second target must replay every run of the first: \
+         {hits} hit(s), {misses} miss(es)"
+    );
+}

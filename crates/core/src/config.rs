@@ -2,6 +2,16 @@
 
 use prdrb_simcore::time::{Time, MICROSECOND};
 
+/// EWMA weight for folding ACK latency samples into per-path estimates
+/// (UGAL's estimates use it too, so comparisons share one smoothing).
+pub(crate) const EWMA_ALPHA: f64 = 0.5;
+/// FR-DRB watchdog: expand when no ACK arrived for this long after a
+/// send (§4.8.4). Only FR-DRB and PR-FR-DRB read it.
+pub(crate) const WATCHDOG_NS: Time = 60 * MICROSECOND;
+/// Horizon for the trend projection: react early when the projected
+/// latency this far ahead crosses `Threshold_High`.
+pub(crate) const TREND_HORIZON_NS: Time = 60 * MICROSECOND;
+
 /// Similarity measure for matching a live contending-flow pattern against
 /// a saved congestion situation (§3.2.8: "approximation matching", 80 %).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -10,8 +20,6 @@ pub enum Similarity {
     Jaccard,
     /// `|A∩B| / min(|A|,|B|)` — lenient overlap coefficient.
     Overlap,
-    /// `|A∩B| / |saved|` — how much of the saved pattern reappeared.
-    Containment,
 }
 
 /// Tunables shared by DRB, FR-DRB, PR-DRB and PR-FR-DRB. The variant
@@ -27,9 +35,6 @@ pub struct DrbConfig {
     /// Maximum alternative paths per metapath (the evaluation used 4,
     /// §4.6.3).
     pub max_paths: usize,
-    /// EWMA weight for folding ACK latency samples into per-path
-    /// estimates.
-    pub ewma_alpha: f64,
     /// Minimum time between metapath adjustments (open/close) for one
     /// flow: DRB opens "one path at a time, evaluating the effect of
     /// that path on latency" (§4.5.1), which takes at least a
@@ -49,19 +54,14 @@ pub struct DrbConfig {
     pub max_solutions: usize,
     /// Which similarity measure to use.
     pub similarity: Similarity,
-    /// FR-DRB watchdog: expand when no ACK arrived for this long after a
-    /// send (§4.8.4). Only FR-DRB and PR-FR-DRB read it.
-    pub watchdog_ns: Time,
     /// Use router-based early notification (§3.4.1) instead of the
     /// default destination-based scheme (§3.2.2). Only PR-DRB and
     /// PR-FR-DRB read it.
     pub router_based: bool,
     /// Latency-trend prediction (§5.2 open line): sliding-window size
-    /// for the per-flow trend detector; 0 disables it.
+    /// for the per-flow trend detector; 0 disables it. The projection
+    /// looks `TREND_HORIZON_NS` ahead.
     pub trend_window: usize,
-    /// Horizon for the trend projection: react early when the projected
-    /// latency this far ahead crosses `Threshold_High`.
-    pub trend_horizon_ns: Time,
 }
 
 impl Default for DrbConfig {
@@ -70,15 +70,12 @@ impl Default for DrbConfig {
             threshold_low_ns: 8 * MICROSECOND,
             threshold_high_ns: 20 * MICROSECOND,
             max_paths: 4,
-            ewma_alpha: 0.5,
             adjust_settle_ns: 120 * MICROSECOND,
             min_similarity: 0.8,
             max_solutions: 1024,
             similarity: Similarity::Overlap,
-            watchdog_ns: 60 * MICROSECOND,
             router_based: false,
             trend_window: 0,
-            trend_horizon_ns: 60 * MICROSECOND,
         }
     }
 }
@@ -92,7 +89,6 @@ impl DrbConfig {
         );
         assert!(self.max_paths >= 1);
         assert!(self.max_solutions >= 1, "solution store needs capacity");
-        assert!((0.0..=1.0).contains(&self.ewma_alpha));
         assert!((0.0..=1.0).contains(&self.min_similarity));
     }
 }

@@ -13,13 +13,13 @@
 //!   for a saved path set matching the current contending-flow pattern
 //!   (80 % approximate match) and installs it wholesale; on high→medium
 //!   it saves/updates the best solution; on medium→low it closes paths;
-//! * **FR-DRB** adds the watchdog timer: missing ACKs for `watchdog_ns`
+//! * **FR-DRB** adds the watchdog timer: missing ACKs for `WATCHDOG_NS`
 //!   is itself a congestion signal and triggers the same reaction
 //!   without waiting for a notification.
 //!
 //! The [`PolicyKind`] alone picks the variant; [`DrbConfig`] only tunes it.
 
-use crate::config::DrbConfig;
+use crate::config::{DrbConfig, EWMA_ALPHA, TREND_HORIZON_NS, WATCHDOG_NS};
 use crate::metapath::Metapath;
 use crate::policy::{base_path, PolicyKind, PolicyStats, RoutingPolicy};
 use crate::solutions::SolutionDb;
@@ -66,8 +66,8 @@ pub struct DrbPolicy {
     cfg: DrbConfig,
     /// Save/lookup solutions in the predictive database (PR layer).
     predictive: bool,
-    /// Watchdog period (FR layer), `None` when the kind has no watchdog.
-    watchdog: Option<Time>,
+    /// Run the `WATCHDOG_NS` ACK watchdog (FR layer).
+    watchdog: bool,
     /// Number of terminals — the stride of the dense per-flow table.
     nodes: usize,
     /// Per-flow state, indexed `src.idx() * nodes + dst.idx()`. Dense
@@ -110,7 +110,7 @@ impl DrbPolicy {
             kind,
             cfg,
             predictive: matches!(kind, PrDrb | PrFrDrb),
-            watchdog: matches!(kind, FrDrb | PrFrDrb).then_some(cfg.watchdog_ns),
+            watchdog: matches!(kind, FrDrb | PrFrDrb),
             nodes,
             flows: std::iter::repeat_with(|| None)
                 .take(nodes * nodes)
@@ -342,7 +342,7 @@ impl DrbPolicy {
         let fs = self.flow_state(src, dst);
         fs.last_ack = now;
         fs.outstanding = fs.outstanding.saturating_sub(1);
-        fs.metapath.update(msp as usize, latency, cfg.ewma_alpha);
+        fs.metapath.update(msp as usize, latency, EWMA_ALPHA);
         Self::note_contenders(&mut fs.pattern, flows);
         let mp_latency = fs.metapath.latency_ns();
         let tr = fs
@@ -355,7 +355,7 @@ impl DrbPolicy {
             t.push(now, mp_latency);
             zone == Zone::Medium
                 && fs.metapath.len() < cfg.max_paths
-                && t.predicts_congestion(cfg.trend_horizon_ns, cfg.threshold_high_ns)
+                && t.predicts_congestion(TREND_HORIZON_NS, cfg.threshold_high_ns)
         } else {
             false
         };
@@ -492,9 +492,9 @@ impl RoutingPolicy for DrbPolicy {
     }
 
     fn tick(&mut self, now: Time) {
-        let Some(watchdog) = self.watchdog else {
+        if !self.watchdog {
             return;
-        };
+        }
         // FR-DRB: an ACK overdue on an active flow is a congestion sign
         // (§4.8.4) — react without waiting for the notification. The scan
         // walks flows in creation order (`react` never creates flows, so
@@ -503,7 +503,8 @@ impl RoutingPolicy for DrbPolicy {
             let (src, dst) = self.active[k];
             let i = self.fidx(src, dst);
             let overdue = self.flows[i].as_ref().is_some_and(|fs| {
-                fs.outstanding > 0 && now.saturating_sub(fs.last_send.max(fs.last_ack)) > watchdog
+                fs.outstanding > 0
+                    && now.saturating_sub(fs.last_send.max(fs.last_ack)) > WATCHDOG_NS
             });
             if overdue {
                 self.watchdog_fires += 1;
@@ -516,7 +517,7 @@ impl RoutingPolicy for DrbPolicy {
     }
 
     fn tick_interval(&self) -> Option<Time> {
-        self.watchdog.map(|w| (w / 2).max(1))
+        self.watchdog.then_some(WATCHDOG_NS / 2)
     }
 
     fn on_fault(&mut self, faults: &FaultState, now: Time) {
@@ -812,17 +813,13 @@ mod tests {
 
     #[test]
     fn watchdog_fires_without_acks() {
-        let cfg = DrbConfig {
-            watchdog_ns: 10 * MICROSECOND,
-            ..DrbConfig::default()
-        };
-        let mut p = drb_with(AnyTopology::mesh8x8(), PolicyKind::FrDrb, cfg);
+        let mut p = drb(AnyTopology::mesh8x8(), PolicyKind::FrDrb);
         let mut rng = SimRng::new(5);
         let _ = p.choose(NodeId(0), NodeId(63), 0, &mut rng);
-        assert_eq!(p.tick_interval(), Some(5 * MICROSECOND));
-        p.tick(5 * MICROSECOND);
+        assert_eq!(p.tick_interval(), Some(WATCHDOG_NS / 2));
+        p.tick(WATCHDOG_NS);
         assert_eq!(p.stats().watchdog_fires, 0, "not overdue yet");
-        p.tick(20 * MICROSECOND);
+        p.tick(2 * WATCHDOG_NS);
         assert_eq!(p.stats().watchdog_fires, 1);
         assert_eq!(
             p.open_paths(NodeId(0), NodeId(63)),
@@ -830,7 +827,7 @@ mod tests {
             "expanded without any ACK"
         );
         // Re-armed: the next tick shortly after does not refire.
-        p.tick(21 * MICROSECOND);
+        p.tick(2 * WATCHDOG_NS + MICROSECOND);
         assert_eq!(p.stats().watchdog_fires, 1);
     }
 

@@ -11,8 +11,8 @@
 //! * **Cyclic** — cyclic-priority rotation over the minimal paths
 //!   (§4.8.4).
 //!
-//! Extension baselines for the low-diameter topologies (dragonfly,
-//! megafly), where the literature's comparison set is different:
+//! Extension baselines for the low-diameter dragonfly, where the
+//! literature's comparison set is different:
 //! * **Valiant** — oblivious randomized routing via a per-message
 //!   random intermediate terminal (encoded as an MSP, which is
 //!   graph-generic);
@@ -20,6 +20,7 @@
 //!   ACK-measured latency estimates, the standard adaptive baseline
 //!   PR-DRB is pitted against on the dragonfly.
 
+use crate::config::EWMA_ALPHA;
 use prdrb_network::{NotifyMode, Packet, PacketKind};
 use prdrb_simcore::time::Time;
 use prdrb_simcore::SimRng;
@@ -162,7 +163,7 @@ impl RoutingPolicy for Deterministic {
                 },
                 0,
             ),
-            // Mesh DOR; dragonfly/megafly have a single deterministic
+            // Mesh DOR; the dragonfly has a single deterministic
             // minimal route already.
             _ => (PathDescriptor::Minimal, 0),
         }
@@ -218,9 +219,8 @@ impl RoutingPolicy for RandomMinimal {
                     seed: rng.below(n) as u32,
                 }
             }
-            // Dragonfly routes have one minimal path per pair; megafly
-            // spine spreading is left to the fabric's AdaptiveUp.
-            _ => PathDescriptor::Minimal,
+            // Dragonfly routes have one minimal path per pair.
+            AnyTopology::Dragonfly(_) => PathDescriptor::Minimal,
         });
         (desc, 0)
     }
@@ -256,10 +256,9 @@ impl RoutingPolicy for AdaptivePerHop {
         _rng: &mut SimRng,
     ) -> (PathDescriptor, u8) {
         match &self.topo {
-            // Trees and megaflies have an ascending phase during which
-            // every up port is minimal — safe ground for per-hop
-            // adaptivity (the megafly leaf picks among its spines).
-            AnyTopology::Tree(_) | AnyTopology::Megafly(_) => (PathDescriptor::AdaptiveUp, 0),
+            // Trees have an ascending phase during which every up port
+            // is minimal — safe ground for per-hop adaptivity.
+            AnyTopology::Tree(_) => (PathDescriptor::AdaptiveUp, 0),
             // Mesh and dragonfly fall back: unrestricted adaptivity
             // there needs escape channels the fabric doesn't model.
             _ => (PathDescriptor::Minimal, 0),
@@ -317,8 +316,8 @@ impl RoutingPolicy for CyclicPriority {
                 let n = t.num_minimal_paths(src, dst).max(1) as u32;
                 (PathDescriptor::TreeSeed { seed: i % n }, 0)
             }
-            // Single minimal path on the dragonfly family: the
-            // rotation degenerates to the deterministic route.
+            // Single minimal path on the dragonfly: the rotation
+            // degenerates to the deterministic route.
             _ => (PathDescriptor::Minimal, 0),
         }
     }
@@ -408,19 +407,16 @@ struct UgalFlow {
 #[derive(Debug)]
 pub struct Ugal {
     topo: AnyTopology,
-    /// EWMA weight for folding ACK samples (shared with the DRB
-    /// family's `ewma_alpha` so comparisons use one smoothing setting).
-    alpha: f64,
     flows: HashMap<(NodeId, NodeId), UgalFlow>,
     diversions: u64,
 }
 
 impl Ugal {
-    /// UGAL routing over `topo`; `alpha` is the ACK-sample EWMA weight.
-    pub fn new(topo: AnyTopology, alpha: f64) -> Self {
+    /// UGAL routing over `topo`. ACK samples fold in with the DRB
+    /// family's EWMA weight, so comparisons share one smoothing.
+    pub fn new(topo: AnyTopology) -> Self {
         Self {
             topo,
-            alpha,
             flows: HashMap::new(),
             diversions: 0,
         }
@@ -490,7 +486,7 @@ impl RoutingPolicy for Ugal {
         } else {
             &mut fs.est_val
         };
-        *est = (1.0 - self.alpha) * *est + self.alpha * data_latency as f64;
+        *est = (1.0 - EWMA_ALPHA) * *est + EWMA_ALPHA * data_latency as f64;
     }
 
     fn stats(&self) -> PolicyStats {
@@ -517,10 +513,10 @@ pub enum PolicyKind {
     /// Fully adaptive per-hop routing (extension baseline).
     Adaptive,
     /// Valiant's randomized oblivious routing (extension baseline for
-    /// the dragonfly family).
+    /// the dragonfly).
     Valiant,
     /// UGAL-style source-adaptive minimal-vs-Valiant selection
-    /// (extension baseline for the dragonfly family).
+    /// (extension baseline for the dragonfly).
     Ugal,
     /// Distributed Routing Balancing (Franco et al.).
     Drb,
@@ -574,7 +570,7 @@ pub fn make_policy(
         PolicyKind::Cyclic => Box::new(CyclicPriority::new(topo.clone())),
         PolicyKind::Adaptive => Box::new(AdaptivePerHop::new(topo.clone())),
         PolicyKind::Valiant => Box::new(Valiant::new(topo.clone())),
-        PolicyKind::Ugal => Box::new(Ugal::new(topo.clone(), drb_cfg.ewma_alpha)),
+        PolicyKind::Ugal => Box::new(Ugal::new(topo.clone())),
         PolicyKind::Drb | PolicyKind::PrDrb | PolicyKind::FrDrb | PolicyKind::PrFrDrb => {
             Box::new(crate::drb::DrbPolicy::new(topo.clone(), kind, drb_cfg))
         }
@@ -706,33 +702,24 @@ mod tests {
     }
 
     #[test]
-    fn baselines_fall_back_to_minimal_on_the_dragonfly_family() {
+    fn baselines_fall_back_to_minimal_on_the_dragonfly() {
         let mut rng = SimRng::new(7);
-        for topo in [AnyTopology::dragonfly72(), AnyTopology::megafly20()] {
-            let n = topo.num_terminals() as u32;
-            let (src, dst) = (NodeId(0), NodeId(n - 1));
-            for kind in [
-                PolicyKind::Deterministic,
-                PolicyKind::Random,
-                PolicyKind::Cyclic,
-            ] {
-                let mut p = make_policy(kind, &topo, crate::config::DrbConfig::default());
-                assert_eq!(
-                    p.choose(src, dst, 0, &mut rng).0,
-                    PathDescriptor::Minimal,
-                    "{} on {}",
-                    kind.label(),
-                    topo.label()
-                );
-            }
+        let topo = AnyTopology::dragonfly72();
+        for kind in [
+            PolicyKind::Deterministic,
+            PolicyKind::Random,
+            PolicyKind::Cyclic,
+        ] {
+            let mut p = make_policy(kind, &topo, crate::config::DrbConfig::default());
+            assert_eq!(
+                p.choose(NodeId(0), NodeId(71), 0, &mut rng).0,
+                PathDescriptor::Minimal,
+                "{}",
+                kind.label()
+            );
         }
-        // Per-hop adaptivity: spine spreading on the megafly ascent,
-        // minimal fallback on the dragonfly (no escape channels).
-        let mut mf = AdaptivePerHop::new(AnyTopology::megafly20());
-        assert_eq!(
-            mf.choose(NodeId(0), NodeId(19), 0, &mut rng).0,
-            PathDescriptor::AdaptiveUp
-        );
+        // Per-hop adaptivity falls back to minimal on the dragonfly (no
+        // escape channels).
         let mut df = AdaptivePerHop::new(AnyTopology::dragonfly72());
         assert_eq!(
             df.choose(NodeId(0), NodeId(71), 0, &mut rng).0,
@@ -820,7 +807,7 @@ mod tests {
         }
 
         let topo = AnyTopology::dragonfly72();
-        let mut p = Ugal::new(topo, 0.5);
+        let mut p = Ugal::new(topo);
         let mut rng = SimRng::new(17);
         let (src, dst) = (NodeId(0), NodeId(8));
         // Fresh flow: priors favor the minimal route.

@@ -94,7 +94,6 @@ pub fn similarity(a: &[FlowPair], b: &[FlowPair], measure: Similarity) -> f64 {
     match measure {
         Similarity::Jaccard => inter / union,
         Similarity::Overlap => inter / a.len().min(b.len()) as f64,
-        Similarity::Containment => inter / a.len() as f64,
     }
 }
 
@@ -285,10 +284,9 @@ mod tests {
     fn similarity_measures() {
         let a = normalize(vec![fp(1, 2), fp(3, 4), fp(5, 6), fp(7, 8)]);
         let b = normalize(vec![fp(1, 2), fp(3, 4), fp(5, 6), fp(9, 9)]);
-        // 3 common of 5 union, 4 min, 4 |a|.
+        // 3 common of 5 union, 4 min.
         assert!((similarity(&a, &b, Similarity::Jaccard) - 0.6).abs() < 1e-12);
         assert!((similarity(&a, &b, Similarity::Overlap) - 0.75).abs() < 1e-12);
-        assert!((similarity(&a, &b, Similarity::Containment) - 0.75).abs() < 1e-12);
         // Identity.
         assert_eq!(similarity(&a, &a, Similarity::Jaccard), 1.0);
         // Empty.
@@ -331,8 +329,8 @@ mod tests {
         // Only half reappearing is below the bar.
         let weak = normalize((0..5).map(|i| fp(i, i + 50)).collect());
         // Overlap = 5/min(10,5) = 1.0 — the overlap coefficient is
-        // lenient for subsets; containment is not.
-        assert!(db.lookup(&weak, 0.8, Similarity::Containment).is_none());
+        // lenient for subsets; Jaccard (5/10) is not.
+        assert!(db.lookup(&weak, 0.8, Similarity::Jaccard).is_none());
     }
 
     #[test]

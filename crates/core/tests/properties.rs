@@ -30,7 +30,6 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&s_ab));
         }
         prop_assert_eq!(similarity(&a, &a, Similarity::Jaccard), 1.0);
-        prop_assert_eq!(similarity(&a, &a, Similarity::Containment), 1.0);
         // Jaccard never exceeds the overlap coefficient.
         let j = similarity(&a, &b, Similarity::Jaccard);
         let o = similarity(&a, &b, Similarity::Overlap);

@@ -59,7 +59,7 @@ use std::sync::Arc;
 /// new fields must participate in the key, and pre-v6 entries never
 /// hashed them.
 ///
-/// v7: dragonfly & megafly topologies joined the key encoding along
+/// v7: the dragonfly-class topologies joined the key encoding along
 /// with the Valiant and UGAL routing baselines, and MSP alternative
 /// paths became graph-derived (BFS rings) on every topology — mesh
 /// schedules are unchanged, but the tag space grew and pre-v7 entries
@@ -73,7 +73,13 @@ use std::sync::Arc;
 /// kind alone selects the DRB variant), `watchdog_ns` hashes as a plain
 /// `u64` instead of an option, and topology tag 4 (the board mesh) is
 /// retired.
-const CACHE_FORMAT: u32 = 9;
+///
+/// v10: the group-of-fat-trees topology (tag 6), four traffic
+/// patterns (tags 5, 6, 7 and 9) and the containment similarity (tag 2)
+/// are retired, and 13 network, monitor and DRB parameters left the
+/// key: they became constants in the crates that read them, so a change
+/// to one of them is a code change that must bump this format.
+const CACHE_FORMAT: u32 = 10;
 
 /// First line of every cache file.
 const MAGIC: &str = "prdrb-run-cache,v1";
@@ -144,18 +150,11 @@ fn fold_config(cfg: &SimConfig, h: &mut StableHasher) {
             h.write_u32(k);
             h.write_u32(n);
         }
-        // Tag 4 (the board mesh) is retired.
+        // Tags 4 (the board mesh) and 6 (groups of fat trees) are retired.
         TopologyKind::Dragonfly { a, r, h: gp } => {
             h.write_u8(5);
             h.write_u32(a);
             h.write_u32(r);
-            h.write_u32(gp);
-        }
-        TopologyKind::Megafly { a, l, s, h: gp } => {
-            h.write_u8(6);
-            h.write_u32(a);
-            h.write_u32(l);
-            h.write_u32(s);
             h.write_u32(gp);
         }
     }
@@ -175,42 +174,29 @@ fn fold_config(cfg: &SimConfig, h: &mut StableHasher) {
         threshold_low_ns,
         threshold_high_ns,
         max_paths,
-        ewma_alpha,
         adjust_settle_ns,
         min_similarity,
         max_solutions,
         similarity,
-        watchdog_ns,
         router_based,
         trend_window,
-        trend_horizon_ns,
     } = *drb;
     h.write_u64(threshold_low_ns);
     h.write_u64(threshold_high_ns);
     h.write_usize(max_paths);
-    h.write_f64(ewma_alpha);
     h.write_u64(adjust_settle_ns);
     h.write_f64(min_similarity);
     h.write_usize(max_solutions);
+    // Tag 2 (containment) is retired.
     h.write_u8(match similarity {
         Similarity::Jaccard => 0,
         Similarity::Overlap => 1,
-        Similarity::Containment => 2,
     });
-    h.write_u64(watchdog_ns);
     h.write_bool(router_based);
     h.write_usize(trend_window);
-    h.write_u64(trend_horizon_ns);
     let NetworkConfig {
-        link_gbps,
-        input_buf_bytes,
-        output_buf_bytes,
         packet_bytes,
-        ack_bytes,
-        routing_delay_ns,
-        wire_delay_ns,
         wire_class_extra_ns,
-        header_ns,
         // Not hashed: `Simulation::new` overwrites it from the policy
         // (which is hashed), so it cannot change a run.
         acks_enabled: _,
@@ -221,29 +207,16 @@ fn fold_config(cfg: &SimConfig, h: &mut StableHasher) {
         // runs share cache entries.
         queue: _,
     } = *net;
-    h.write_f64(link_gbps);
-    h.write_u32(input_buf_bytes);
-    h.write_u32(output_buf_bytes);
     h.write_u32(packet_bytes);
-    h.write_u32(ack_bytes);
-    h.write_u64(routing_delay_ns);
-    h.write_u64(wire_delay_ns);
     for extra in wire_class_extra_ns {
         h.write_u64(extra);
     }
-    h.write_u64(header_ns);
     let MonitorConfig {
         // Not hashed, like `acks_enabled`: the policy sets it.
         mode: _,
         router_threshold_ns,
-        max_flows,
-        min_share,
-        cooldown_ns,
     } = monitor;
     h.write_u64(router_threshold_ns);
-    h.write_usize(max_flows);
-    h.write_f64(min_share);
-    h.write_u64(cooldown_ns);
     fold_option_u64(contention_series_bucket_ns, h);
     match workload {
         Workload::Synthetic {
@@ -403,17 +376,8 @@ fn fold_pattern(p: &TrafficPattern, h: &mut StableHasher) {
             h.write_u8(4);
             h.write_u32(n.0);
         }
-        TrafficPattern::Complement => h.write_u8(5),
-        TrafficPattern::Tornado => h.write_u8(6),
-        TrafficPattern::Butterfly => h.write_u8(7),
+        // Tags 5–7 and 9 are retired.
         TrafficPattern::Neighbor => h.write_u8(8),
-        TrafficPattern::Permutation(dests) => {
-            h.write_u8(9);
-            h.write_usize(dests.len());
-            for d in dests {
-                h.write_u32(d.0);
-            }
-        }
     }
 }
 
@@ -839,43 +803,20 @@ mod tests {
             Box::new(|c| c.drb.threshold_low_ns += 1),
             Box::new(|c| c.drb.threshold_high_ns += 1),
             Box::new(|c| c.drb.max_paths += 1),
-            Box::new(|c| c.drb.ewma_alpha += 1e-9),
             Box::new(|c| c.drb.adjust_settle_ns += 1),
             Box::new(|c| c.drb.min_similarity += 1e-9),
             Box::new(|c| c.drb.max_solutions += 1),
             Box::new(|c| c.drb.similarity = Similarity::Jaccard),
-            Box::new(|c| c.drb.watchdog_ns += 1),
             Box::new(|c| c.drb.router_based = true),
             Box::new(|c| c.drb.trend_window += 1),
-            Box::new(|c| c.drb.trend_horizon_ns += 1),
-            Box::new(|c| c.net.link_gbps += 1e-9),
             Box::new(|c| c.net.wire_class_extra_ns[1] += 160),
             Box::new(|c| c.net.wire_class_extra_ns[2] += 5),
             Box::new(|c| c.topology = TopologyKind::Dragonfly { a: 9, r: 4, h: 2 }),
             Box::new(|c| c.topology = TopologyKind::Dragonfly { a: 9, r: 4, h: 3 }),
-            Box::new(|c| {
-                c.topology = TopologyKind::Megafly {
-                    a: 5,
-                    l: 2,
-                    s: 2,
-                    h: 2,
-                }
-            }),
-            Box::new(|c| {
-                c.topology = TopologyKind::Megafly {
-                    a: 5,
-                    l: 3,
-                    s: 2,
-                    h: 2,
-                }
-            }),
             Box::new(|c| c.policy = PolicyKind::Valiant),
             Box::new(|c| c.policy = PolicyKind::Ugal),
             Box::new(|c| c.net.packet_bytes += 1),
-            Box::new(|c| c.net.ack_bytes += 1),
-            Box::new(|c| c.net.routing_delay_ns += 1),
             Box::new(|c| c.net.monitor.router_threshold_ns += 1),
-            Box::new(|c| c.net.monitor.max_flows += 1),
             Box::new(|c| c.net.contention_series_bucket_ns = Some(1)),
             Box::new(|c| c.seed += 1),
             Box::new(|c| c.duration_ns += 1),

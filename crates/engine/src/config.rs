@@ -4,7 +4,7 @@ use prdrb_apps::{lower_collectives, CollectiveSpec, Trace};
 use prdrb_core::{DrbConfig, PolicyKind};
 use prdrb_network::NetworkConfig;
 use prdrb_simcore::time::{Time, MILLISECOND};
-use prdrb_topology::{AnyTopology, Dragonfly, FaultPlan, KAryNTree, Megafly, Mesh2D, NodeId};
+use prdrb_topology::{AnyTopology, Dragonfly, FaultPlan, KAryNTree, Mesh2D, NodeId};
 use prdrb_traffic::{BurstSchedule, OpenLoopSpec, PhaseProgram};
 use std::sync::Arc;
 
@@ -40,18 +40,6 @@ pub enum TopologyKind {
         /// Global ports (and terminals) per router.
         h: u32,
     },
-    /// A megafly / dragonfly+: `a` groups, each a two-level fat tree of
-    /// `l` leaves and `s` spines; spines own `h` global ports each.
-    Megafly {
-        /// Groups.
-        a: u32,
-        /// Leaf routers per group.
-        l: u32,
-        /// Spine routers per group.
-        s: u32,
-        /// Global ports per spine.
-        h: u32,
-    },
 }
 
 impl TopologyKind {
@@ -63,7 +51,6 @@ impl TopologyKind {
             TopologyKind::Mesh { w, h } => AnyTopology::Mesh(Mesh2D::new(w, h)),
             TopologyKind::Tree { k, n } => AnyTopology::Tree(KAryNTree::new(k, n)),
             TopologyKind::Dragonfly { a, r, h } => AnyTopology::Dragonfly(Dragonfly::new(a, r, h)),
-            TopologyKind::Megafly { a, l, s, h } => AnyTopology::Megafly(Megafly::new(a, l, s, h)),
         }
     }
 }
@@ -308,17 +295,6 @@ mod tests {
                 .num_terminals(),
             72
         );
-        assert_eq!(
-            TopologyKind::Megafly {
-                a: 5,
-                l: 2,
-                s: 2,
-                h: 2
-            }
-            .build()
-            .num_terminals(),
-            20
-        );
     }
 
     #[test]
@@ -329,7 +305,6 @@ mod tests {
             BurstSchedule::continuous(TrafficPattern::Shuffle, 400.0),
             32,
         );
-        assert_eq!(cfg.net.link_gbps, 2.0);
         assert_eq!(cfg.net.packet_bytes, 1024);
         match cfg.workload {
             Workload::Synthetic { active_nodes, .. } => assert_eq!(active_nodes, 32),

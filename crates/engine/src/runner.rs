@@ -700,55 +700,42 @@ mod tests {
         cfg
     }
 
-    /// Golden-digest invariance on the dragonfly family: the
+    /// Golden-digest invariance on the dragonfly: the
     /// wheel-calendar run and the heap-calendar run must serialize
     /// byte-identically — for an oblivious baseline, for UGAL
     /// (ACK-adaptive but not DRB) and for PR-DRB. Global wires carry
     /// extra latency, as in the dragonfly figure.
     #[test]
-    fn dragonfly_family_runs_are_backend_invariant() {
+    fn dragonfly_runs_are_backend_invariant() {
         use crate::cache::{report_to_csv, RunKey};
         use prdrb_simcore::QueueKind;
         use prdrb_topology::LINK_CLASS_GLOBAL;
-        for (topo, nodes) in [
-            (TopologyKind::Dragonfly { a: 9, r: 4, h: 2 }, 24usize),
-            (
-                TopologyKind::Megafly {
-                    a: 5,
-                    l: 2,
-                    s: 2,
-                    h: 2,
-                },
-                16,
-            ),
+        for policy in [
+            PolicyKind::Deterministic,
+            PolicyKind::Ugal,
+            PolicyKind::PrDrb,
         ] {
-            for policy in [
-                PolicyKind::Deterministic,
-                PolicyKind::Ugal,
-                PolicyKind::PrDrb,
-            ] {
-                let mut base = SimConfig::synthetic(
-                    topo,
-                    policy,
-                    // Uniform works at any size (72 and 20 are not
-                    // powers of two, which shuffle would require).
-                    BurstSchedule::continuous(TrafficPattern::Uniform, 300.0),
-                    nodes,
-                );
-                base.duration_ns = MILLISECOND / 4;
-                base.max_ns = 50 * MILLISECOND;
-                base.net.wire_class_extra_ns[LINK_CLASS_GLOBAL as usize] = 500;
-                let key = RunKey::of(&base);
-                let serial = report_to_csv(key, &Simulation::new(base.clone()).run());
-                let mut heap = base.clone();
-                heap.net.queue = QueueKind::Heap;
-                assert_eq!(RunKey::of(&heap), key, "calendar backend not in the key");
-                assert_eq!(
-                    serial,
-                    report_to_csv(key, &Simulation::new(heap).run()),
-                    "{topo:?} {policy:?} heap calendar"
-                );
-            }
+            let mut base = SimConfig::synthetic(
+                TopologyKind::Dragonfly { a: 9, r: 4, h: 2 },
+                policy,
+                // Uniform works at any size (72 is not a power of two,
+                // which shuffle would require).
+                BurstSchedule::continuous(TrafficPattern::Uniform, 300.0),
+                24,
+            );
+            base.duration_ns = MILLISECOND / 4;
+            base.max_ns = 50 * MILLISECOND;
+            base.net.wire_class_extra_ns[LINK_CLASS_GLOBAL as usize] = 500;
+            let key = RunKey::of(&base);
+            let serial = report_to_csv(key, &Simulation::new(base.clone()).run());
+            let mut heap = base.clone();
+            heap.net.queue = QueueKind::Heap;
+            assert_eq!(RunKey::of(&heap), key, "calendar backend not in the key");
+            assert_eq!(
+                serial,
+                report_to_csv(key, &Simulation::new(heap).run()),
+                "{policy:?} heap calendar"
+            );
         }
     }
 

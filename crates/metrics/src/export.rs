@@ -38,9 +38,9 @@ pub struct Table {
 
 impl Table {
     /// An empty table with the given header columns.
-    pub fn new(columns: Vec<String>) -> Self {
+    pub fn new(columns: impl IntoIterator<Item = impl Into<String>>) -> Self {
         Self {
-            columns,
+            columns: columns.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
     }
@@ -89,7 +89,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Table {
-        let mut t = Table::new(vec!["name".into(), "n".into(), "v".into(), "opt".into()]);
+        let mut t = Table::new(["name", "n", "v", "opt"]);
         t.push_row(vec![
             Cell::Text("a".into()),
             Cell::Int(3),
@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn empty_table_renders() {
-        let t = Table::new(vec!["x".into()]);
+        let t = Table::new(["x"]);
         assert!(t.is_empty());
         assert_eq!(t.to_csv(), "x\n");
     }
@@ -125,7 +125,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row arity")]
     fn arity_mismatch_panics() {
-        let mut t = Table::new(vec!["a".into(), "b".into()]);
+        let mut t = Table::new(["a", "b"]);
         t.push_row(vec![Cell::Int(1)]);
     }
 }

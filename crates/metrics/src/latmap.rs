@@ -5,6 +5,7 @@
 //! internal buffers for that router." For the mesh, (x, y) are the mesh
 //! coordinates; for the fat-tree we plot (level, position).
 
+use crate::export::{Cell, Table};
 use prdrb_topology::{AnyTopology, RouterId, Topology};
 
 /// A per-router average contention-latency surface.
@@ -34,17 +35,12 @@ impl LatencyMap {
                     (0..t.depth() as usize * spl).collect(),
                 )
             }
-            // Group-structured topologies plot (position in group,
-            // group): router ids are group-major, so the identity
-            // mapping is already row-major over that grid.
+            // The dragonfly plots (position in group, group): router
+            // ids are group-major, so the identity mapping is already
+            // row-major over that grid.
             AnyTopology::Dragonfly(d) => {
                 let (r, a) = (d.routers_per_group() as usize, d.groups() as usize);
                 ((r, a), (0..r * a).collect())
-            }
-            AnyTopology::Megafly(m) => {
-                let per = m.routers_per_group() as usize;
-                let a = m.groups() as usize;
-                ((per, a), (0..per * a).collect())
             }
         };
         Self {
@@ -130,13 +126,17 @@ impl LatencyMap {
 
     /// CSV rows: `router,col,row,latency_us`.
     pub fn to_csv(&self) -> String {
-        let (cols, _) = self.shape;
-        let mut out = String::from("router,col,row,latency_us\n");
-        for (i, v) in self.values_us.iter().enumerate() {
-            let cell = self.cell_of[i];
-            out.push_str(&format!("{},{},{},{:.4}\n", i, cell % cols, cell / cols, v));
+        let cols = self.shape.0;
+        let mut t = Table::new(["router", "col", "row", "latency_us"]);
+        for (i, (&v, &cell)) in self.values_us.iter().zip(&self.cell_of).enumerate() {
+            t.push_row(vec![
+                Cell::Int(i as u64),
+                Cell::Int((cell % cols) as u64),
+                Cell::Int((cell / cols) as u64),
+                Cell::Num(v, 4),
+            ]);
         }
-        out
+        t.to_csv()
     }
 }
 
@@ -182,15 +182,11 @@ mod tests {
     }
 
     #[test]
-    fn render_dragonfly_family_shapes() {
+    fn render_dragonfly_shape() {
         let df = AnyTopology::dragonfly72(); // 9 groups × 4 routers
         let m = LatencyMap::new(&df, vec![1.0; 36]);
         assert_eq!(m.shape, (4, 9));
         assert_eq!(m.render().lines().count(), 9);
-        let mf = AnyTopology::megafly20(); // 5 groups × (2 leaves + 2 spines)
-        let m = LatencyMap::new(&mf, vec![1.0; 20]);
-        assert_eq!(m.shape, (4, 5));
-        assert_eq!(m.render().lines().count(), 5);
     }
 
     #[test]

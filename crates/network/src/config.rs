@@ -6,6 +6,32 @@
 use prdrb_simcore::time::Time;
 use prdrb_simcore::QueueKind;
 
+/// Link bandwidth in Gbps (Table 4.2: 2 Gbps).
+pub const LINK_GBPS: f64 = 2.0;
+/// Router buffer capacity in bytes per input port per virtual channel
+/// (Table 4.2 gives 2 MB per router split over ports × VCs; 64 KiB per
+/// queue is the same order for the 12-port router of Fig 4.5).
+pub const INPUT_BUF_BYTES: u32 = 64 * 1024;
+/// Output queue capacity in bytes per port.
+pub const OUTPUT_BUF_BYTES: u32 = 64 * 1024;
+/// ACK packet size in bytes (routing info + status, Fig 3.17).
+pub(crate) const ACK_BYTES: u32 = 64;
+/// Fixed routing/arbitration delay per router.
+pub(crate) const ROUTING_DELAY_NS: Time = 40;
+/// Wire propagation delay per link, before the per-class extra.
+pub(crate) const WIRE_DELAY_NS: Time = 10;
+/// Cut-through handoff latency (header serialization).
+pub(crate) const HEADER_NS: Time = 32;
+/// Maximum contending flows carried per predictive header (`n`, a
+/// system parameter — §3.3.1).
+pub(crate) const MAX_FLOWS: usize = 8;
+/// Minimum share of queue occupancy for a flow to be notified (§3.2.7:
+/// only the flows contributing most to congestion).
+pub(crate) const MIN_SHARE: f64 = 0.15;
+/// Per-output-port refractory period between notifications
+/// ("notification performed only once per buffer access").
+pub(crate) const COOLDOWN_NS: Time = 20_000;
+
 /// How congestion notifications reach sources (§3.2.2 vs §3.4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NotifyMode {
@@ -27,15 +53,6 @@ pub struct MonitorConfig {
     /// Output-queue wait that flags a router as congested and triggers
     /// contending-flow identification (§3.2.2 "high threshold").
     pub router_threshold_ns: Time,
-    /// Maximum contending flows carried per predictive header
-    /// (`n`, a system parameter — §3.3.1).
-    pub max_flows: usize,
-    /// Minimum share of queue occupancy for a flow to be notified
-    /// (§3.2.7: only the flows contributing most to congestion).
-    pub min_share: f64,
-    /// Per-output-port refractory period between notifications
-    /// ("notification performed only once per buffer access").
-    pub cooldown_ns: Time,
 }
 
 impl Default for MonitorConfig {
@@ -43,9 +60,6 @@ impl Default for MonitorConfig {
         Self {
             mode: NotifyMode::Destination,
             router_threshold_ns: 8_000,
-            max_flows: 8,
-            min_share: 0.15,
-            cooldown_ns: 20_000,
         }
     }
 }
@@ -53,31 +67,16 @@ impl Default for MonitorConfig {
 /// Physical network parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct NetworkConfig {
-    /// Link bandwidth in Gbps (Table 4.2: 2 Gbps).
-    pub link_gbps: f64,
-    /// Router buffer capacity in bytes per input port per virtual
-    /// channel (Table 4.2 gives 2 MB per router; divided across queues).
-    pub input_buf_bytes: u32,
-    /// Output queue capacity in bytes per port.
-    pub output_buf_bytes: u32,
     /// Data packet payload+header size in bytes (Table 4.2: 1024).
     pub packet_bytes: u32,
-    /// ACK packet size in bytes (routing info + status, Fig 3.17).
-    pub ack_bytes: u32,
-    /// Fixed routing/arbitration delay per router.
-    pub routing_delay_ns: Time,
-    /// Wire propagation delay per link.
-    pub wire_delay_ns: Time,
-    /// Extra propagation delay per latency class on top of
-    /// `wire_delay_ns`, indexed by
+    /// Extra propagation delay per latency class on top of the base
+    /// wire delay `WIRE_DELAY_NS`, indexed by
     /// [`Topology::link_class`](prdrb_topology::Topology::link_class):
     /// `[local, global, server]`. All-zero by default, which reproduces
     /// the uniform-wire model exactly; nonzero global delay models long
     /// spine / inter-group cables (the dragonfly figure's 500 ns global
     /// wires).
     pub wire_class_extra_ns: [Time; prdrb_topology::NUM_LINK_CLASSES],
-    /// Cut-through handoff latency (header serialization).
-    pub header_ns: Time,
     /// Generate destination ACKs for data packets (DRB family needs
     /// them; pure baselines run without the overhead).
     pub acks_enabled: bool,
@@ -95,17 +94,8 @@ pub struct NetworkConfig {
 impl Default for NetworkConfig {
     fn default() -> Self {
         Self {
-            link_gbps: 2.0,
-            // 2 MB per router split over (ports × VCs) queues; 64 KiB per
-            // queue is the same order for the 12-port router of Fig 4.5.
-            input_buf_bytes: 64 * 1024,
-            output_buf_bytes: 64 * 1024,
             packet_bytes: 1024,
-            ack_bytes: 64,
-            routing_delay_ns: 40,
-            wire_delay_ns: 10,
             wire_class_extra_ns: [0; prdrb_topology::NUM_LINK_CLASSES],
-            header_ns: 32,
             acks_enabled: true,
             monitor: MonitorConfig::default(),
             contention_series_bucket_ns: None,
@@ -117,7 +107,7 @@ impl Default for NetworkConfig {
 impl NetworkConfig {
     /// Serialization time of `bytes` on a link.
     pub fn ser_ns(&self, bytes: u32) -> Time {
-        prdrb_simcore::time::serialization_ns(bytes as u64, self.link_gbps)
+        prdrb_simcore::time::serialization_ns(bytes as u64, LINK_GBPS)
     }
 
     /// Propagation delay of a wire in latency class `class`.
@@ -127,23 +117,19 @@ impl NetworkConfig {
             .get(class as usize)
             .copied()
             .unwrap_or(0);
-        self.wire_delay_ns.saturating_add(extra)
+        WIRE_DELAY_NS.saturating_add(extra)
     }
 
     /// Panic on configurations that cannot make progress.
     pub fn validate(&self) {
-        assert!(self.link_gbps > 0.0, "link bandwidth must be positive");
         assert!(
-            self.packet_bytes <= self.input_buf_bytes,
+            self.packet_bytes <= INPUT_BUF_BYTES,
             "a packet must fit in an input buffer or credits can never cover it"
         );
         assert!(
-            self.packet_bytes <= self.output_buf_bytes,
+            self.packet_bytes <= OUTPUT_BUF_BYTES,
             "a packet must fit in an output buffer"
         );
-        assert!(self.ack_bytes <= self.input_buf_bytes);
-        assert!(self.monitor.max_flows >= 1);
-        assert!((0.0..=1.0).contains(&self.monitor.min_share));
     }
 }
 
@@ -154,7 +140,6 @@ mod tests {
     #[test]
     fn defaults_match_paper_tables() {
         let c = NetworkConfig::default();
-        assert_eq!(c.link_gbps, 2.0);
         assert_eq!(c.packet_bytes, 1024);
         assert_eq!(c.ser_ns(1024), 4096);
         assert_eq!(c.wire_class_extra_ns, [0, 0, 0]);
@@ -167,11 +152,11 @@ mod tests {
             wire_class_extra_ns: [0, 160, 5],
             ..NetworkConfig::default()
         };
-        assert_eq!(c.link_delay_ns(0), c.wire_delay_ns);
-        assert_eq!(c.link_delay_ns(1), c.wire_delay_ns + 160);
-        assert_eq!(c.link_delay_ns(2), c.wire_delay_ns + 5);
+        assert_eq!(c.link_delay_ns(0), WIRE_DELAY_NS);
+        assert_eq!(c.link_delay_ns(1), WIRE_DELAY_NS + 160);
+        assert_eq!(c.link_delay_ns(2), WIRE_DELAY_NS + 5);
         // Out-of-range classes fall back to the base delay.
-        assert_eq!(c.link_delay_ns(7), c.wire_delay_ns);
+        assert_eq!(c.link_delay_ns(7), WIRE_DELAY_NS);
     }
 
     #[test]
@@ -187,7 +172,7 @@ mod tests {
     #[test]
     fn ack_smaller_than_data() {
         let c = NetworkConfig::default();
-        assert!(c.ack_bytes < c.packet_bytes);
-        assert_eq!(c.ser_ns(c.ack_bytes), 256);
+        assert!(ACK_BYTES < c.packet_bytes);
+        assert_eq!(c.ser_ns(ACK_BYTES), 256);
     }
 }

@@ -24,7 +24,10 @@
 //! VC index only ever increases along a path, so the channel dependency
 //! graph is acyclic.
 
-use crate::config::{NetworkConfig, NotifyMode};
+use crate::config::{
+    NetworkConfig, NotifyMode, ACK_BYTES, COOLDOWN_NS, HEADER_NS, INPUT_BUF_BYTES, MAX_FLOWS,
+    MIN_SHARE, OUTPUT_BUF_BYTES, ROUTING_DELAY_NS,
+};
 use crate::monitor::{contending_flows, dedup_sources};
 use crate::packet::{Packet, PacketKind};
 use crate::pool::PacketPool;
@@ -162,8 +165,9 @@ struct RouterState {
     out_q: Vec<VecDeque<Box<Packet>>>,
     out_bytes: Vec<u32>,
     /// Propagation delay of the wire behind each port — the base
-    /// `wire_delay_ns` plus the per-latency-class extra. Precomputed at
-    /// build so the hot path never consults the topology.
+    /// `WIRE_DELAY_NS` plus the
+    /// per-latency-class extra. Precomputed at build so the hot path
+    /// never consults the topology.
     wire_ns: Vec<Time>,
     /// Credits toward the downstream input queue per (out port, vc);
     /// `i64::MAX / 2` marks terminal-facing ports (infinite sink).
@@ -260,9 +264,7 @@ impl Fabric {
             let mut credits = Vec::with_capacity(ports);
             for p in 0..ports {
                 match topo.neighbor(rid, Port(p as u8)) {
-                    Some(Endpoint::Router(..)) => {
-                        credits.push([cfg.input_buf_bytes as i64; NUM_VCS])
-                    }
+                    Some(Endpoint::Router(..)) => credits.push([INPUT_BUF_BYTES as i64; NUM_VCS]),
                     // Terminals consume at processor speed; links to
                     // nowhere never transmit anyway.
                     _ => credits.push([i64::MAX / 2; NUM_VCS]),
@@ -297,7 +299,7 @@ impl Fabric {
                     .link_delay_ns(topo.link_class(topo.router_of(node), topo.terminal_port(node)));
                 NicState {
                     queue: VecDeque::new(),
-                    credits: [cfg.input_buf_bytes as i64; NUM_VCS],
+                    credits: [INPUT_BUF_BYTES as i64; NUM_VCS],
                     link_busy_until: 0,
                     wire_ns,
                 }
@@ -420,7 +422,7 @@ impl Fabric {
     /// Re-initialize the credits of output port `p` at `r` to a full
     /// downstream buffer (LinkUp retraining).
     fn reset_credits(&mut self, r: RouterId, p: usize) {
-        self.routers[r.idx()].credits[p] = [self.cfg.input_buf_bytes as i64; NUM_VCS];
+        self.routers[r.idx()].credits[p] = [INPUT_BUF_BYTES as i64; NUM_VCS];
     }
 
     /// Count and recycle a packet lost to a fault.
@@ -570,7 +572,7 @@ impl Fabric {
                 for (vc, q) in lanes.iter().enumerate() {
                     let Some(head) = q.front() else { continue };
                     let out = head.decided_port.map_or("a route".into(), |o| {
-                        let cap = self.cfg.output_buf_bytes;
+                        let cap = OUTPUT_BUF_BYTES;
                         format!("{o} ({} of {cap} bytes used)", rs.out_bytes[o.idx()])
                     });
                     lines.push(format!(
@@ -633,7 +635,7 @@ impl Fabric {
                 if !r.route_pending {
                     r.route_pending = true;
                     self.sched(
-                        self.clock + self.cfg.routing_delay_ns,
+                        self.clock + ROUTING_DELAY_NS,
                         NetEvent::RouteTick { router },
                     );
                 }
@@ -699,7 +701,7 @@ impl Fabric {
         let wire = nic.wire_ns;
         let (router, port) = self.table.nic_attach(node);
         self.sched(
-            self.clock + wire + self.cfg.header_ns,
+            self.clock + wire + HEADER_NS,
             NetEvent::Arrive {
                 router,
                 port,
@@ -822,7 +824,7 @@ impl Fabric {
             out
         };
         let size = head.size;
-        if rs.out_bytes[out.idx()] + size > self.cfg.output_buf_bytes {
+        if rs.out_bytes[out.idx()] + size > OUTPUT_BUF_BYTES {
             return false;
         }
         let mut pkt = rs.in_q[p][vc].pop_front().expect("head");
@@ -830,7 +832,7 @@ impl Fabric {
             rs.in_occ &= !(1 << (p * NUM_VCS + vc));
         }
         // Contention in the input queue beyond the fixed routing delay.
-        let wait = (self.clock - pkt.queued_at).saturating_sub(self.cfg.routing_delay_ns);
+        let wait = (self.clock - pkt.queued_at).saturating_sub(ROUTING_DELAY_NS);
         pkt.path_latency += wait;
         pkt.queued_at = self.clock;
         pkt.hops += 1;
@@ -939,7 +941,7 @@ impl Fabric {
             Some(Endpoint::Router(nr, np)) => {
                 // Cut-through: header hands off while the tail flows.
                 self.sched(
-                    self.clock + wire + self.cfg.header_ns,
+                    self.clock + wire + HEADER_NS,
                     NetEvent::Arrive {
                         router: nr,
                         port: np,
@@ -966,15 +968,10 @@ impl Fabric {
         }
         let rs = &mut self.routers[router.idx()];
         let last = rs.last_notify[port.idx()];
-        if last != 0 && self.clock.saturating_sub(last) < mon.cooldown_ns {
+        if last != 0 && self.clock.saturating_sub(last) < COOLDOWN_NS {
             return;
         }
-        let flows = contending_flows(
-            &rs.out_q[port.idx()],
-            Some(pkt),
-            mon.min_share,
-            mon.max_flows,
-        );
+        let flows = contending_flows(&rs.out_q[port.idx()], Some(pkt), MIN_SHARE, MAX_FLOWS);
         if flows.is_empty() {
             return;
         }
@@ -990,7 +987,7 @@ impl Fabric {
                 if pkt.predictive.is_none() {
                     pkt.predictive = Some(self.pool.header());
                 }
-                pkt.attach_flows(router, &pairs, mon.max_flows);
+                pkt.attach_flows(router, &pairs, MAX_FLOWS);
             }
             NotifyMode::Router => {
                 // GPA: notify each contending source directly (§3.4.1).
@@ -1010,13 +1007,7 @@ impl Fabric {
                     let mut header = self.pool.header();
                     header.flows.extend_from_slice(&pairs);
                     let ack = Packet::predictive_ack_with(
-                        id,
-                        router,
-                        src,
-                        header,
-                        self.clock,
-                        self.cfg.ack_bytes,
-                        pkt.dst,
+                        id, router, src, header, self.clock, ACK_BYTES, pkt.dst,
                     );
                     self.stats.acks_sent += 1;
                     self.router_inject(router, ack);
@@ -1071,7 +1062,7 @@ impl Fabric {
                 if needs_ack && self.cfg.acks_enabled {
                     // Content-derived id: see [`ACK_ID_FLAG`].
                     let id = packet.id | ACK_ID_FLAG;
-                    let ack = Packet::ack_for(&mut packet, id, self.clock, self.cfg.ack_bytes);
+                    let ack = Packet::ack_for(&mut packet, id, self.clock, ACK_BYTES);
                     self.stats.acks_sent += 1;
                     self.inject2(ack);
                 }
@@ -1094,7 +1085,7 @@ impl Fabric {
         let packet = self.pool.boxed(packet);
         if packet.src == packet.dst {
             self.sched(
-                at + self.cfg.header_ns,
+                at + HEADER_NS,
                 NetEvent::Deliver {
                     node: packet.dst,
                     packet,

@@ -6,16 +6,14 @@
 //! * a **k-ary n-tree** fat-tree, instantiated as the 4-ary 3-tree of
 //!   Table 4.3 (§2.1.5, §4.6.3, §4.8),
 //!
-//! plus the dragonfly-class extension topologies where adaptive routing
-//! is contested (global links are scarce and shared):
-//!
-//! * a **dragonfly** with the palm-tree global arrangement, and
-//! * a **megafly** (two-level group-of-fat-trees).
+//! plus a **dragonfly** with the palm-tree global arrangement, the
+//! extension topology where adaptive routing is contested (global links
+//! are scarce and shared).
 //!
 //! On top of the raw graphs this crate provides:
 //!
 //! * deterministic minimal routing (DOR on the mesh; NCA up/down on the
-//!   tree, §2.1.5; gateway-directed on the dragonfly family),
+//!   tree, §2.1.5; gateway-directed on the dragonfly),
 //! * [`PathDescriptor`]s — the fixed-size routing headers packets carry
 //!   (§3.3.1: source, two intermediate nodes, destination), and
 //! * [`altpath`] — generation of the *multi-step paths* (MSPs) DRB expands
@@ -29,7 +27,6 @@ pub mod dragonfly;
 pub mod fattree;
 pub mod faults;
 pub mod ids;
-pub mod megafly;
 pub mod mesh;
 pub mod route;
 pub mod table;
@@ -39,7 +36,6 @@ pub use dragonfly::Dragonfly;
 pub use fattree::KAryNTree;
 pub use faults::{route_survives, FaultEvent, FaultPlan, FaultState, TimedFault};
 pub use ids::{Endpoint, NodeId, Port, RouterId};
-pub use megafly::Megafly;
 pub use mesh::Mesh2D;
 pub use route::{next_port, route_len, walk_route, PathDescriptor, RouteState};
 pub use table::RouteTable;
@@ -91,7 +87,7 @@ pub trait Topology {
 
 /// Short intra-board / intra-pod wire.
 pub const LINK_CLASS_LOCAL: u8 = 0;
-/// Long root-level (fat-tree spine) or inter-group (dragonfly family) wire.
+/// Long root-level (fat-tree spine) or inter-group (dragonfly) wire.
 pub const LINK_CLASS_GLOBAL: u8 = 1;
 /// Terminal (server NIC) attachment wire.
 pub const LINK_CLASS_SERVER: u8 = 2;
@@ -107,8 +103,6 @@ pub enum AnyTopology {
     Tree(KAryNTree),
     /// Dragonfly (palm-tree global arrangement).
     Dragonfly(Dragonfly),
-    /// Megafly (group-of-fat-trees).
-    Megafly(Megafly),
 }
 
 macro_rules! dispatch {
@@ -117,7 +111,6 @@ macro_rules! dispatch {
             AnyTopology::Mesh($t) => $body,
             AnyTopology::Tree($t) => $body,
             AnyTopology::Dragonfly($t) => $body,
-            AnyTopology::Megafly($t) => $body,
         }
     };
 }
@@ -184,11 +177,5 @@ impl AnyTopology {
     /// globals, fully-wired palm tree: G = 8 = a-1).
     pub fn dragonfly72() -> Self {
         AnyTopology::Dragonfly(Dragonfly::new(9, 4, 2))
-    }
-
-    /// The canonical 20-terminal megafly (5 groups of 2 leaves + 2
-    /// spines, 2 globals per spine: G = 4 = a-1).
-    pub fn megafly20() -> Self {
-        AnyTopology::Megafly(Megafly::new(5, 2, 2, 2))
     }
 }

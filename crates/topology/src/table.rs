@@ -237,7 +237,6 @@ mod tests {
             AnyTopology::Tree(KAryNTree::new(4, 3)),
             AnyTopology::Tree(KAryNTree::new(2, 5)),
             AnyTopology::dragonfly72(),
-            AnyTopology::megafly20(),
         ]
     }
 

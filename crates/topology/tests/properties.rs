@@ -3,8 +3,8 @@
 //! arbitrary shapes and endpoint pairs.
 
 use prdrb_topology::{
-    route_len, walk_route, AltPathProvider, AnyTopology, Dragonfly, Endpoint, KAryNTree, Megafly,
-    Mesh2D, NodeId, PathDescriptor, Port, RouterId, Topology,
+    route_len, walk_route, AltPathProvider, AnyTopology, Dragonfly, Endpoint, KAryNTree, Mesh2D,
+    NodeId, PathDescriptor, Port, RouterId, Topology,
 };
 use proptest::prelude::*;
 
@@ -28,18 +28,8 @@ fn dragonfly_strategy() -> impl Strategy<Value = AnyTopology> {
         .prop_map(|(a, r, h)| AnyTopology::Dragonfly(Dragonfly::new(a.min(r * h + 1), r, h)))
 }
 
-fn megafly_strategy() -> impl Strategy<Value = AnyTopology> {
-    (2u32..7, 1u32..4, 1u32..4, 1u32..4)
-        .prop_map(|(a, l, s, h)| AnyTopology::Megafly(Megafly::new(a.min(s * h + 1), l, s, h)))
-}
-
 fn any_topology() -> impl Strategy<Value = AnyTopology> {
-    prop_oneof![
-        mesh_strategy(),
-        tree_strategy(),
-        dragonfly_strategy(),
-        megafly_strategy()
-    ]
+    prop_oneof![mesh_strategy(), tree_strategy(), dragonfly_strategy()]
 }
 
 proptest! {

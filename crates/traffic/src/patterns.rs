@@ -9,7 +9,7 @@
 //! | perfect shuffle  | `d_i = s_{(i-1) mod n}`     |
 //! | matrix transpose | `d_i = s_{(i+n/2) mod n}`   |
 //!
-//! plus uniform random and fixed hot-spot destinations. Destination maps
+//! plus uniform random, fixed hot-spot and nearest-neighbor destinations. Destination maps
 //! are fixed per source ("destination nodes remain invariable throughout
 //! the pattern", §4.6) except for uniform traffic.
 
@@ -29,18 +29,8 @@ pub enum TrafficPattern {
     Transpose,
     /// Every source sends to one fixed destination.
     HotSpot(NodeId),
-    /// Complement permutation: invert every address bit (`d = ¬s`) —
-    /// the worst case for dimension-ordered meshes.
-    Complement,
-    /// Tornado: `d = s + N/2 - 1 (mod N)` — the classic adversary of
-    /// minimal routing on rings/tori.
-    Tornado,
-    /// Butterfly: swap the most and least significant address bits.
-    Butterfly,
     /// Neighbor: `d = s + 1 (mod N)` — pure nearest-neighbor shift.
     Neighbor,
-    /// Arbitrary fixed permutation (`dest[src]`).
-    Permutation(Vec<NodeId>),
 }
 
 /// Number of address bits for `nodes` (requires a power of two for the
@@ -96,23 +86,7 @@ impl TrafficPattern {
             TrafficPattern::Shuffle => NodeId(rotate_left1(src.0, bits(nodes))),
             TrafficPattern::Transpose => NodeId(transpose(src.0, bits(nodes))),
             TrafficPattern::HotSpot(d) => *d,
-            TrafficPattern::Complement => {
-                let n = bits(nodes);
-                NodeId(!src.0 & ((1u32 << n) - 1))
-            }
-            TrafficPattern::Tornado => NodeId(((src.0 as usize + nodes / 2 - 1) % nodes) as u32),
-            TrafficPattern::Butterfly => {
-                let n = bits(nodes);
-                if n < 2 {
-                    return src;
-                }
-                let lo = src.0 & 1;
-                let hi = (src.0 >> (n - 1)) & 1;
-                let mid = src.0 & !(1 | (1 << (n - 1)));
-                NodeId(mid | (lo << (n - 1)) | hi)
-            }
             TrafficPattern::Neighbor => NodeId(((src.idx() + 1) % nodes) as u32),
-            TrafficPattern::Permutation(p) => p[src.idx() % p.len()],
         }
     }
 
@@ -124,11 +98,7 @@ impl TrafficPattern {
             TrafficPattern::Shuffle => "shuffle",
             TrafficPattern::Transpose => "transpose",
             TrafficPattern::HotSpot(_) => "hot-spot",
-            TrafficPattern::Complement => "complement",
-            TrafficPattern::Tornado => "tornado",
-            TrafficPattern::Butterfly => "butterfly",
             TrafficPattern::Neighbor => "neighbor",
-            TrafficPattern::Permutation(_) => "permutation",
         }
     }
 }
@@ -174,11 +144,12 @@ mod tests {
     }
 
     #[test]
-    fn bit_permutations_are_bijections() {
+    fn fixed_patterns_are_bijections() {
         for p in [
             TrafficPattern::BitReversal,
             TrafficPattern::Shuffle,
             TrafficPattern::Transpose,
+            TrafficPattern::Neighbor,
         ] {
             for nodes in [8usize, 32, 64] {
                 let mut m = map(&p, nodes);
@@ -222,55 +193,9 @@ mod tests {
     }
 
     #[test]
-    fn complement_inverts_bits() {
-        let m = map(&TrafficPattern::Complement, 64);
-        assert_eq!(m[0], 63);
-        assert_eq!(m[0b101010], 0b010101);
-    }
-
-    #[test]
-    fn tornado_is_half_ring_shift() {
-        let m = map(&TrafficPattern::Tornado, 64);
-        assert_eq!(m[0], 31);
-        assert_eq!(m[40], (40 + 31) % 64);
-    }
-
-    #[test]
-    fn butterfly_swaps_end_bits() {
-        let m = map(&TrafficPattern::Butterfly, 64);
-        // 6 bits: swap bit 5 and bit 0.
-        assert_eq!(m[0b100000], 0b000001);
-        assert_eq!(m[0b000001], 0b100000);
-        assert_eq!(m[0b100001], 0b100001);
-    }
-
-    #[test]
     fn neighbor_wraps() {
         let m = map(&TrafficPattern::Neighbor, 8);
         assert_eq!(m[6], 7);
         assert_eq!(m[7], 0);
-    }
-
-    #[test]
-    fn extended_patterns_are_bijections() {
-        for p in [
-            TrafficPattern::Complement,
-            TrafficPattern::Tornado,
-            TrafficPattern::Butterfly,
-            TrafficPattern::Neighbor,
-        ] {
-            let mut m = map(&p, 64);
-            m.sort_unstable();
-            m.dedup();
-            assert_eq!(m.len(), 64, "{} not a bijection", p.label());
-        }
-    }
-
-    #[test]
-    fn custom_permutation() {
-        let p = TrafficPattern::Permutation(vec![NodeId(3), NodeId(2), NodeId(1), NodeId(0)]);
-        let mut rng = SimRng::new(0);
-        assert_eq!(p.dest(NodeId(0), 4, &mut rng), NodeId(3));
-        assert_eq!(p.dest(NodeId(3), 4, &mut rng), NodeId(0));
     }
 }
