@@ -192,15 +192,19 @@ fn table2_2() -> FigureOutput {
 
 fn fig2_6() -> FigureOutput {
     let mut out = FigureOutput::new("fig2_6", "bursty traffic: fixed and variable patterns");
-    let fixed = BurstSchedule::repetitive(TrafficPattern::BitReversal, 400.0, 1_000_000, 500_000);
-    let variable = BurstSchedule {
-        burst: prdrb_traffic::BurstPattern::Cycling(vec![
+    let bursts = |p| BurstSchedule::repetitive(p, 400.0, 1_000_000, 500_000);
+    let fixed = bursts(TrafficPattern::BitReversal);
+    // Three burst/gap pairs, one per pattern: six phases.
+    let variable = BurstSchedule::new(
+        [
             TrafficPattern::BitReversal,
             TrafficPattern::Shuffle,
             TrafficPattern::Transpose,
-        ]),
-        ..fixed.clone()
-    };
+        ]
+        .into_iter()
+        .flat_map(|p| bursts(p).phases)
+        .collect(),
+    );
     let mut table = Table::new([
         "t_ms",
         "fixed_mbps",
@@ -210,27 +214,27 @@ fn fig2_6() -> FigureOutput {
     ]);
     for step in 0..60u64 {
         let t = step * 100_000;
-        let (fr, fp) = fixed.at(t);
-        let (vr, vp) = variable.at(t);
+        let (_, f) = fixed.at(t);
+        let (_, v) = variable.at(t);
         table.push_row(vec![
             Cell::Num(t as f64 / 1e6, 1),
-            Cell::Text(fr.to_string()),
-            Cell::Text(fp.label().into()),
-            Cell::Text(vr.to_string()),
-            Cell::Text(vp.label().into()),
+            Cell::Text(f.mbps.to_string()),
+            Cell::Text(f.pattern.label().into()),
+            Cell::Text(v.mbps.to_string()),
+            Cell::Text(v.pattern.label().into()),
         ]);
     }
     out.push("Rate/pattern timeline written to fig2_6.csv");
     // Fig 2.6a: same pattern each burst; Fig 2.6b: pattern changes.
-    let b0 = fixed.at(100_000).1.label();
-    let b1 = fixed.at(1_600_000).1.label();
+    let b0 = fixed.at(100_000).1.pattern.label();
+    let b1 = fixed.at(1_600_000).1.pattern.label();
     out.check(
         "fixed bursty: every burst repeats the same pattern",
         format!("{b0} == {b1}"),
         b0 == b1,
     );
-    let v0 = variable.at(100_000).1.label();
-    let v1 = variable.at(1_600_000).1.label();
+    let v0 = variable.at(100_000).1.pattern.label();
+    let v1 = variable.at(1_600_000).1.pattern.label();
     out.check(
         "variable bursty: the pattern changes between bursts",
         format!("{v0} then {v1}"),
@@ -355,7 +359,7 @@ fn sec4_7() -> FigureOutput {
     ];
     let mut verdicts = std::collections::HashMap::new();
     for t in &apps {
-        let a = Assessment::analyze(t, 2.0);
+        let a = Assessment::analyze(t, prdrb_network::config::LINK_GBPS);
         out.push(a.render());
         verdicts.insert(t.name.clone(), a.suitability());
     }

@@ -19,7 +19,7 @@ use prdrb_core::PolicyKind;
 use prdrb_engine::{RunReport, SimConfig, TopologyKind};
 use prdrb_metrics::{Cell, Table};
 use prdrb_simcore::time::MILLISECOND;
-use prdrb_traffic::{OpenLoopSpec, PhaseProgram};
+use prdrb_traffic::{BurstSchedule, OpenLoopSpec};
 
 /// Registry entries for this module.
 pub fn targets() -> Vec<Target> {
@@ -182,21 +182,21 @@ fn wl_phases() -> FigureOutput {
     // shrink the iteration count instead.
     let phase_ns = 150_000;
     let warm_iters = scaled_iters(6).max(3);
-    let warm = PhaseProgram::mini_app(warm_iters, phase_ns, 500.0);
+    let program = BurstSchedule::mini_app(phase_ns, 500.0);
+    let mini_app = |k, iters: u32| {
+        let mut cfg = SimConfig::synthetic(TopologyKind::Mesh8x8, k, program.clone(), 32);
+        cfg.duration_ns = iters as u64 * program.period_ns();
+        cfg
+    };
     let reports = run_policies(
         |k| {
-            let mut cfg = SimConfig::phased(TopologyKind::Mesh8x8, k, warm.clone(), 32);
+            let mut cfg = mini_app(k, warm_iters);
             cfg.label = format!("mini-app-x{warm_iters}");
             cfg
         },
         &TRIO,
     );
-    let mut cold_cfg = SimConfig::phased(
-        TopologyKind::Mesh8x8,
-        PolicyKind::PrDrb,
-        PhaseProgram::mini_app(1, phase_ns, 500.0),
-        32,
-    );
+    let mut cold_cfg = mini_app(PolicyKind::PrDrb, 1);
     cold_cfg.label = "mini-app-x1/pr-drb".into();
     let cold = run_replicated(vec![cold_cfg]).pop().expect("one config");
     let mut table = workload_table();
@@ -217,11 +217,11 @@ fn wl_phases() -> FigureOutput {
         cold.solution_hit_rate() * 100.0,
         drb.policy_stats.store_lookups,
     ));
-    export_phase_table(&mut out, &warm, pr);
+    export_phase_table(&mut out, &program, warm_iters, pr);
     let lossless = reports
         .iter()
         .chain([&cold])
-        .all(|r| !r.truncated && r.offered == r.accepted && r.end_ns >= warm.period_ns());
+        .all(|r| !r.truncated && r.offered == r.accepted && r.end_ns >= program.period_ns());
     out.check(
         "the phase program runs to completion and drains losslessly",
         format!("{} runs", reports.len() + 1),
@@ -250,11 +250,17 @@ fn wl_phases() -> FigureOutput {
 }
 
 /// Per-phase hit/expansion table of the warm PR-DRB run (replicas
-/// summed), one row per global phase of `program`.
-fn export_phase_table(out: &mut FigureOutput, program: &PhaseProgram, pr: &RunReport) {
+/// summed), one row per global phase of `iterations` loops of
+/// `program`.
+fn export_phase_table(
+    out: &mut FigureOutput,
+    program: &BurstSchedule,
+    iterations: u32,
+    pr: &RunReport,
+) {
     let mut table = Table::new(["phase", "iteration", "label", "solution_hits", "expansions"]);
     let np = program.phases.len();
-    for g in 0..np * program.iterations as usize {
+    for g in 0..np * iterations as usize {
         let (hits, exps) = pr.phase_counts.get(g).copied().unwrap_or_default();
         table.push_row(vec![
             Cell::Int(g as u64),

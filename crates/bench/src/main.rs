@@ -5,13 +5,7 @@
 //! repro fig4_13         # one target
 //! repro fig4_13 fig4_14 # several
 //! repro all             # everything, one target after another
-//! repro workloads       # the wl_* application-workload targets
-//! repro workloads --quick # same, shrunk for CI smoke use
 //! ```
-//!
-//! `workloads` is a group alias expanding to every `wl_*` target;
-//! `--quick` there shrinks the runs by defaulting `PRDRB_SCALE=0.2` and
-//! `PRDRB_SEEDS=2` (explicit environment settings win).
 //!
 //! Any other argument — a stray flag included — is an unknown target
 //! and stops `repro` with exit status 2.
@@ -31,7 +25,7 @@
 use prdrb_bench::figures::{registry, Target};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = prdrb_bench::check_env() {
         eprintln!("{e}");
         std::process::exit(2);
@@ -42,38 +36,16 @@ fn main() {
         for t in &targets {
             println!("  {:<22} {}", t.id, t.title);
         }
-        println!("\nusage: repro <id>... | all | workloads [--quick]");
+        println!("\nusage: repro <id>... | all");
         return;
     }
-    // Every remaining argument must name something: a target, `all`,
-    // or the leading `workloads` alias with its `--quick` flag. A
-    // stray flag is rejected here rather than ignored.
-    let group = args[0] == "workloads";
-    for (i, a) in args.iter().enumerate() {
-        let known = a == "all"
-            || (group && (i == 0 || a == "--quick"))
-            || targets.iter().any(|t| t.id == a);
-        if !known {
+    // Every argument must name a target or `all`. A stray flag is
+    // rejected here rather than ignored.
+    for a in &args {
+        if a != "all" && !targets.iter().any(|t| t.id == a) {
             eprintln!("unknown target: {a} (see `repro list`)");
             std::process::exit(2);
         }
-    }
-    if group {
-        // Group alias: every wl_* target. --quick shrinks the runs for
-        // CI smoke use without clobbering explicit env overrides.
-        if args.iter().any(|a| a == "--quick") {
-            if std::env::var("PRDRB_SCALE").is_err() {
-                std::env::set_var("PRDRB_SCALE", "0.2");
-            }
-            if std::env::var("PRDRB_SEEDS").is_err() {
-                std::env::set_var("PRDRB_SEEDS", "2");
-            }
-        }
-        args = targets
-            .iter()
-            .filter(|t| t.id.starts_with("wl_"))
-            .map(|t| t.id.to_string())
-            .collect();
     }
     let selected: Vec<&Target> = if args.iter().any(|a| a == "all") {
         targets.iter().collect()

@@ -26,60 +26,21 @@ use prdrb_network::{MonitorConfig, NetworkConfig};
 use prdrb_simcore::stats::{RunningMean, TimeSeries};
 use prdrb_simcore::time::Time;
 use prdrb_simcore::StableHasher;
-use prdrb_traffic::{BurstPattern, BurstSchedule, OpenLoopSpec, PhaseSpec, TrafficPattern};
+use prdrb_traffic::{BurstSchedule, OpenLoopSpec, PhaseSpec, TrafficPattern};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Bump to invalidate every existing cache entry when the simulator's
-/// behaviour (not just the config layout) changes.
+/// Version of the simulator's behaviour and of the key encoding; it is
+/// the first word every key hashes. Bump it whenever a code change can
+/// change a run's report or what the key encodes, so stale entries miss
+/// instead of replaying results the current code would not produce.
 ///
-/// v2: the fabric calendar became content-keyed (`(time, key, seq)`
-/// ordering) and control-packet ids content-derived, which perturbs
-/// same-instant tie-breaks relative to v1 runs.
-///
-/// v3: fault injection — reports carry a dropped-packet counter and a
-/// `solutions_invalidated` policy stat, and the fault plan joined the
-/// key encoding.
-///
-/// v4: GPA source notification became globally deduplicated
-/// (first-occurrence order) instead of adjacent-only, so a source
-/// contending on interleaved flows no longer receives duplicate
-/// same-id predictive-ACK volleys — router-based runs schedule fewer
-/// control packets.
-///
-/// v5: application-level workloads — `DrbConfig` gained the
-/// `max_solutions` capacity bound, reports carry the solution-store
-/// lookup/eviction counters, and the collective / phased / open-loop
-/// workload families joined the key encoding.
-///
-/// v6: per-link latency classes — `NetworkConfig` gained
-/// `wire_class_extra_ns` and the board-mesh topology joined the key
-/// encoding. All-zero extras reproduce v5 schedules exactly, but the
-/// new fields must participate in the key, and pre-v6 entries never
-/// hashed them.
-///
-/// v7: the dragonfly-class topologies joined the key encoding along
-/// with the Valiant and UGAL routing baselines, and MSP alternative
-/// paths became graph-derived (BFS rings) on every topology — mesh
-/// schedules are unchanged, but the tag space grew and pre-v7 entries
-/// never hashed the new variants.
-///
-/// v8: reports carry per-phase solution counts (a `phases` line), and
-/// `net.acks_enabled` / `net.monitor.mode` left the key — the policy
-/// overrides both when the run is built.
-///
-/// v9: the DRB config's `predictive` flag left the key (the policy
-/// kind alone selects the DRB variant), `watchdog_ns` hashes as a plain
-/// `u64` instead of an option, and topology tag 4 (the board mesh) is
-/// retired.
-///
-/// v10: the group-of-fat-trees topology (tag 6), four traffic
-/// patterns (tags 5, 6, 7 and 9) and the containment similarity (tag 2)
-/// are retired, and 13 network, monitor and DRB parameters left the
-/// key: they became constants in the crates that read them, so a change
-/// to one of them is a code change that must bump this format.
-const CACHE_FORMAT: u32 = 10;
+/// v11: the one injection schedule — burst schedules and mini-app phase
+/// programs became one phase-loop type, hashed phase by phase, and
+/// workload tag 4 (phase programs) is retired. Scheduled runs now
+/// report per-phase solution counts.
+const CACHE_FORMAT: u32 = 11;
 
 /// First line of every cache file.
 const MAGIC: &str = "prdrb-run-cache,v1";
@@ -262,30 +223,8 @@ fn fold_config(cfg: &SimConfig, h: &mut StableHasher) {
             }
         }
         // Tag 3 is retired: collective runs are keyed as the traces they
-        // lower to.
-        Workload::Phased {
-            program,
-            active_nodes,
-            msg_bytes,
-        } => {
-            h.write_u8(4);
-            h.write_usize(program.phases.len());
-            for p in &program.phases {
-                let PhaseSpec {
-                    label,
-                    pattern,
-                    mbps,
-                    duration_ns,
-                } = p;
-                h.write_str(label);
-                fold_pattern(pattern, h);
-                h.write_f64(*mbps);
-                h.write_u64(*duration_ns);
-            }
-            h.write_u32(program.iterations);
-            h.write_usize(*active_nodes);
-            h.write_u32(*msg_bytes);
-        }
+        // lower to. Tag 4 (phase programs) is retired: they are
+        // synthetic schedules.
         Workload::OpenLoop { spec, active_nodes } => {
             h.write_u8(5);
             let OpenLoopSpec {
@@ -336,34 +275,20 @@ fn fold_option_u64(v: Option<Time>, h: &mut StableHasher) {
 }
 
 fn fold_schedule(s: &BurstSchedule, h: &mut StableHasher) {
-    let BurstSchedule {
-        low_mbps,
-        high_mbps,
-        low_pattern,
-        burst,
-        on_ns,
-        off_ns,
-        start_ns,
-    } = s;
-    h.write_f64(*low_mbps);
-    h.write_f64(*high_mbps);
-    fold_pattern(low_pattern, h);
-    match burst {
-        BurstPattern::Fixed(p) => {
-            h.write_u8(0);
-            fold_pattern(p, h);
-        }
-        BurstPattern::Cycling(ps) => {
-            h.write_u8(1);
-            h.write_usize(ps.len());
-            for p in ps {
-                fold_pattern(p, h);
-            }
-        }
+    let BurstSchedule { phases } = s;
+    h.write_usize(phases.len());
+    for p in phases {
+        let PhaseSpec {
+            label,
+            pattern,
+            mbps,
+            duration_ns,
+        } = p;
+        h.write_str(label);
+        fold_pattern(pattern, h);
+        h.write_f64(*mbps);
+        h.write_u64(*duration_ns);
     }
-    h.write_u64(*on_ns);
-    h.write_u64(*off_ns);
-    h.write_u64(*start_ns);
 }
 
 fn fold_pattern(p: &TrafficPattern, h: &mut StableHasher) {
@@ -793,6 +718,13 @@ mod tests {
 
     type Mutation = Box<dyn Fn(&mut SimConfig)>;
 
+    fn schedule(c: &mut SimConfig) -> &mut BurstSchedule {
+        let Workload::Synthetic { schedule, .. } = &mut c.workload else {
+            unreachable!("cfg() is synthetic")
+        };
+        schedule
+    }
+
     #[test]
     fn every_config_field_changes_the_key() {
         let base = RunKey::of(&cfg());
@@ -822,6 +754,14 @@ mod tests {
             Box::new(|c| c.duration_ns += 1),
             Box::new(|c| c.max_ns += 1),
             Box::new(|c| c.series_bucket_ns += 1),
+            Box::new(|c| schedule(c).phases[0].label = "x"),
+            Box::new(|c| schedule(c).phases[0].pattern = TrafficPattern::Uniform),
+            Box::new(|c| schedule(c).phases[0].mbps += 1.0),
+            Box::new(|c| schedule(c).phases[0].duration_ns -= 1),
+            Box::new(|c| {
+                let s = schedule(c);
+                s.phases.push(s.phases[0].clone());
+            }),
             Box::new(|c| {
                 c.preload_profile.push(prdrb_core::ProfiledFlow {
                     src: prdrb_topology::NodeId(0),
@@ -895,9 +835,10 @@ mod tests {
         assert_ne!(RunKey::of(&flows2), RunKey::of(&flows));
     }
 
-    /// The three new workload families must key distinctly from the
-    /// old families, from each other, and from their own close
-    /// variants (field-level sensitivity inside each payload).
+    /// The workload families (steady and mini-app schedules,
+    /// collectives, open-loop arrivals) must key distinctly from each
+    /// other and from their own close variants (field-level sensitivity
+    /// inside each payload).
     #[test]
     fn new_workload_families_hash_distinctly() {
         use prdrb_apps::{CollectiveKind, CollectiveSpec, ScheduleShape};
@@ -923,13 +864,13 @@ mod tests {
                 CollectiveSpec::new(CollectiveKind::AllReduce, ScheduleShape::Tree, 8, 4096),
                 2,
             ),
-            with(Workload::Phased {
-                program: prdrb_traffic::PhaseProgram::mini_app(2, 10_000, 100.0),
+            with(Workload::Synthetic {
+                schedule: BurstSchedule::mini_app(10_000, 100.0),
                 active_nodes: 8,
                 msg_bytes: 1024,
             }),
-            with(Workload::Phased {
-                program: prdrb_traffic::PhaseProgram::mini_app(3, 10_000, 100.0),
+            with(Workload::Synthetic {
+                schedule: BurstSchedule::mini_app(20_000, 100.0),
                 active_nodes: 8,
                 msg_bytes: 1024,
             }),
@@ -1012,12 +953,15 @@ mod tests {
         miss("\ncells,0,", &format!("\ncells,{},", cols * rows));
         // Forged per-phase lines: an odd value count, a declared count
         // the values disagree with, a non-numeric value.
-        miss("\nphases,0\n", "\nphases,1,5,6,7\n");
-        miss("\nphases,0\n", "\nphases,2,5,6\n");
-        miss("\nphases,0\n", "\nphases,1,5,x\n");
-        let phased = csv.replacen("\nphases,0\n", "\nphases,1,5,6\n", 1);
+        assert_eq!(report.phase_counts.len(), 1, "one steady phase");
+        let (hits, exps) = report.phase_counts[0];
+        let phases = format!("\nphases,1,{hits},{exps}\n");
+        miss(&phases, "\nphases,1,5,6,7\n");
+        miss(&phases, "\nphases,2,5,6\n");
+        miss(&phases, "\nphases,1,5,x\n");
+        let phased = csv.replacen(&phases, "\nphases,2,5,6,7,8\n", 1);
         let back = report_from_csv(&phased).expect("a well-formed phases line parses");
-        assert_eq!(back.phase_counts, vec![(5, 6)]);
+        assert_eq!(back.phase_counts, vec![(5, 6), (7, 8)]);
         assert!(report_from_csv(&csv).is_some());
     }
 

@@ -5,7 +5,7 @@ use prdrb_core::{DrbConfig, PolicyKind};
 use prdrb_network::NetworkConfig;
 use prdrb_simcore::time::{Time, MILLISECOND};
 use prdrb_topology::{AnyTopology, Dragonfly, FaultPlan, KAryNTree, Mesh2D, NodeId};
-use prdrb_traffic::{BurstSchedule, OpenLoopSpec, PhaseProgram};
+use prdrb_traffic::{BurstSchedule, OpenLoopSpec};
 use std::sync::Arc;
 
 /// Which topology to instantiate.
@@ -59,9 +59,12 @@ impl TopologyKind {
 #[derive(Debug, Clone)]
 pub enum Workload {
     /// Synthetic traffic: the first `active_nodes` terminals inject per
-    /// the schedule ("32 communicating nodes" uses 32 of 64).
+    /// the schedule ("32 communicating nodes" uses 32 of 64), and the
+    /// report attributes solution-store activity to the schedule's
+    /// global phases ([`crate::RunReport::phase_counts`]).
     Synthetic {
-        /// Injection schedule (rate + pattern over time).
+        /// Injection schedule: a loop of phases, each with its own
+        /// pattern and rate, repeated until `duration_ns`.
         schedule: BurstSchedule,
         /// Number of injecting terminals.
         active_nodes: usize,
@@ -69,6 +72,8 @@ pub enum Workload {
         msg_bytes: u32,
     },
     /// Fixed flow set (hot-spot scenarios of §4.5) plus optional noise.
+    /// The run lowers each hot flow to a constant hot-spot schedule and
+    /// each noise node to a constant uniform one.
     Flows {
         /// The deliberate flows.
         flows: Vec<(NodeId, NodeId)>,
@@ -86,18 +91,6 @@ pub enum Workload {
     /// [`SimConfig::collective`] lower them when the run is configured
     /// (`prdrb_apps::collectives`), and the player rejects any left.
     Trace(Arc<Trace>),
-    /// Phase-structured mini-app loop: the first `active_nodes`
-    /// terminals inject per the phase in force, and the report
-    /// attributes solution-store activity to global phase indices
-    /// ([`crate::RunReport::phase_counts`]).
-    Phased {
-        /// The phase sequence and iteration count.
-        program: PhaseProgram,
-        /// Number of injecting terminals.
-        active_nodes: usize,
-        /// Message size in bytes.
-        msg_bytes: u32,
-    },
     /// Open-loop arrivals: Poisson flow arrivals with bounded-Pareto
     /// sizes, one deterministic sampler substream per source — the
     /// aperiodic stressor for solution-store capacity and matching.
@@ -197,36 +190,6 @@ impl SimConfig {
         iterations: u32,
     ) -> Self {
         Self::trace(topology, policy, spec.lower(iterations, 50_000))
-    }
-
-    /// A mini-app phase-loop run: injection ends with the program.
-    pub fn phased(
-        topology: TopologyKind,
-        policy: PolicyKind,
-        program: PhaseProgram,
-        active_nodes: usize,
-    ) -> Self {
-        let duration_ns = program.total_ns();
-        Self {
-            label: String::new(),
-            topology,
-            policy,
-            drb: DrbConfig::default(),
-            net: NetworkConfig::default(),
-            workload: Workload::Phased {
-                program,
-                active_nodes,
-                msg_bytes: 1024,
-            },
-            seed: 1,
-            duration_ns,
-            max_ns: 400 * MILLISECOND,
-            series_bucket_ns: 50_000,
-            preload_profile: Vec::new(),
-            faults: FaultPlan::none(),
-            shards: 1,
-            speculate: false,
-        }
     }
 
     /// An open-loop arrival run with the synthetic-run time window.

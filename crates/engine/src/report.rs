@@ -44,8 +44,10 @@ pub struct RunReport {
     /// Policy counters (expansions, solution reuse, …).
     pub policy_stats: PolicyStats,
     /// `(reuse_applications, expansions)` accrued while each global
-    /// phase was in force, indexed by global phase (`Workload::Phased`
-    /// only; empty otherwise). Sums to the matching `policy_stats`.
+    /// phase of the injection schedule was in force, indexed by global
+    /// phase (scheduled runs — synthetic and flow workloads — only;
+    /// empty for trace and open-loop runs). Sums to the matching
+    /// `policy_stats`.
     pub phase_counts: Vec<(u64, u64)>,
     /// Simulated time at the end of the run.
     pub end_ns: Time,

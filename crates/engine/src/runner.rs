@@ -18,7 +18,8 @@ use prdrb_simcore::stats::{RunningMean, TimeSeries};
 use prdrb_simcore::time::{interarrival_ns, ns_to_us, Time};
 use prdrb_simcore::{EventQueue, SimRng};
 use prdrb_topology::{AnyTopology, FaultState, NodeId, RouteState, RouterId, Topology};
-use prdrb_traffic::{exp_gap_ns, TrafficPattern};
+use prdrb_traffic::bursty::{phase_at, phase_start_ns};
+use prdrb_traffic::{exp_gap_ns, PhaseSpec, TrafficPattern};
 use std::collections::HashMap;
 
 /// Host-side event kinds, ordered (time, kind, id) for determinism.
@@ -41,15 +42,15 @@ fn ext_key(e: Ext) -> u64 {
 
 #[derive(Debug)]
 enum StreamKind {
-    /// Follows the configured burst schedule + pattern.
-    Scheduled,
-    /// Fixed destination at a fixed rate (hot-spot flows).
-    Fixed { dst: NodeId, mbps: f64 },
-    /// Uniform noise at a fixed rate.
-    Noise { mbps: f64 },
-    /// Follows the phase program in force (mini-app loop); sleeps
-    /// through quiet phases and dies when the program completes.
-    Phase,
+    /// Follows the schedule whose loop body is
+    /// `Simulation::phases[first..first + len]`: Poisson arrivals of
+    /// `msg_bytes` messages at the rate and pattern of the phase in
+    /// force; sleeps through quiet phases.
+    Scheduled {
+        first: u32,
+        len: u32,
+        msg_bytes: u32,
+    },
     /// Open-loop Poisson arrivals with heavy-tailed sizes, drawn from
     /// the stream's own seed-derived sampler.
     Open { rng: Splitmix64 },
@@ -59,7 +60,19 @@ enum StreamKind {
 struct Stream {
     node: NodeId,
     kind: StreamKind,
-    msg_bytes: u32,
+}
+
+impl Stream {
+    fn scheduled(node: NodeId, first: usize, len: usize, msg_bytes: u32) -> Self {
+        Self {
+            node,
+            kind: StreamKind::Scheduled {
+                first: first as u32,
+                len: len as u32,
+                msg_bytes,
+            },
+        }
+    }
 }
 
 /// One simulation run in progress.
@@ -69,6 +82,10 @@ pub struct Simulation {
     fabric: Fabric,
     policy: Box<dyn RoutingPolicy>,
     rng: SimRng,
+    /// The loop bodies scheduled streams follow, back to back in one
+    /// buffer (no allocation per stream): the synthetic workload's
+    /// schedule, or the one-phase constant schedules its flows lower to.
+    phases: Vec<PhaseSpec>,
     streams: Vec<Stream>,
     ext: EventQueue<Ext>,
     player: Option<Player>,
@@ -89,10 +106,10 @@ pub struct Simulation {
     /// and the send list filled by the trace player per wakeup.
     delivery_buf: Vec<Delivery>,
     send_buf: Vec<SendOp>,
-    /// Phase attribution (`Workload::Phased` only): the global phase in
+    /// Phase attribution (scheduled streams only): the global phase in
     /// force, the policy's `(reuse_applications, expansions)` already
     /// attributed to a phase, and the per-phase totals the report carries.
-    phase_cursor: Option<u32>,
+    phase_cursor: Option<u64>,
     phase_counted: (u64, u64),
     phase_counts: Vec<(u64, u64)>,
 }
@@ -111,6 +128,7 @@ impl Simulation {
         let fabric = Fabric::with_faults(topo.clone(), net, cfg.faults.clone());
         let rng = SimRng::new(cfg.seed);
         let mut sim = Self {
+            phases: Vec::new(),
             streams: Vec::new(),
             ext: EventQueue::new(),
             player: None,
@@ -141,17 +159,16 @@ impl Simulation {
     fn setup_workload(&mut self) {
         match &self.cfg.workload {
             Workload::Synthetic {
+                schedule,
                 active_nodes,
                 msg_bytes,
-                ..
             } => {
+                self.phases = schedule.phases.clone();
+                let len = self.phases.len();
                 let n = (*active_nodes).min(self.topo.num_terminals());
                 for i in 0..n {
-                    self.streams.push(Stream {
-                        node: NodeId(i as u32),
-                        kind: StreamKind::Scheduled,
-                        msg_bytes: *msg_bytes,
-                    });
+                    self.streams
+                        .push(Stream::scheduled(NodeId(i as u32), 0, len, *msg_bytes));
                 }
             }
             Workload::Flows {
@@ -161,20 +178,23 @@ impl Simulation {
                 noise_mbps,
                 msg_bytes,
             } => {
+                // Lower to constant schedules: one hot-spot schedule per
+                // flow, then one uniform schedule the noise nodes share.
+                self.phases.reserve(flows.len() + 1);
                 for &(src, dst) in flows {
-                    self.streams.push(Stream {
-                        node: src,
-                        kind: StreamKind::Fixed { dst, mbps: *mbps },
-                        msg_bytes: *msg_bytes,
-                    });
+                    let first = self.phases.len();
+                    self.phases
+                        .push(PhaseSpec::steady(TrafficPattern::HotSpot(dst), *mbps));
+                    self.streams
+                        .push(Stream::scheduled(src, first, 1, *msg_bytes));
                 }
                 if *noise_mbps > 0.0 {
+                    let first = self.phases.len();
+                    self.phases
+                        .push(PhaseSpec::steady(TrafficPattern::Uniform, *noise_mbps));
                     for &node in noise_nodes {
-                        self.streams.push(Stream {
-                            node,
-                            kind: StreamKind::Noise { mbps: *noise_mbps },
-                            msg_bytes: *msg_bytes,
-                        });
+                        self.streams
+                            .push(Stream::scheduled(node, first, 1, *msg_bytes));
                     }
                 }
             }
@@ -185,20 +205,6 @@ impl Simulation {
                 );
                 self.player = Some(Player::new(trace.clone()));
             }
-            Workload::Phased {
-                active_nodes,
-                msg_bytes,
-                ..
-            } => {
-                let n = (*active_nodes).min(self.topo.num_terminals());
-                for i in 0..n {
-                    self.streams.push(Stream {
-                        node: NodeId(i as u32),
-                        kind: StreamKind::Phase,
-                        msg_bytes: *msg_bytes,
-                    });
-                }
-            }
             Workload::OpenLoop { spec, active_nodes } => {
                 let n = (*active_nodes).min(self.topo.num_terminals());
                 for i in 0..n {
@@ -207,9 +213,6 @@ impl Simulation {
                         kind: StreamKind::Open {
                             rng: spec.stream(self.cfg.seed, i as u32),
                         },
-                        // The per-flow size is drawn at fire time; this
-                        // field is unused for open-loop streams.
-                        msg_bytes: 0,
                     });
                 }
             }
@@ -307,86 +310,47 @@ impl Simulation {
         }
     }
 
+    /// One firing of a stream: inject per the phase in force, then
+    /// draw the next Poisson gap. A quiet phase (rate ≤ 0) injects
+    /// nothing and wakes the stream at the next phase boundary.
     fn fire_stream(&mut self, i: usize, now: Time) {
         if now >= self.cfg.duration_ns {
             return; // injection window over; stream dies
         }
-        match self.streams[i].kind {
-            StreamKind::Phase => return self.fire_phase_stream(i, now),
-            StreamKind::Open { .. } => return self.fire_open_stream(i, now),
-            _ => {}
-        }
-        let (dst, mbps, bytes) = {
-            let s = &self.streams[i];
-            let n = self.topo.num_terminals();
-            match &s.kind {
-                StreamKind::Scheduled => {
-                    let Workload::Synthetic { schedule, .. } = &self.cfg.workload else {
-                        unreachable!()
-                    };
-                    let (mbps, pattern) = schedule.at(now);
-                    let dst = pattern.dest(s.node, n, &mut self.rng);
-                    (dst, mbps, s.msg_bytes)
-                }
-                StreamKind::Fixed { dst, mbps } => (*dst, *mbps, s.msg_bytes),
-                StreamKind::Noise { mbps } => {
-                    let dst = TrafficPattern::Uniform.dest(s.node, n, &mut self.rng);
-                    (dst, *mbps, s.msg_bytes)
-                }
-                StreamKind::Phase | StreamKind::Open { .. } => {
-                    unreachable!("dispatched to their own fire paths above")
-                }
-            }
-        };
         let src = self.streams[i].node;
-        if dst != src {
-            self.inject_message(src, dst, bytes, 0, now);
-        }
-        if mbps > 0.0 {
-            // Poisson arrivals: the mean gap matches the configured rate
-            // but individual gaps are exponential, so realistic queueing
-            // appears below link saturation too (deterministic spacing
-            // would make a D/D/1 queue that never builds up).
-            let mean = interarrival_ns(bytes as u64, mbps) as f64;
-            let gap = (-self.rng.unit().max(1e-12).ln() * mean).max(1.0) as Time;
-            let e = Ext::Stream(i as u32);
-            self.ext.schedule_keyed(now + gap, ext_key(e), e);
-        }
-    }
-
-    /// One firing of a mini-app phase stream: inject per the phase in
-    /// force, sleep through quiet (compute) phases, die at program end.
-    fn fire_phase_stream(&mut self, i: usize, now: Time) {
-        let (g, dst, mbps, quiet_wake, src, bytes) = {
-            let src = self.streams[i].node;
-            let bytes = self.streams[i].msg_bytes;
-            let Workload::Phased { program, .. } = &self.cfg.workload else {
-                unreachable!()
-            };
-            match program.at(now) {
-                None => return, // program complete; the stream dies
-                Some((g, p)) if p.mbps <= 0.0 => {
-                    // Quiet phase: wake exactly at the next boundary.
-                    let wake = program.phase_start_ns(g + 1).unwrap_or(program.total_ns());
-                    (g, src, 0.0, Some(wake), src, bytes)
-                }
-                Some((g, p)) => {
-                    let dst = p
-                        .pattern
-                        .dest(src, self.topo.num_terminals(), &mut self.rng);
-                    (g, dst, p.mbps, None, src, bytes)
-                }
-            }
+        let (body, bytes) = match self.streams[i].kind {
+            StreamKind::Scheduled {
+                first,
+                len,
+                msg_bytes,
+            } => (first as usize..(first + len) as usize, msg_bytes),
+            StreamKind::Open { .. } => return self.fire_open_stream(i, now),
+        };
+        let (g, mbps, dst) = {
+            let (g, p) = phase_at(&self.phases[body.clone()], now);
+            let dst = (p.mbps > 0.0).then(|| {
+                p.pattern
+                    .dest(src, self.topo.num_terminals(), &mut self.rng)
+            });
+            (g, p.mbps, dst)
         };
         self.note_phase(g);
         let e = Ext::Stream(i as u32);
-        if let Some(wake) = quiet_wake {
-            self.ext.schedule_keyed(wake, ext_key(e), e);
+        let Some(dst) = dst else {
+            // Quiet phase: sleep to the next boundary, or to the end of
+            // the injection window if that comes first.
+            let wake = phase_start_ns(&self.phases[body], g + 1);
+            self.ext
+                .schedule_keyed(wake.min(self.cfg.duration_ns), ext_key(e), e);
             return;
-        }
+        };
         if dst != src {
             self.inject_message(src, dst, bytes, 0, now);
         }
+        // Poisson arrivals: the mean gap matches the phase's rate but
+        // individual gaps are exponential, so realistic queueing appears
+        // below link saturation too (deterministic spacing would make a
+        // D/D/1 queue that never builds up).
         let mean = interarrival_ns(bytes as u64, mbps) as f64;
         let gap = (-self.rng.unit().max(1e-12).ln() * mean).max(1.0) as Time;
         self.ext.schedule_keyed(now + gap, ext_key(e), e);
@@ -420,7 +384,7 @@ impl Simulation {
 
     /// Record that global phase `g` is in force. On a boundary crossing
     /// the previous phase's policy-counter deltas flush to its entry.
-    fn note_phase(&mut self, g: u32) {
+    fn note_phase(&mut self, g: u64) {
         if self.phase_cursor != Some(g) {
             self.flush_phase_counts();
             self.phase_cursor = Some(g);
@@ -873,6 +837,20 @@ mod tests {
             r.latency_map.contended_routers() > 0,
             "hot-spot must contend"
         );
+        // The flows lower to constant schedules: one phase.
+        assert_phase_counts(&r, 1);
+    }
+
+    /// Every scheduled run attributes solution-store activity to the
+    /// schedule's global phases: `phases` entries, one per phase the
+    /// run reached, that sum to the run's reuse and expansion totals.
+    fn assert_phase_counts(r: &RunReport, phases: usize) {
+        assert_eq!(r.phase_counts.len(), phases);
+        let hits: u64 = r.phase_counts.iter().map(|c| c.0).sum();
+        let exps: u64 = r.phase_counts.iter().map(|c| c.1).sum();
+        assert!(exps > 0, "the run must congest");
+        assert_eq!(hits, r.policy_stats.reuse_applications);
+        assert_eq!(exps, r.policy_stats.expansions);
     }
 
     #[test]
@@ -896,11 +874,10 @@ mod tests {
 
     #[test]
     fn phased_workload_runs_the_program_and_prdrb_learns() {
-        use prdrb_traffic::PhaseProgram;
-        let program = PhaseProgram::mini_app(4, 150_000, 500.0);
-        let (total, phases) = (program.total_ns(), program.phases.len() * 4);
-        let cfg = SimConfig::phased(TopologyKind::Mesh8x8, PolicyKind::PrDrb, program, 32);
-        assert_eq!(cfg.duration_ns, total, "injection ends with the program");
+        let program = BurstSchedule::mini_app(150_000, 500.0);
+        let (total, phases) = (4 * program.period_ns(), program.phases.len() * 4);
+        let mut cfg = SimConfig::synthetic(TopologyKind::Mesh8x8, PolicyKind::PrDrb, program, 32);
+        cfg.duration_ns = total;
         let r = Simulation::new(cfg).run();
         assert!(r.messages > 100, "phases must inject ({})", r.messages);
         assert_eq!(r.offered, r.accepted, "lossless");
@@ -909,34 +886,24 @@ mod tests {
             "the run spans the whole program ({} < {total})",
             r.end_ns
         );
-        // Every global phase gets an entry, and the entries account for
-        // all of the run's reuse and expansion activity.
-        assert_eq!(r.phase_counts.len(), phases);
-        let hits: u64 = r.phase_counts.iter().map(|c| c.0).sum();
-        let exps: u64 = r.phase_counts.iter().map(|c| c.1).sum();
-        assert!(exps > 0, "the phases must congest");
-        assert_eq!(hits, r.policy_stats.reuse_applications);
-        assert_eq!(exps, r.policy_stats.expansions);
+        assert_phase_counts(&r, phases);
     }
 
     #[test]
     fn quiet_phases_inject_nothing() {
-        use prdrb_traffic::{PhaseProgram, PhaseSpec};
-        let program = PhaseProgram::new(
-            vec![PhaseSpec {
-                label: "compute",
-                pattern: TrafficPattern::Uniform,
-                mbps: 0.0,
-                duration_ns: 100_000,
-            }],
-            3,
-        );
-        let cfg = SimConfig::phased(
+        let program = BurstSchedule::new(vec![PhaseSpec {
+            label: "compute",
+            pattern: TrafficPattern::Uniform,
+            mbps: 0.0,
+            duration_ns: 100_000,
+        }]);
+        let mut cfg = SimConfig::synthetic(
             TopologyKind::Mesh8x8,
             PolicyKind::Deterministic,
             program,
             32,
         );
+        cfg.duration_ns = 3 * 100_000;
         let r = Simulation::new(cfg).run();
         assert_eq!(r.messages, 0, "an all-quiet program injects nothing");
     }
@@ -997,17 +964,16 @@ mod tests {
 
     #[test]
     fn prdrb_learns_on_repetitive_bursts() {
-        let mut cfg = SimConfig::synthetic(
-            TopologyKind::FatTree443,
-            PolicyKind::PrDrb,
-            BurstSchedule::repetitive(
-                TrafficPattern::Shuffle,
-                600.0,
-                200_000, // 200 µs bursts
-                100_000,
-            ),
-            64,
+        let schedule = BurstSchedule::repetitive(
+            TrafficPattern::Shuffle,
+            600.0,
+            200_000, // 200 µs bursts
+            100_000,
         );
+        // One entry per burst and gap phase the run reaches.
+        let phases = schedule.at(2 * MILLISECOND - 1).0 as usize + 1;
+        let mut cfg =
+            SimConfig::synthetic(TopologyKind::FatTree443, PolicyKind::PrDrb, schedule, 64);
         cfg.duration_ns = 2 * MILLISECOND;
         cfg.max_ns = 200 * MILLISECOND;
         let r = Simulation::new(cfg).run();
@@ -1016,6 +982,6 @@ mod tests {
             r.policy_stats.expansions > 0 || r.policy_stats.reuse_applications > 0,
             "PR-DRB must react to congestion"
         );
-        assert!(r.phase_counts.is_empty(), "bursts are not a phase program");
+        assert_phase_counts(&r, phases);
     }
 }

@@ -148,6 +148,25 @@ fn event_key(ev: &NetEvent) -> u64 {
     }
 }
 
+/// Degraded-mode divert: the lowest live minimal port from `router`
+/// toward `dst` (lowest index, so deterministic), or `None` when every
+/// minimal port's wire is dead. `cands` is scratch space.
+fn live_minimal_port(
+    table: &RouteTable,
+    topo: &AnyTopology,
+    faults: &FaultState,
+    router: RouterId,
+    dst: NodeId,
+    cands: &mut Vec<Port>,
+) -> Option<Port> {
+    table.minimal_candidates(topo, router, dst, cands);
+    cands
+        .iter()
+        .copied()
+        .filter(|&c| !faults.link_dead(router, c))
+        .min_by_key(|c| c.idx())
+}
+
 /// The virtual channel a packet occupies: its `Header_id`, capped at
 /// the last escape layer.
 #[inline]
@@ -804,14 +823,14 @@ impl Fabric {
         // destination, so it cannot livelock. A head with no live
         // escape is dropped and counted.
         let out = if self.faults.any() && self.faults.link_dead(router, out) {
-            let cands = &mut self.cand_scratch;
-            self.table
-                .minimal_candidates(&self.topo, router, head.dst, cands);
-            let live = cands
-                .iter()
-                .copied()
-                .filter(|&c| !self.faults.link_dead(router, c))
-                .min_by_key(|c| c.idx());
+            let live = live_minimal_port(
+                &self.table,
+                &self.topo,
+                &self.faults,
+                router,
+                head.dst,
+                &mut self.cand_scratch,
+            );
             match live {
                 Some(c) => {
                     head.route = RouteState::new(PathDescriptor::Minimal);
@@ -1029,15 +1048,14 @@ impl Fabric {
         if self.faults.any() && self.faults.link_dead(router, out) {
             // Notification toward a dead wire: divert over the live
             // minimal candidates or count it lost.
-            let cands = &mut self.cand_scratch;
-            self.table
-                .minimal_candidates(&self.topo, router, pkt.dst, cands);
-            match cands
-                .iter()
-                .copied()
-                .filter(|&c| !self.faults.link_dead(router, c))
-                .min_by_key(|c| c.idx())
-            {
+            match live_minimal_port(
+                &self.table,
+                &self.topo,
+                &self.faults,
+                router,
+                pkt.dst,
+                &mut self.cand_scratch,
+            ) {
                 Some(c) => out = c,
                 None => {
                     let boxed = self.pool.boxed(pkt);

@@ -1,19 +1,18 @@
 //! Seeded random streams.
 //!
 //! The evaluation methodology (§4.3) runs each experiment under several
-//! random seeds and averages. `SimRng` wraps a splittable seeded PRNG so
-//! each component (every traffic source, every router tie-break) gets an
-//! independent deterministic stream derived from the master run seed.
+//! random seeds and averages. `SimRng` is the seeded PRNG a run draws
+//! its destinations, gaps and policy choices from, seeded from the
+//! master run seed.
 //!
 //! [`Splitmix64`] is the one-word generator behind the open-loop
 //! samplers and seeded fault plans, and its finalizer `mix` is the one
-//! mixing function across the workspace (it also derives `SimRng` child
-//! streams).
+//! mixing function across the workspace.
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
-/// A deterministic random stream for one simulation component.
+/// A deterministic random stream seeded from a run's seed.
 #[derive(Debug, Clone)]
 pub struct SimRng {
     inner: StdRng,
@@ -27,21 +26,6 @@ impl SimRng {
         }
     }
 
-    /// Derive an independent child stream for component `tag`.
-    ///
-    /// Mixing uses SplitMix64 so adjacent tags don't yield correlated
-    /// streams.
-    pub fn derive(&self, tag: u64) -> Self {
-        // SplitMix64 finalizer over (parent-seed-derived word, tag).
-        Self::new(mix(self.seed_word().wrapping_add(tag.wrapping_mul(GOLDEN))))
-    }
-
-    fn seed_word(&self) -> u64 {
-        // Clone so deriving children never perturbs the parent stream.
-        let mut probe = self.inner.clone();
-        probe.next_u64()
-    }
-
     /// Uniform integer in `[0, bound)`; `bound` must be positive.
     pub fn below(&mut self, bound: usize) -> usize {
         debug_assert!(bound > 0);
@@ -51,12 +35,6 @@ impl SimRng {
     /// Uniform `f64` in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
         self.inner.gen::<f64>()
-    }
-
-    /// Uniform integer in `[lo, hi)`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo < hi);
-        self.inner.gen_range(lo..hi)
     }
 
     /// Bernoulli trial with success probability `p`.
@@ -80,11 +58,6 @@ impl SimRng {
             }
         }
         weights.len() - 1
-    }
-
-    /// Access the raw rand RNG (for `rand` distribution adapters).
-    pub fn raw(&mut self) -> &mut StdRng {
-        &mut self.inner
     }
 }
 
@@ -143,7 +116,7 @@ mod tests {
         let mut a = SimRng::new(7);
         let mut b = SimRng::new(7);
         for _ in 0..100 {
-            assert_eq!(a.range(0, 1_000_000), b.range(0, 1_000_000));
+            assert_eq!(a.below(1_000_000), b.below(1_000_000));
         }
     }
 
@@ -152,47 +125,7 @@ mod tests {
         let mut a = SimRng::new(1);
         let mut b = SimRng::new(2);
         let same = (0..64)
-            .filter(|_| a.range(0, u64::MAX - 1) == b.range(0, u64::MAX - 1))
-            .count();
-        assert!(same < 4);
-    }
-
-    #[test]
-    fn derive_is_deterministic_and_independent_of_order() {
-        let root = SimRng::new(99);
-        let mut c1 = root.derive(5);
-        let mut c2 = root.derive(5);
-        assert_eq!(c1.range(0, 1 << 60), c2.range(0, 1 << 60));
-        // Deriving a child does not advance the parent.
-        let mut r1 = SimRng::new(99);
-        let _ = SimRng::new(99).derive(1);
-        let mut r2 = SimRng::new(99);
-        assert_eq!(r1.range(0, 1 << 60), r2.range(0, 1 << 60));
-    }
-
-    #[test]
-    fn derive_output_is_pinned() {
-        // Every per-component stream is derived through here, so any
-        // change to the mixing silently changes every seeded run.
-        let root = SimRng::new(99);
-        let got: Vec<u64> = (0..3).map(|t| root.derive(t).range(0, u64::MAX)).collect();
-        assert_eq!(
-            got,
-            vec![
-                0xa8f0_104b_b8fc_0563,
-                0x200b_d322_41da_1045,
-                0xcca9_280c_ea4b_4286
-            ]
-        );
-    }
-
-    #[test]
-    fn siblings_differ() {
-        let root = SimRng::new(3);
-        let mut a = root.derive(0);
-        let mut b = root.derive(1);
-        let same = (0..64)
-            .filter(|_| a.range(0, 1 << 62) == b.range(0, 1 << 62))
+            .filter(|_| a.below(usize::MAX) == b.below(usize::MAX))
             .count();
         assert!(same < 4);
     }

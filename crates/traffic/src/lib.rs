@@ -5,12 +5,12 @@
 //! * [`patterns`] — the systematic permutation benchmarks of Table 4.1
 //!   (bit reversal, perfect shuffle, matrix transpose) plus uniform
 //!   random traffic;
-//! * [`bursty`] — the bursty load schedules of Fig 2.6 (fixed-pattern
-//!   and variable-pattern bursts over a uniform background);
+//! * [`bursty`] — injection schedules: a loop of phases, each with its
+//!   own pattern and rate — the bursts over a uniform background of
+//!   Fig 2.6, continuous load and the mini-app loops the solution store
+//!   is built to learn;
 //! * [`hotspot`] — the specific colliding-path scenarios of §4.5 used to
 //!   analyze the path-opening procedures (Figs 4.8/4.9);
-//! * [`phases`] — phase-structured mini-app loops, the repetitive
-//!   workload the solution store is built to learn;
 //! * [`openloop`] + [`sampler`] — Poisson arrivals with bounded-Pareto
 //!   flow sizes over deterministic splitmix64 streams, the aperiodic
 //!   stress case for solution-DB capacity and matching cost.
@@ -21,12 +21,10 @@ pub mod bursty;
 pub mod hotspot;
 pub mod openloop;
 pub mod patterns;
-pub mod phases;
 pub mod sampler;
 
-pub use bursty::{BurstPattern, BurstSchedule};
+pub use bursty::{BurstSchedule, PhaseSpec};
 pub use hotspot::HotSpotScenario;
 pub use openloop::OpenLoopSpec;
 pub use patterns::TrafficPattern;
-pub use phases::{PhaseProgram, PhaseSpec};
 pub use sampler::{exp_gap_ns, BoundedPareto};

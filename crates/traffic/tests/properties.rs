@@ -1,9 +1,9 @@
 //! Property-based tests of the workload layer: the deterministic
-//! samplers are pure functions of their seeds, and phase programs are
-//! total over their time span.
+//! samplers are pure functions of their seeds, and schedules are total
+//! over their time span.
 
 use prdrb_simcore::rng::Splitmix64;
-use prdrb_traffic::{exp_gap_ns, BoundedPareto, PhaseProgram, PhaseSpec, TrafficPattern};
+use prdrb_traffic::{exp_gap_ns, BoundedPareto, BurstSchedule, PhaseSpec, TrafficPattern};
 use proptest::prelude::*;
 
 proptest! {
@@ -49,8 +49,8 @@ proptest! {
         }
     }
 
-    /// Phase lookup is total on [0, total_ns) and consistent with the
-    /// phase-start inverse for arbitrary programs.
+    /// Phase lookup is total over `iterations` loops of the body and
+    /// consistent with the phase-start inverse for arbitrary schedules.
     #[test]
     fn phase_lookup_is_total(
         durations in proptest::collection::vec(1u64..10_000, 1..6),
@@ -66,13 +66,13 @@ proptest! {
                 duration_ns: d,
             })
             .collect();
-        let prog = PhaseProgram::new(phases, iterations);
-        let t = probe % prog.total_ns();
-        let (g, _) = prog.at(t).expect("in range");
-        prop_assert!(g < prog.num_phases());
-        let start = prog.phase_start_ns(g).expect("valid phase");
+        let prog = BurstSchedule::new(phases);
+        let np = prog.phases.len() as u64;
+        let t = probe % (prog.period_ns() * iterations as u64);
+        let (g, _) = prog.at(t);
+        prop_assert!(g < np * iterations as u64);
+        let start = prog.phase_start_ns(g);
         prop_assert!(start <= t);
-        prop_assert!(prog.at(start).unwrap().0 == g);
-        prop_assert!(prog.at(prog.total_ns()).is_none());
+        prop_assert!(prog.at(start).0 == g);
     }
 }

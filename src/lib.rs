@@ -51,7 +51,6 @@ pub mod prelude {
     pub use prdrb_simcore::time::{MICROSECOND, MILLISECOND, SECOND};
     pub use prdrb_topology::{AnyTopology, NodeId, Topology};
     pub use prdrb_traffic::{
-        BurstPattern, BurstSchedule, HotSpotScenario, OpenLoopSpec, PhaseProgram, PhaseSpec,
-        TrafficPattern,
+        BurstSchedule, HotSpotScenario, OpenLoopSpec, PhaseSpec, TrafficPattern,
     };
 }

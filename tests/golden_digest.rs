@@ -131,8 +131,10 @@ fn collective_digest_is_backend_invariant() {
 /// and therefore identical under both calendar backends.
 #[test]
 fn phased_digest_is_backend_invariant() {
-    let program = PhaseProgram::mini_app(3, 150_000, 500.0);
-    let cfg = SimConfig::phased(TopologyKind::Mesh8x8, PolicyKind::PrDrb, program, 32);
+    let program = BurstSchedule::mini_app(150_000, 500.0);
+    let duration_ns = 3 * program.period_ns();
+    let mut cfg = SimConfig::synthetic(TopologyKind::Mesh8x8, PolicyKind::PrDrb, program, 32);
+    cfg.duration_ns = duration_ns;
     assert_backend_invariant("mini-app phases", cfg);
 }
 

@@ -33,6 +33,22 @@ fn cfg_max() -> u64 {
     4000 * MILLISECOND
 }
 
+/// `iterations` loops of the mini-app schedule on `nodes` terminals.
+fn mini_app(
+    topology: TopologyKind,
+    policy: PolicyKind,
+    iterations: u64,
+    phase_ns: u64,
+    mbps: f64,
+    nodes: usize,
+) -> SimConfig {
+    let program = BurstSchedule::mini_app(phase_ns, mbps);
+    let duration_ns = iterations * program.period_ns();
+    let mut cfg = SimConfig::synthetic(topology, policy, program, nodes);
+    cfg.duration_ns = duration_ns;
+    cfg
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -79,10 +95,8 @@ proptest! {
                 CollectiveSpec::new(CollectiveKind::AllToAll, ScheduleShape::Ring, 8, 4096), 1),
             1 => SimConfig::collective(topology, PolicyKind::Drb,
                 CollectiveSpec::new(CollectiveKind::AllReduce, ScheduleShape::Tree, 12, 4096), 1),
-            2 => SimConfig::phased(topology, PolicyKind::PrDrb,
-                PhaseProgram::mini_app(2, 60_000, 400.0), 16),
-            3 => SimConfig::phased(topology, PolicyKind::Deterministic,
-                PhaseProgram::mini_app(1, 80_000, 600.0), 12),
+            2 => mini_app(topology, PolicyKind::PrDrb, 2, 60_000, 400.0, 16),
+            3 => mini_app(topology, PolicyKind::Deterministic, 1, 80_000, 600.0, 12),
             4 => {
                 let mut c = SimConfig::open_loop(topology, PolicyKind::PrDrb,
                     OpenLoopSpec::heavy_tail(25_000.0), 16);
