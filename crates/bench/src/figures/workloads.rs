@@ -184,9 +184,7 @@ fn wl_phases() -> FigureOutput {
     let warm_iters = scaled_iters(6).max(3);
     let program = BurstSchedule::mini_app(phase_ns, 500.0);
     let mini_app = |k, iters: u32| {
-        let mut cfg = SimConfig::synthetic(TopologyKind::Mesh8x8, k, program.clone(), 32);
-        cfg.duration_ns = iters as u64 * program.period_ns();
-        cfg
+        SimConfig::looped(TopologyKind::Mesh8x8, k, program.clone(), 32, iters.into())
     };
     let reports = run_policies(
         |k| {

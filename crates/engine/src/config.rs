@@ -180,6 +180,23 @@ impl SimConfig {
         }
     }
 
+    /// A synthetic run of exactly `iterations` passes over the
+    /// schedule's loop body (a mini-app loop, DESIGN §12): the run's
+    /// `duration_ns` is `iterations` schedule periods.
+    pub fn looped(
+        topology: TopologyKind,
+        policy: PolicyKind,
+        schedule: BurstSchedule,
+        active_nodes: usize,
+        iterations: u64,
+    ) -> Self {
+        let duration_ns = iterations * schedule.period_ns();
+        Self {
+            duration_ns,
+            ..Self::synthetic(topology, policy, schedule, active_nodes)
+        }
+    }
+
     /// A collective workload run (DESIGN §12): `iterations` repetitions
     /// of `spec` with a 50 µs compute gap between them, lowered to a
     /// point-to-point trace and run to completion like one.

@@ -18,6 +18,23 @@
 //!   the threshold, and Generation-of-Predictive-ACKs injects router
 //!   notifications in the router-based scheme (§3.4.1).
 //!
+//! Event model: the calendar holds only events that advance simulated
+//! time — a header reaching a router, a routing stage coming due, a link
+//! finishing serialization, a credit or a NIC's turn to inject, a packet
+//! landing at a terminal. Work that follows at the same instant runs
+//! inline instead: a router's transmit attempts are a port mask
+//! (`RouterState::tx_pending`) serviced lowest port first, a transmit
+//! that frees output space runs the routing stage at once, and a NIC
+//! credit tries the NIC queue at once. An event that would find nothing
+//! to do is not scheduled: a link-free event exists only while its
+//! output queue holds a packet, and a NIC injection event only while the
+//! NIC queue does. Every effect that crosses from one router or NIC to
+//! another pays a positive delay (wire, header, routing), so a
+//! same-instant cascade touches one entity only; running it inline
+//! keeps each entity's order of operations exactly as the content keys
+//! (`event_key`) would have popped them, and the work of different
+//! entities at one instant commutes.
+//!
 //! Deadlock freedom: multi-step paths switch to a higher-numbered virtual
 //! channel at each intermediate node (the escape-channel-per-segment
 //! scheme of §3.2.8), each segment uses minimal static routing, and the
@@ -52,8 +69,8 @@ pub const ACK_ID_FLAG: u64 = 1 << 63;
 /// Packet-id class flag for router-generated predictive ACKs (GPA,
 /// §3.4.1): id = `GPA_ID_FLAG | (router << 8) | port`. At most one GPA
 /// volley fires per (router, port, instant) — the link must have just
-/// transmitted, and a busy link blocks a second same-instant TryTx — so
-/// the id uniquely identifies concurrent control packets.
+/// transmitted, and a busy link blocks a second same-instant transmit —
+/// so the id uniquely identifies concurrent control packets.
 pub const GPA_ID_FLAG: u64 = 1 << 62;
 
 /// Host-allocated ids must stay below every derived-id class and inside
@@ -70,6 +87,9 @@ pub struct Delivery {
     pub packet: Box<Packet>,
 }
 
+/// A calendar event. Each one advances simulated time: every kind is
+/// scheduled strictly after the instant that scheduled it, except
+/// [`NetEvent::NicTx`] for a packet injected at the current instant.
 #[derive(Debug, PartialEq, Eq)]
 enum NetEvent {
     /// Packet header reaches a router input port.
@@ -80,9 +100,7 @@ enum NetEvent {
     },
     /// Run the routing + arbitration stage of a router.
     RouteTick { router: RouterId },
-    /// Try to transmit from an output port.
-    TryTx { router: RouterId, port: Port },
-    /// An output link finished serializing.
+    /// An output link finished serializing and its queue holds a packet.
     LinkFree { router: RouterId, port: Port },
     /// Credit returned to a router's output port for a downstream VC.
     Credit {
@@ -93,7 +111,8 @@ enum NetEvent {
     },
     /// Credit returned to a NIC.
     NicCredit { node: NodeId, vc: u8, bytes: u32 },
-    /// Try to inject from a NIC queue.
+    /// A NIC queue's head may leave: its creation time came, or the
+    /// NIC link finished serializing.
     NicTx { node: NodeId },
     /// Full packet received by a terminal.
     Deliver { node: NodeId, packet: Box<Packet> },
@@ -117,6 +136,10 @@ fn id_sig(id: u64) -> u64 {
 /// insertion-order tie-break can never change simulation results.
 ///
 /// Layout: kind (3 bits) | router-or-node (24) | port (8) | vc/id (29).
+/// Kinds pop in the order Arrive, RouteTick, LinkFree, Credit,
+/// NicCredit, NicTx, Deliver. Same-instant follow-ups are not events:
+/// they run inline right after their cause, which is where their keys
+/// placed them when they were events (see the module doc).
 fn event_key(ev: &NetEvent) -> u64 {
     const KIND: u32 = 61;
     const ENTITY: u32 = 37;
@@ -129,21 +152,18 @@ fn event_key(ev: &NetEvent) -> u64 {
             ref packet,
         } => (router.0 as u64) << ENTITY | (port.0 as u64) << PORT | id_sig(packet.id),
         NetEvent::RouteTick { router } => 1 << KIND | (router.0 as u64) << ENTITY,
-        NetEvent::TryTx { router, port } => {
-            2 << KIND | (router.0 as u64) << ENTITY | (port.0 as u64) << PORT
-        }
         NetEvent::LinkFree { router, port } => {
-            3 << KIND | (router.0 as u64) << ENTITY | (port.0 as u64) << PORT
+            2 << KIND | (router.0 as u64) << ENTITY | (port.0 as u64) << PORT
         }
         NetEvent::Credit {
             router, port, vc, ..
-        } => 4 << KIND | (router.0 as u64) << ENTITY | (port.0 as u64) << PORT | (vc as u64) << VC,
+        } => 3 << KIND | (router.0 as u64) << ENTITY | (port.0 as u64) << PORT | (vc as u64) << VC,
         NetEvent::NicCredit { node, vc, .. } => {
-            5 << KIND | (node.0 as u64) << ENTITY | (vc as u64) << VC
+            4 << KIND | (node.0 as u64) << ENTITY | (vc as u64) << VC
         }
-        NetEvent::NicTx { node } => 6 << KIND | (node.0 as u64) << ENTITY,
+        NetEvent::NicTx { node } => 5 << KIND | (node.0 as u64) << ENTITY,
         NetEvent::Deliver { node, ref packet } => {
-            7 << KIND | (node.0 as u64) << ENTITY | id_sig(packet.id)
+            6 << KIND | (node.0 as u64) << ENTITY | id_sig(packet.id)
         }
     }
 }
@@ -192,6 +212,9 @@ struct RouterState {
     /// `i64::MAX / 2` marks terminal-facing ports (infinite sink).
     credits: Vec<[i64; NUM_VCS]>,
     link_busy_until: Vec<Time>,
+    /// Output ports with a transmit attempt due at the current instant,
+    /// one bit per port; empty between calendar events.
+    tx_pending: u64,
     route_pending: bool,
     last_notify: Vec<Time>,
     rr_cursor: usize,
@@ -304,6 +327,7 @@ impl Fabric {
                 wire_ns,
                 credits,
                 link_busy_until: vec![0; ports],
+                tx_pending: 0,
                 route_pending: false,
                 last_notify: vec![0; ports],
                 rr_cursor: 0,
@@ -465,6 +489,10 @@ impl Fabric {
     /// Schedule a fabric event at its content-derived calendar key.
     #[inline]
     fn sched(&mut self, at: Time, ev: NetEvent) {
+        debug_assert!(
+            at > self.clock || matches!(ev, NetEvent::NicTx { .. }),
+            "same-instant work runs inline, but {ev:?} was scheduled at {at}"
+        );
         let key = event_key(&ev);
         self.q.schedule_keyed(at, key, ev);
     }
@@ -535,9 +563,17 @@ impl Fabric {
     }
 
     /// Drain the network completely (or until `max_t`). Returns the time
-    /// of the last event.
+    /// the network fell quiet: its last event, or the moment its last
+    /// link finished serializing if that is later (and not past
+    /// `max_t`). A link that frees with nothing queued behind it
+    /// schedules no event, so the clock is moved there explicitly.
     pub fn run_to_quiescence(&mut self, max_t: Time) -> Time {
         self.run_events(max_t, false);
+        let links = self.routers.iter().flat_map(|r| r.link_busy_until.iter());
+        let nics = self.nics.iter().map(|n| &n.link_busy_until);
+        if let Some(idle) = links.chain(nics).copied().filter(|&t| t <= max_t).max() {
+            self.clock = self.clock.max(idle);
+        }
         self.clock
     }
 
@@ -659,10 +695,13 @@ impl Fabric {
                     );
                 }
             }
-            NetEvent::RouteTick { router } => self.route_tick(router),
-            NetEvent::TryTx { router, port } => self.try_tx(router, port),
+            NetEvent::RouteTick { router } => {
+                self.route_tick(router);
+                self.service_tx(router);
+            }
             NetEvent::LinkFree { router, port } => {
-                self.sched(self.clock, NetEvent::TryTx { router, port });
+                self.routers[router.idx()].tx_pending |= 1 << port.idx();
+                self.service_tx(router);
             }
             NetEvent::Credit {
                 router,
@@ -670,12 +709,14 @@ impl Fabric {
                 vc,
                 bytes,
             } => {
-                self.routers[router.idx()].credits[port.idx()][vc as usize] += bytes as i64;
-                self.sched(self.clock, NetEvent::TryTx { router, port });
+                let rs = &mut self.routers[router.idx()];
+                rs.credits[port.idx()][vc as usize] += bytes as i64;
+                rs.tx_pending |= 1 << port.idx();
+                self.service_tx(router);
             }
             NetEvent::NicCredit { node, vc, bytes } => {
                 self.nics[node.idx()].credits[vc as usize] += bytes as i64;
-                self.sched(self.clock, NetEvent::NicTx { node });
+                self.nic_tx(node);
             }
             NetEvent::NicTx { node } => self.nic_tx(node),
             NetEvent::Deliver { node, packet } => self.deliver(node, packet),
@@ -704,8 +745,8 @@ impl Fabric {
             return;
         }
         if self.clock < nic.link_busy_until {
-            // A NicTx is always pending at end-of-serialization while the
-            // link is busy, so no extra retry is needed.
+            // While the link is busy and the queue holds a packet, a
+            // NicTx is pending at end-of-serialization.
             return;
         }
         let vc = vc_of(head);
@@ -727,8 +768,11 @@ impl Fabric {
                 packet: pkt,
             },
         );
-        // Link free → try the next queued packet.
-        self.sched(self.clock + ser, NetEvent::NicTx { node });
+        // Link free → try the next queued packet, if there is one; a
+        // packet queued later schedules its own turn (`inject2`).
+        if !self.nics[node.idx()].queue.is_empty() {
+            self.sched(self.clock + ser, NetEvent::NicTx { node });
+        }
     }
 
     fn route_tick(&mut self, router: RouterId) {
@@ -855,12 +899,44 @@ impl Fabric {
         pkt.path_latency += wait;
         pkt.queued_at = self.clock;
         pkt.hops += 1;
-        rs.out_bytes[out.idx()] += size;
-        rs.out_q[out.idx()].push_back(pkt);
+        self.enqueue_out(router, out, pkt);
         self.sample_contention(router, wait);
         self.return_credit(router, p, vc, size);
-        self.sched(self.clock, NetEvent::TryTx { router, port: out });
         true
+    }
+
+    /// Append `pkt` to output queue `out` at `router`. An idle link
+    /// owes the port a transmit attempt now; a busy one transmits again
+    /// at its LinkFree, which the transmit scheduled only if the queue
+    /// was left non-empty — so the first packet into an empty queue
+    /// behind a busy link schedules it.
+    fn enqueue_out(&mut self, router: RouterId, out: Port, pkt: Box<Packet>) {
+        let rs = &mut self.routers[router.idx()];
+        let o = out.idx();
+        let busy_until = rs.link_busy_until[o];
+        let was_empty = rs.out_q[o].is_empty();
+        rs.out_bytes[o] += pkt.size;
+        rs.out_q[o].push_back(pkt);
+        if self.clock >= busy_until {
+            rs.tx_pending |= 1 << o;
+        } else if was_empty {
+            self.sched(busy_until, NetEvent::LinkFree { router, port: out });
+        }
+    }
+
+    /// Run the transmit attempts due at `router` now, lowest port first
+    /// — the order their calendar keys would pop them in. An attempt may
+    /// run the routing stage, which can mark more ports, lower ones
+    /// included.
+    fn service_tx(&mut self, router: RouterId) {
+        loop {
+            let pending = self.routers[router.idx()].tx_pending;
+            if pending == 0 {
+                break;
+            }
+            self.routers[router.idx()].tx_pending = pending & (pending - 1);
+            self.try_tx(router, Port(pending.trailing_zeros() as u8));
+        }
     }
 
     /// Return `bytes` of credit for the freed slot of input lane
@@ -907,8 +983,8 @@ impl Fabric {
     fn try_tx(&mut self, router: RouterId, port: Port) {
         if self.faults.any() && self.faults.link_dead(router, port) {
             // The queue was drained when the wire died and nothing is
-            // admitted onto a dead port afterwards; stray TryTx /
-            // LinkFree events on it are inert.
+            // admitted onto a dead port afterwards; a stray LinkFree or
+            // credit on it is inert.
             debug_assert!(self.routers[router.idx()].out_q[port.idx()].is_empty());
             return;
         }
@@ -917,8 +993,8 @@ impl Fabric {
             return;
         };
         if self.clock < rs.link_busy_until[port.idx()] {
-            // A LinkFree event is always pending while the link is busy;
-            // it re-triggers TryTx, so just back off.
+            // While the link is busy and its queue holds a packet, a
+            // LinkFree is pending; it retries, so just back off.
             return;
         }
         let neighbor = self.table.neighbor(router, port);
@@ -937,8 +1013,11 @@ impl Fabric {
         pkt.path_latency += wait;
         self.sample_contention(router, wait);
         let ser = self.cfg.ser_ns(pkt.size);
-        self.routers[router.idx()].link_busy_until[port.idx()] = self.clock + ser;
-        self.sched(self.clock + ser, NetEvent::LinkFree { router, port });
+        let rs = &mut self.routers[router.idx()];
+        rs.link_busy_until[port.idx()] = self.clock + ser;
+        if !rs.out_q[port.idx()].is_empty() {
+            self.sched(self.clock + ser, NetEvent::LinkFree { router, port });
+        }
         // Congestion monitoring: the CFD module fires when the output
         // wait crossed the threshold (only for monitored data packets —
         // control traffic is excluded).
@@ -971,10 +1050,9 @@ impl Fabric {
             None => panic!("transmitting into the void at {router}:{port}"),
         }
         // Output space freed: the routing stage may move more packets.
-        let rs = &mut self.routers[router.idx()];
-        if !rs.route_pending {
-            rs.route_pending = true;
-            self.sched(self.clock, NetEvent::RouteTick { router });
+        // A pending RouteTick is in the future, and runs then.
+        if !self.routers[router.idx()].route_pending {
+            self.route_tick(router);
         }
     }
 
@@ -1067,10 +1145,7 @@ impl Fabric {
         pkt.queued_at = self.clock;
         pkt.decided_port = Some(out);
         let boxed = self.pool.boxed(pkt);
-        let rs = &mut self.routers[router.idx()];
-        rs.out_bytes[out.idx()] += boxed.size;
-        rs.out_q[out.idx()].push_back(boxed);
-        self.sched(self.clock, NetEvent::TryTx { router, port: out });
+        self.enqueue_out(router, out, boxed);
     }
 
     fn deliver(&mut self, node: NodeId, mut packet: Box<Packet>) {
@@ -1111,8 +1186,20 @@ impl Fabric {
             );
             return;
         }
-        self.nics[node.idx()].queue.push_back(packet);
-        self.sched(at, NetEvent::NicTx { node });
+        let nic = &mut self.nics[node.idx()];
+        let was_empty = nic.queue.is_empty();
+        let busy_until = nic.link_busy_until;
+        nic.queue.push_back(packet);
+        // A new head may leave once created and the link is free; a
+        // packet behind the head gets its turn when the head leaves.
+        if was_empty {
+            self.sched(at.max(busy_until), NetEvent::NicTx { node });
+        }
+        // Under faults a NIC whose attach router died drains at every
+        // injection instant.
+        if self.faults.any() && (!was_empty || at < busy_until) {
+            self.sched(at, NetEvent::NicTx { node });
+        }
     }
 
     fn sample_contention(&mut self, router: RouterId, wait: Time) {

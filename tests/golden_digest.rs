@@ -132,9 +132,7 @@ fn collective_digest_is_backend_invariant() {
 #[test]
 fn phased_digest_is_backend_invariant() {
     let program = BurstSchedule::mini_app(150_000, 500.0);
-    let duration_ns = 3 * program.period_ns();
-    let mut cfg = SimConfig::synthetic(TopologyKind::Mesh8x8, PolicyKind::PrDrb, program, 32);
-    cfg.duration_ns = duration_ns;
+    let cfg = SimConfig::looped(TopologyKind::Mesh8x8, PolicyKind::PrDrb, program, 32, 3);
     assert_backend_invariant("mini-app phases", cfg);
 }
 

@@ -43,10 +43,7 @@ fn mini_app(
     nodes: usize,
 ) -> SimConfig {
     let program = BurstSchedule::mini_app(phase_ns, mbps);
-    let duration_ns = iterations * program.period_ns();
-    let mut cfg = SimConfig::synthetic(topology, policy, program, nodes);
-    cfg.duration_ns = duration_ns;
-    cfg
+    SimConfig::looped(topology, policy, program, nodes, iterations)
 }
 
 proptest! {
