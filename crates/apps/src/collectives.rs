@@ -86,7 +86,7 @@ pub fn lower_collectives(trace: &Trace) -> Trace {
 
     // Position of each rank's next collective — used to verify SPMD
     // consistency as we stream through.
-    let mut upcoming: Vec<std::collections::VecDeque<TraceEvent>> = trace
+    let upcoming: Vec<std::collections::VecDeque<TraceEvent>> = trace
         .ranks
         .iter()
         .map(|evs| evs.iter().filter(|e| e.is_collective()).copied().collect())
@@ -134,7 +134,6 @@ pub fn lower_collectives(trace: &Trace) -> Trace {
             }
         }
     }
-    let _ = upcoming.drain(..);
     out
 }
 

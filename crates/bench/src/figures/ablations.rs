@@ -7,7 +7,7 @@
 //! * the settle window behind "one path at a time" (§4.5.1);
 //! * the metapath size cap (4 paths in the evaluation).
 
-use super::{ft_cfg, Target};
+use super::{ft_cfg, run_replicated, Target};
 use crate::FigureOutput;
 use prdrb_core::{PolicyKind, Similarity};
 use prdrb_engine::RunReport;
@@ -71,23 +71,15 @@ fn base_cfg(
 }
 
 fn base_run(mutate: impl Fn(&mut prdrb_engine::SimConfig), label: String) -> RunReport {
-    sweep(vec![base_cfg(mutate, label)])
+    run_replicated(vec![base_cfg(mutate, label)])
         .pop()
         .expect("one report")
-}
-
-/// Run an ablation grid through the engine's parallel sweep executor and
-/// the shared run cache, each point averaged over the seeded replicas
-/// (§4.3) so single-seed noise cannot flip a comparison; reports come
-/// back in grid order.
-fn sweep(cfgs: Vec<prdrb_engine::SimConfig>) -> Vec<RunReport> {
-    super::run_replicated(cfgs)
 }
 
 fn thresholds() -> FigureOutput {
     let mut out = FigureOutput::new("ablate_thresholds", "zone thresholds (low/high µs)");
     let grid: Vec<(u64, u64)> = vec![(4, 10), (8, 20), (12, 40), (20, 80)];
-    let reports = sweep(
+    let reports = run_replicated(
         grid.iter()
             .map(|&(lo, hi)| {
                 base_cfg(
@@ -151,7 +143,7 @@ fn notification() -> FigureOutput {
 fn similarity() -> FigureOutput {
     let mut out = FigureOutput::new("ablate_similarity", "pattern-similarity bar (0.5–1.0)");
     let bars = [0.5, 0.8, 0.95];
-    let reports = sweep(
+    let reports = run_replicated(
         bars.iter()
             .map(|&s| base_cfg(|c| c.drb.min_similarity = s, format!("sim {s}")))
             .collect(),
@@ -188,7 +180,7 @@ fn similarity() -> FigureOutput {
 fn settle() -> FigureOutput {
     let mut out = FigureOutput::new("ablate_settle", "path-opening settle window");
     let windows = [20u64, 120, 400];
-    let reports = sweep(
+    let reports = run_replicated(
         windows
             .iter()
             .map(|&w| {
@@ -317,7 +309,7 @@ fn adaptive() -> FigureOutput {
         "ablate_adaptive",
         "fully adaptive per-hop routing as an upper-reference baseline",
     );
-    let runs = sweep(
+    let runs = run_replicated(
         [
             PolicyKind::Deterministic,
             PolicyKind::Adaptive,
@@ -359,7 +351,7 @@ fn adaptive() -> FigureOutput {
 fn maxpaths() -> FigureOutput {
     let mut out = FigureOutput::new("ablate_maxpaths", "metapath size cap");
     let caps = [1usize, 2, 4, 8];
-    let reports = sweep(
+    let reports = run_replicated(
         caps.iter()
             .map(|&m| base_cfg(|c| c.drb.max_paths = m, format!("max {m} paths")))
             .collect(),

@@ -2,7 +2,7 @@
 //! (Figs 4.20–4.23), LAMMPS (Figs 4.24–4.26) and POP (Figs 4.27–4.30 +
 //! A.5–A.7).
 
-use super::{run_policies, trace_cfg, Target};
+use super::{by, run_policies, trace_cfg, Target, TRIO};
 use crate::{pct, write_artifact, FigureOutput};
 use prdrb_apps::{lammps, nas_lu, nas_mg, pop, LammpsProblem, NasClass};
 use prdrb_core::PolicyKind;
@@ -64,19 +64,6 @@ pub fn targets() -> Vec<Target> {
             run: fig4_30,
         },
     ]
-}
-
-const TRIO: [PolicyKind; 3] = [
-    PolicyKind::Deterministic,
-    PolicyKind::Drb,
-    PolicyKind::PrDrb,
-];
-
-fn by(reports: &[RunReport], k: PolicyKind) -> &RunReport {
-    reports
-        .iter()
-        .find(|r| r.policy == k.label())
-        .expect("policy present")
 }
 
 fn fig4_20() -> FigureOutput {

@@ -80,22 +80,6 @@ fn table2_1() -> FigureOutput {
             .and_then(|(_, b)| b.percent.get(call).copied())
             .unwrap_or(0.0)
     };
-    let pop_listed_all: f64 = [
-        "MPI_ISend",
-        "MPI_Waitall",
-        "MPI_Allreduce",
-        "MPI_Barrier",
-        "MPI_Bcast",
-    ]
-    .iter()
-    .map(|c| get("POP", c))
-    .sum();
-    let pop_all = 100.0 * get("POP", "MPI_Allreduce") / pop_listed_all.max(1e-9);
-    out.check(
-        "POP: MPI_Allreduce ~= 29.3 % of calls",
-        format!("{pop_all:.1} %"),
-        (20.0..40.0).contains(&pop_all),
-    );
     // The paper's POP row lists no receive calls at all, so its
     // percentages are over {ISend, Waitall, Allreduce, Barrier, Bcast};
     // compare on the same basis.
@@ -109,6 +93,12 @@ fn table2_1() -> FigureOutput {
     .iter()
     .map(|c| get("POP", c))
     .sum();
+    let pop_all = 100.0 * get("POP", "MPI_Allreduce") / pop_listed.max(1e-9);
+    out.check(
+        "POP: MPI_Allreduce ~= 29.3 % of calls",
+        format!("{pop_all:.1} %"),
+        (20.0..40.0).contains(&pop_all),
+    );
     let pop_isend = 100.0 * get("POP", "MPI_ISend") / pop_listed.max(1e-9);
     out.check(
         "POP: MPI_ISend ~= 34.9 % (of the calls the paper's row lists)",

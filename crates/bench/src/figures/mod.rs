@@ -97,6 +97,21 @@ pub fn trace_cfg(policy: PolicyKind, trace: Trace) -> SimConfig {
     cfg
 }
 
+/// The baseline-versus-DRB trio most figures compare.
+pub const TRIO: [PolicyKind; 3] = [
+    PolicyKind::Deterministic,
+    PolicyKind::Drb,
+    PolicyKind::PrDrb,
+];
+
+/// The report of policy `k` among `reports`.
+pub fn by(reports: &[RunReport], k: PolicyKind) -> &RunReport {
+    reports
+        .iter()
+        .find(|r| r.policy == k.label())
+        .expect("policy present")
+}
+
 /// Run one configuration with a label, through the shared run cache.
 pub fn run_labeled(mut cfg: SimConfig, label: impl Into<String>) -> RunReport {
     cfg.label = label.into();

@@ -12,7 +12,7 @@
 //! to the solution-store counters and drops one CSV per table through
 //! [`prdrb_metrics::Table`].
 
-use super::{run_policies, run_replicated, Target};
+use super::{by, run_policies, run_replicated, Target, TRIO};
 use crate::{write_artifact, FigureOutput};
 use prdrb_apps::{CollectiveKind, CollectiveSpec, ScheduleShape};
 use prdrb_core::PolicyKind;
@@ -40,19 +40,6 @@ pub fn targets() -> Vec<Target> {
             run: wl_openloop,
         },
     ]
-}
-
-const TRIO: [PolicyKind; 3] = [
-    PolicyKind::Deterministic,
-    PolicyKind::Drb,
-    PolicyKind::PrDrb,
-];
-
-fn by(reports: &[RunReport], k: PolicyKind) -> &RunReport {
-    reports
-        .iter()
-        .find(|r| r.policy == k.label())
-        .expect("policy present")
 }
 
 /// p50/p99/p999 of the latency sketch, in µs.

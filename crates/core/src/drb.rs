@@ -29,8 +29,8 @@ use prdrb_network::{FlowPair, NotifyMode, Packet, PacketKind};
 use prdrb_simcore::time::Time;
 use prdrb_simcore::SimRng;
 use prdrb_topology::{
-    route_len, route_survives, AltPathProvider, AnyTopology, FaultState, NodeId, PathDescriptor,
-    Topology,
+    route_len, route_survives, AltPathProvider, AnyTopology, FaultEvent, FaultState, NodeId,
+    PathDescriptor, Topology,
 };
 
 /// Cap on the accumulated contending-flow pattern per congestion episode.
@@ -82,8 +82,9 @@ pub struct DrbPolicy {
     /// Per-source solution databases — each source only knows what its
     /// own ACKs taught it (Fig 3.14 "Node S1 — Saved Solution").
     dbs: Vec<SolutionDb>,
-    /// Mirror of the fabric's fault state, updated by `on_fault`; new
-    /// alternative-path candidates are filtered against it.
+    /// The host's fault view: every event `on_fault` handed over,
+    /// applied in order. New alternative-path candidates are filtered
+    /// against it.
     faults: FaultState,
     expansions: u64,
     shrinks: u64,
@@ -390,14 +391,9 @@ impl DrbPolicy {
                 }
             }
             Transition::EnterLow => {
+                self.shrink(src, dst, now);
                 let i = self.fidx(src, dst);
                 let fs = self.flows[i].as_mut().expect("exists");
-                if now.saturating_sub(fs.last_adjust) >= cfg.adjust_settle_ns
-                    && fs.metapath.close_worst().is_some()
-                {
-                    fs.last_adjust = now;
-                    self.shrinks += 1;
-                }
                 fs.pattern.clear();
                 fs.solution_applied = false;
                 if let Some(t) = fs.trend.as_mut() {
@@ -410,17 +406,22 @@ impl DrbPolicy {
                 if zone == Zone::High {
                     self.react(src, dst, now);
                 } else if zone == Zone::Low {
-                    let i = self.fidx(src, dst);
-                    let fs = self.flows[i].as_mut().expect("exists");
-                    if now.saturating_sub(fs.last_adjust) >= cfg.adjust_settle_ns
-                        && !fs.metapath.is_single()
-                        && fs.metapath.close_worst().is_some()
-                    {
-                        fs.last_adjust = now;
-                        self.shrinks += 1;
-                    }
+                    self.shrink(src, dst, now);
                 }
             }
+        }
+    }
+
+    /// Closing procedure (below `Threshold_Low`): once the settle window
+    /// since the last adjustment has passed, close the flow's worst
+    /// alternative path. The original path never closes.
+    fn shrink(&mut self, src: NodeId, dst: NodeId, now: Time) {
+        let settle = self.cfg.adjust_settle_ns;
+        let i = self.fidx(src, dst);
+        let fs = self.flows[i].as_mut().expect("exists");
+        if now.saturating_sub(fs.last_adjust) >= settle && fs.metapath.close_worst().is_some() {
+            fs.last_adjust = now;
+            self.shrinks += 1;
         }
     }
 }
@@ -520,8 +521,8 @@ impl RoutingPolicy for DrbPolicy {
         self.watchdog.then_some(WATCHDOG_NS / 2)
     }
 
-    fn on_fault(&mut self, faults: &FaultState, now: Time) {
-        self.faults = faults.clone();
+    fn on_fault(&mut self, fault: &FaultEvent, now: Time) {
+        self.faults.apply(&self.topo, fault);
         let Self {
             topo,
             nodes,
@@ -595,33 +596,9 @@ impl RoutingPolicy for DrbPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::ack;
     use prdrb_simcore::time::MICROSECOND;
-    use prdrb_topology::RouteState;
-
-    fn ack(src_of_flow: u32, dst_of_flow: u32, latency: Time, msp: u8) -> Packet {
-        // The ACK travels dst→src: packet.src = flow dst, packet.dst =
-        // flow src.
-        Packet {
-            id: 0,
-            src: NodeId(dst_of_flow),
-            dst: NodeId(src_of_flow),
-            size: 64,
-            created: 0,
-            nic_depart: 0,
-            route: RouteState::new(PathDescriptor::Minimal),
-            msp_index: 0,
-            path_latency: 0,
-            hops: 0,
-            kind: PacketKind::Ack {
-                data_latency: latency,
-                data_msp: msp,
-                from_router: None,
-            },
-            predictive: None,
-            queued_at: 0,
-            decided_port: None,
-        }
-    }
+    use prdrb_topology::{Endpoint, Mesh2D, Port, RouterId};
 
     fn ack_with_flows(
         src_of_flow: u32,
@@ -632,7 +609,7 @@ mod tests {
     ) -> Packet {
         let mut a = ack(src_of_flow, dst_of_flow, latency, msp);
         a.predictive = Some(Box::new(prdrb_network::PredictiveHeader {
-            router: Some(prdrb_topology::RouterId(9)),
+            router: Some(RouterId(9)),
             flows: flows.iter().map(|&(s, d)| (NodeId(s), NodeId(d))).collect(),
         }));
         a
@@ -848,7 +825,7 @@ mod tests {
             ..
         } = a.kind
         {
-            *from_router = Some(prdrb_topology::RouterId(7));
+            *from_router = Some(RouterId(7));
         }
         p.on_ack(&a, 1_000);
         assert_eq!(p.open_paths(NodeId(3), NodeId(60)), 2, "early expansion");
@@ -859,28 +836,41 @@ mod tests {
             ..
         } = b.kind
         {
-            *from_router = Some(prdrb_topology::RouterId(7));
+            *from_router = Some(RouterId(7));
         }
         p.on_ack(&b, 2_000);
         assert_eq!(p.open_paths(NodeId(3), NodeId(60)), 2);
     }
 
-    /// The port on `a` facing adjacent router `b`.
-    fn port_toward(
-        topo: &AnyTopology,
-        a: prdrb_topology::RouterId,
-        b: prdrb_topology::RouterId,
-    ) -> prdrb_topology::Port {
-        use prdrb_topology::{Endpoint, Port};
-        (0..topo.num_ports(a) as u8)
+    /// The failure of the wire between adjacent routers `a` and `b`.
+    fn wire_down(topo: &AnyTopology, a: RouterId, b: RouterId) -> FaultEvent {
+        let port = (0..topo.num_ports(a) as u8)
             .map(Port)
             .find(|&p| matches!(topo.neighbor(a, p), Some(Endpoint::Router(nr, _)) if nr == b))
-            .expect("routers must be adjacent")
+            .expect("routers must be adjacent");
+        FaultEvent::LinkDown { router: a, port }
+    }
+
+    /// The fault view after `events`.
+    fn view(topo: &AnyTopology, events: &[FaultEvent]) -> FaultState {
+        let mut faults = FaultState::new(topo);
+        for e in events {
+            faults.apply(topo, e);
+        }
+        faults
+    }
+
+    /// The candidates of flow 0 → 63 (up to 4) that survive `faults`.
+    fn live_alts(topo: &AnyTopology, faults: &FaultState) -> Vec<PathDescriptor> {
+        AltPathProvider::new(topo)
+            .alternatives(NodeId(0), NodeId(63), 4)
+            .into_iter()
+            .filter(|&d| route_survives(topo, NodeId(0), NodeId(63), d, faults))
+            .collect()
     }
 
     #[test]
     fn faults_prune_metapaths_and_cap_relearning_to_live_paths() {
-        use prdrb_topology::{FaultEvent, Mesh2D};
         let topo = AnyTopology::mesh8x8();
         let mut p = drb(topo.clone(), PolicyKind::Drb);
         let mut rng = SimRng::new(5);
@@ -889,28 +879,17 @@ mod tests {
             p.on_ack(&ack(0, 63, 100 * MICROSECOND, 0), i + 1);
         }
         assert_eq!(p.open_paths(NodeId(0), NodeId(63)), 4);
-        // Kill the first hop of column 0: the YX-order candidate (and
-        // any MSP staged through that wire) dies; the XY base survives.
+        // Kill wire a, the first hop of column 0: the YX-order candidate
+        // (and any MSP staged through that wire) dies; the XY base
+        // survives.
         let m = Mesh2D::new(8, 8);
-        let mut fstate = FaultState::new(&topo);
-        fstate.apply(
-            &topo,
-            &FaultEvent::LinkDown {
-                router: m.at(0, 0),
-                port: port_toward(&topo, m.at(0, 0), m.at(0, 1)),
-            },
-        );
-        let provider = AltPathProvider::new(&topo);
-        let survivors = provider
-            .alternatives(NodeId(0), NodeId(63), 4)
-            .into_iter()
-            .filter(|&d| route_survives(&topo, NodeId(0), NodeId(63), d, &fstate))
-            .count();
+        let down_a = wire_down(&topo, m.at(0, 0), m.at(0, 1));
+        let survivors = live_alts(&topo, &view(&topo, &[down_a])).len();
         assert!(
             (1..4).contains(&survivors),
             "the wire must kill some but not all candidates, got {survivors}"
         );
-        p.on_fault(&fstate, 10_000);
+        p.on_fault(&down_a, 10_000);
         assert_eq!(
             p.open_paths(NodeId(0), NodeId(63)),
             survivors,
@@ -921,17 +900,30 @@ mod tests {
             p.on_ack(&ack(0, 63, 100 * MICROSECOND, 0), 11_000 + i);
         }
         assert_eq!(p.open_paths(NodeId(0), NodeId(63)), survivors);
-        // Recovery: the wire comes back, the full candidate set does too.
-        p.on_fault(&FaultState::new(&topo), 20_000);
+        // The policy builds its view event by event: wire b (the last
+        // hop into column 7) fails, wire a recovers, and exactly b's
+        // candidates stay filtered.
+        let down_b = wire_down(&topo, m.at(6, 7), m.at(7, 7));
+        let FaultEvent::LinkDown { router, port } = down_a else {
+            unreachable!()
+        };
+        let want = live_alts(&topo, &view(&topo, &[down_b]));
+        let both = live_alts(&topo, &view(&topo, &[down_a, down_b]));
+        assert!(want.len() < 4 && want != both, "both wires must matter");
+        p.on_fault(&down_b, 20_000);
+        p.on_fault(&FaultEvent::LinkUp { router, port }, 21_000);
+        assert_eq!(p.faults, view(&topo, &[down_b]));
         for i in 0..6u64 {
-            p.on_ack(&ack(0, 63, 100 * MICROSECOND, 0), 21_000 + i);
+            p.on_ack(&ack(0, 63, 100 * MICROSECOND, 0), 22_000 + i);
         }
-        assert_eq!(p.open_paths(NodeId(0), NodeId(63)), 4);
+        let fs = p.flows[p.fidx(NodeId(0), NodeId(63))].as_ref().unwrap();
+        let open = fs.metapath.entries();
+        assert_eq!(open.len(), want.len());
+        assert!(open.iter().all(|e| want.contains(&e.descriptor)));
     }
 
     #[test]
     fn faults_invalidate_saved_solutions_and_the_repaired_set_reapplies() {
-        use prdrb_topology::{FaultEvent, Mesh2D};
         let topo = AnyTopology::mesh8x8();
         let mut p = drb(topo.clone(), PolicyKind::PrDrb);
         let mut rng = SimRng::new(5);
@@ -950,22 +942,10 @@ mod tests {
         assert_eq!(p.stats().patterns_found, 1);
         // The fault cuts the dead MSPs out of the saved entry.
         let m = Mesh2D::new(8, 8);
-        let mut fstate = FaultState::new(&topo);
-        fstate.apply(
-            &topo,
-            &FaultEvent::LinkDown {
-                router: m.at(0, 0),
-                port: port_toward(&topo, m.at(0, 0), m.at(0, 1)),
-            },
-        );
-        let provider = AltPathProvider::new(&topo);
-        let survivors = provider
-            .alternatives(NodeId(0), NodeId(63), 4)
-            .into_iter()
-            .filter(|&d| route_survives(&topo, NodeId(0), NodeId(63), d, &fstate))
-            .count();
+        let down = wire_down(&topo, m.at(0, 0), m.at(0, 1));
+        let survivors = live_alts(&topo, &view(&topo, &[down])).len();
         assert!((2..4).contains(&survivors), "need a repairable entry");
-        p.on_fault(&fstate, 10_000);
+        p.on_fault(&down, 10_000);
         assert_eq!(p.stats().solutions_invalidated, 1);
         // Traffic fades, paths close.
         for i in 0..30u64 {

@@ -39,3 +39,20 @@ pub use policy::{
 pub use solutions::{normalize, similarity, Solution, SolutionDb};
 pub use trend::TrendDetector;
 pub use zones::{Transition, Zone, ZoneTracker};
+
+#[cfg(test)]
+mod test_util {
+    use prdrb_network::Packet;
+    use prdrb_simcore::time::Time;
+    use prdrb_topology::{NodeId, PathDescriptor, RouteState};
+
+    /// The destination ACK of flow `src → dst` (it travels `dst → src`)
+    /// carrying a `latency` sample for metapath entry `msp`, built the
+    /// way the fabric builds it.
+    pub(crate) fn ack(src: u32, dst: u32, latency: Time, msp: u8) -> Packet {
+        let route = RouteState::new(PathDescriptor::Minimal);
+        let (s, d) = (NodeId(src), NodeId(dst));
+        let mut data = Packet::data(0, s, d, 1024, 0, route, msp, 0, 0, true, true);
+        Packet::ack_for(&mut data, 0, latency, 64)
+    }
+}

@@ -55,11 +55,6 @@ impl Metapath {
         false
     }
 
-    /// True if only the original path is open.
-    pub fn is_single(&self) -> bool {
-        self.msps.len() == 1
-    }
-
     /// The open paths.
     pub fn entries(&self) -> &[MspEntry] {
         &self.msps
@@ -257,7 +252,7 @@ mod tests {
         // Shrinking to one path stops there.
         m.close_worst();
         assert!(m.close_worst().is_none());
-        assert!(m.is_single());
+        assert_eq!(m.len(), 1);
     }
 
     #[test]

@@ -120,10 +120,10 @@ pub fn preload(policy: &mut DrbPolicy, profile: &[ProfiledFlow]) -> usize {
 mod tests {
     use super::*;
     use crate::policy::{PolicyKind, RoutingPolicy};
-    use prdrb_network::{Packet, PacketKind, PredictiveHeader};
+    use prdrb_network::PredictiveHeader;
     use prdrb_simcore::time::MICROSECOND;
     use prdrb_simcore::SimRng;
-    use prdrb_topology::{RouteState, RouterId};
+    use prdrb_topology::RouterId;
 
     fn profile_mesh_corridor() -> Vec<ProfiledFlow> {
         // Three heavy row-3 flows sharing the corridor + one light flow.
@@ -194,26 +194,7 @@ mod tests {
         // preloaded solution at once — no gradual opening.
         let mut rng = SimRng::new(1);
         let _ = p.choose(NodeId(24), NodeId(23), 0, &mut rng);
-        let mut ack = Packet {
-            id: 0,
-            src: NodeId(23),
-            dst: NodeId(24),
-            size: 64,
-            created: 0,
-            nic_depart: 0,
-            route: RouteState::new(PathDescriptor::Minimal),
-            msp_index: 0,
-            path_latency: 0,
-            hops: 0,
-            kind: PacketKind::Ack {
-                data_latency: 100 * MICROSECOND,
-                data_msp: 0,
-                from_router: None,
-            },
-            predictive: None,
-            queued_at: 0,
-            decided_port: None,
-        };
+        let mut ack = crate::test_util::ack(24, 23, 100 * MICROSECOND, 0);
         ack.predictive = Some(Box::new(PredictiveHeader {
             router: Some(RouterId(27)),
             flows: vec![

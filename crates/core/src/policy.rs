@@ -24,7 +24,7 @@ use crate::config::EWMA_ALPHA;
 use prdrb_network::{NotifyMode, Packet, PacketKind};
 use prdrb_simcore::time::Time;
 use prdrb_simcore::SimRng;
-use prdrb_topology::{AltPathProvider, AnyTopology, FaultState, NodeId, PathDescriptor};
+use prdrb_topology::{AltPathProvider, AnyTopology, FaultEvent, NodeId, PathDescriptor};
 use std::collections::HashMap;
 
 /// Counters a policy exposes for the evaluation figures.
@@ -102,13 +102,14 @@ pub trait RoutingPolicy: std::fmt::Debug {
         let _ = now;
     }
 
-    /// The fault state changed (a link or router failed or recovered).
-    /// Oblivious baselines keep their fixed choices — the fabric's
+    /// A link or router failed or recovered: `fault` is the plan event
+    /// taking effect at `now`, handed over in plan order. Oblivious
+    /// baselines keep their fixed choices — the fabric's
     /// escape-to-minimal divert is their only survival mechanism — but
-    /// adaptive policies invalidate whatever they learned over paths
-    /// that no longer exist.
-    fn on_fault(&mut self, faults: &FaultState, now: Time) {
-        let _ = (faults, now);
+    /// adaptive policies keep their own fault view and invalidate
+    /// whatever they learned over paths that no longer exist.
+    fn on_fault(&mut self, fault: &FaultEvent, now: Time) {
+        let _ = (fault, now);
     }
 
     /// Requested tick period, if any.
@@ -444,13 +445,13 @@ impl RoutingPolicy for Ugal {
         if src == dst || n < 3 {
             return (PathDescriptor::Minimal, 0);
         }
-        let dist = self.topo.distance(src, dst) as f64;
+        let dist = self.topo.distance(src, dst);
         let fs = self.flows.entry((src, dst)).or_insert_with(|| UgalFlow {
             // Zero-load priors matching `base_path`'s estimate: Valiant
             // doubles the expected hop count, so flows start minimal
             // and only divert once measurements say otherwise.
-            est_min: 4_096.0 + dist * 100.0,
-            est_val: 4_096.0 + 2.0 * dist * 100.0,
+            est_min: zero_load_ns(dist) as f64,
+            est_val: zero_load_ns(2 * dist) as f64,
         });
         let divert = fs.est_min > fs.est_val + UGAL_OFFSET_NS as f64;
         if divert {
@@ -589,9 +590,13 @@ pub(crate) fn base_path(
     let alts = provider.alternatives(src, dst, 1);
     let desc = alts.first().copied().unwrap_or(PathDescriptor::Minimal);
     let len = topo.distance(src, dst);
-    // Zero-load estimate: one serialization + per-hop pipeline latency.
-    let base = 4_096 + (len as Time) * 100;
-    (desc, len, base)
+    (desc, len, zero_load_ns(len))
+}
+
+/// Zero-load latency estimate of a `hops`-hop path: one serialization
+/// plus the per-hop pipeline latency.
+fn zero_load_ns(hops: u32) -> Time {
+    4_096 + hops as Time * 100
 }
 
 #[cfg(test)]
@@ -783,29 +788,7 @@ mod tests {
 
     #[test]
     fn ugal_diverts_when_minimal_estimate_degrades_and_recovers() {
-        fn ack(src_of_flow: u32, dst_of_flow: u32, latency: Time, msp: u8) -> Packet {
-            Packet {
-                id: 0,
-                src: NodeId(dst_of_flow), // ACKs travel dst→src
-                dst: NodeId(src_of_flow),
-                size: 64,
-                created: 0,
-                nic_depart: 0,
-                route: prdrb_topology::RouteState::new(PathDescriptor::Minimal),
-                msp_index: 0,
-                path_latency: 0,
-                hops: 0,
-                kind: PacketKind::Ack {
-                    data_latency: latency,
-                    data_msp: msp,
-                    from_router: None,
-                },
-                predictive: None,
-                queued_at: 0,
-                decided_port: None,
-            }
-        }
-
+        use crate::test_util::ack;
         let topo = AnyTopology::dragonfly72();
         let mut p = Ugal::new(topo);
         let mut rng = SimRng::new(17);

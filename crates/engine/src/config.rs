@@ -158,17 +158,24 @@ impl SimConfig {
         schedule: BurstSchedule,
         active_nodes: usize,
     ) -> Self {
+        let workload = Workload::Synthetic {
+            schedule,
+            active_nodes,
+            msg_bytes: 1024,
+        };
+        Self::base(topology, policy, workload)
+    }
+
+    /// The defaults every preset starts from: Tables 4.2/4.3 tunables,
+    /// seed 1 and the synthetic-run time window.
+    fn base(topology: TopologyKind, policy: PolicyKind, workload: Workload) -> Self {
         Self {
             label: String::new(),
             topology,
             policy,
             drb: DrbConfig::default(),
             net: NetworkConfig::default(),
-            workload: Workload::Synthetic {
-                schedule,
-                active_nodes,
-                msg_bytes: 1024,
-            },
+            workload,
             seed: 1,
             duration_ns: 2 * MILLISECOND,
             max_ns: 400 * MILLISECOND,
@@ -216,42 +223,19 @@ impl SimConfig {
         spec: OpenLoopSpec,
         active_nodes: usize,
     ) -> Self {
-        Self {
-            label: String::new(),
-            topology,
-            policy,
-            drb: DrbConfig::default(),
-            net: NetworkConfig::default(),
-            workload: Workload::OpenLoop { spec, active_nodes },
-            seed: 1,
-            duration_ns: 2 * MILLISECOND,
-            max_ns: 400 * MILLISECOND,
-            series_bucket_ns: 50_000,
-            preload_profile: Vec::new(),
-            faults: FaultPlan::none(),
-            shards: 1,
-            speculate: false,
-        }
+        Self::base(topology, policy, Workload::OpenLoop { spec, active_nodes })
     }
 
     /// A trace-replay run (§4.8 application experiments). The trace's
     /// collectives are lowered here, once per configuration.
     pub fn trace(topology: TopologyKind, policy: PolicyKind, trace: Trace) -> Self {
+        let workload = Workload::Trace(Arc::new(lower_collectives(&trace)));
         Self {
             label: trace.name.clone(),
-            topology,
-            policy,
-            drb: DrbConfig::default(),
-            net: NetworkConfig::default(),
-            workload: Workload::Trace(Arc::new(lower_collectives(&trace))),
-            seed: 1,
             duration_ns: Time::MAX / 4,
             max_ns: 30_000 * MILLISECOND,
             series_bucket_ns: 100_000,
-            preload_profile: Vec::new(),
-            faults: FaultPlan::none(),
-            shards: 1,
-            speculate: false,
+            ..Self::base(topology, policy, workload)
         }
     }
 }

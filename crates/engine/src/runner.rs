@@ -17,7 +17,7 @@ use prdrb_simcore::rng::Splitmix64;
 use prdrb_simcore::stats::{RunningMean, TimeSeries};
 use prdrb_simcore::time::{interarrival_ns, ns_to_us, Time};
 use prdrb_simcore::{EventQueue, SimRng};
-use prdrb_topology::{AnyTopology, FaultState, NodeId, RouteState, RouterId, Topology};
+use prdrb_topology::{AnyTopology, NodeId, RouteState, RouterId, Topology};
 use prdrb_traffic::bursty::{phase_at, phase_start_ns};
 use prdrb_traffic::{exp_gap_ns, PhaseSpec, TrafficPattern};
 use std::collections::HashMap;
@@ -97,10 +97,8 @@ pub struct Simulation {
     series: TimeSeries,
     quantiles: LatencyQuantiles,
     next_tick: Option<Time>,
-    /// Host-side fault mirror: the same plan the fabric replays, applied
-    /// at the same simulated times, so the policy's `on_fault` hook
-    /// sees the fabric's fault view.
-    faults: FaultState,
+    /// Index of the next fault-plan event to hand to the policy: the
+    /// same plan the fabric replays, at the same simulated times.
     fault_cursor: usize,
     /// Reusable buffers: deliveries swapped out of the fabric per tick
     /// and the send list filled by the trace player per wakeup.
@@ -139,7 +137,6 @@ impl Simulation {
             series: TimeSeries::new(cfg.series_bucket_ns),
             quantiles: LatencyQuantiles::new(),
             next_tick: policy.tick_interval(),
-            faults: FaultState::new(&topo),
             fault_cursor: 0,
             delivery_buf: Vec::new(),
             send_buf: Vec::new(),
@@ -280,8 +277,8 @@ impl Simulation {
         self.finish(truncated)
     }
 
-    /// Apply every fault-plan event with `at <= now` to the host mirror
-    /// and notify the policy at the event's own timestamp. Called from
+    /// Hand every fault-plan event with `at <= now` to the policy at the
+    /// event's own timestamp. Called from
     /// [`Self::tick_policy`], i.e. before host events fire at `now` and
     /// before each delivery is handed to the policy.
     fn apply_faults_through(&mut self, now: Time) {
@@ -291,8 +288,7 @@ impl Simulation {
                 break;
             }
             self.fault_cursor += 1;
-            self.faults.apply(&self.topo, &tf.fault);
-            self.policy.on_fault(&self.faults, tf.at);
+            self.policy.on_fault(&tf.fault, tf.at);
         }
     }
 
@@ -352,7 +348,7 @@ impl Simulation {
         // below link saturation too (deterministic spacing would make a
         // D/D/1 queue that never builds up).
         let mean = interarrival_ns(bytes as u64, mbps) as f64;
-        let gap = (-self.rng.unit().max(1e-12).ln() * mean).max(1.0) as Time;
+        let gap = exp_gap_ns(self.rng.unit(), mean);
         self.ext.schedule_keyed(now + gap, ext_key(e), e);
     }
 
@@ -371,7 +367,7 @@ impl Simulation {
                 unreachable!()
             };
             let bytes = spec.sizes().sample(rng) as u32;
-            let gap = exp_gap_ns(rng, spec.mean_gap_ns);
+            let gap = exp_gap_ns(rng.unit(), spec.mean_gap_ns);
             let dst = spec.pattern.dest(src, n, &mut self.rng);
             (dst, bytes, gap)
         };

@@ -12,6 +12,12 @@
 //!   downstream router receives the header after the wire + header time
 //!   and may forward while the tail still serializes, but the full packet
 //!   size is reserved downstream on arrival (§2.1.2);
+//! * one sending rule on every wire: a [`Link`] is the sending end of a
+//!   wire — a NIC's injection link or a router output port — holding the
+//!   queue, the per-VC credits, the wire's busy horizon and its
+//!   propagation delay, and [`Link::send`] is the only place a packet
+//!   leaves a queue onto a wire. Terminal-facing ports hold unbounded
+//!   credit (`i64::MAX / 2`), so the credit check never holds them back;
 //! * the monitoring modules of the PR-DRB router (Fig 3.19): Latency
 //!   Update accumulates queuing delay in the packet header (Eq 3.3),
 //!   Contending-Flows Detection fires when an output-queue wait crosses
@@ -194,6 +200,53 @@ fn vc_of(pkt: &Packet) -> usize {
     (pkt.route.header_id as usize).min(NUM_VCS - 1)
 }
 
+/// The sending end of a wire: a NIC's injection link or a router
+/// output port.
+#[derive(Debug)]
+struct Link {
+    /// Packets waiting to cross the wire, head first.
+    queue: VecDeque<Box<Packet>>,
+    /// Credits toward the downstream input buffer per VC; `i64::MAX / 2`
+    /// marks a terminal-facing port (infinite sink).
+    credits: [i64; NUM_VCS],
+    /// The wire serializes the last packet sent until this instant.
+    busy_until: Time,
+    /// Propagation delay of the wire — the base `WIRE_DELAY_NS` plus the
+    /// per-latency-class extra. Precomputed at build so the hot path
+    /// never consults the topology.
+    wire_ns: Time,
+}
+
+impl Link {
+    fn new(credit: i64, wire_ns: Time) -> Self {
+        Self {
+            queue: VecDeque::new(),
+            credits: [credit; NUM_VCS],
+            busy_until: 0,
+            wire_ns,
+        }
+    }
+
+    /// Virtual cut-through with credit-based flow control (§2.1.3): the
+    /// head leaves once the wire is idle and its VC holds credit for the
+    /// whole packet. Sending pops the head, charges its size to its VC,
+    /// holds the wire for the serialization time and returns the packet
+    /// with that time. `None` leaves the link untouched: the queue is
+    /// empty, the wire busy, or the head's VC short of credit.
+    fn send(&mut self, now: Time, cfg: &NetworkConfig) -> Option<(Box<Packet>, Time)> {
+        let head = self.queue.front()?;
+        let vc = vc_of(head);
+        if now < self.busy_until || self.credits[vc] < head.size as i64 {
+            return None;
+        }
+        let pkt = self.queue.pop_front().expect("head");
+        self.credits[vc] -= pkt.size as i64;
+        let ser = cfg.ser_ns(pkt.size);
+        self.busy_until = now + ser;
+        Some((pkt, ser))
+    }
+}
+
 #[derive(Debug)]
 struct RouterState {
     /// `in_q[port][vc]`.
@@ -201,17 +254,10 @@ struct RouterState {
     /// One bit per input lane (`port * NUM_VCS + vc`): set while the
     /// lane holds packets, so the routing scan skips empty lanes.
     in_occ: u64,
-    out_q: Vec<VecDeque<Box<Packet>>>,
+    /// The sending end of the wire behind each port.
+    out: Vec<Link>,
+    /// Bytes queued per output port (the output buffer's occupancy).
     out_bytes: Vec<u32>,
-    /// Propagation delay of the wire behind each port — the base
-    /// `WIRE_DELAY_NS` plus the
-    /// per-latency-class extra. Precomputed at build so the hot path
-    /// never consults the topology.
-    wire_ns: Vec<Time>,
-    /// Credits toward the downstream input queue per (out port, vc);
-    /// `i64::MAX / 2` marks terminal-facing ports (infinite sink).
-    credits: Vec<[i64; NUM_VCS]>,
-    link_busy_until: Vec<Time>,
     /// Output ports with a transmit attempt due at the current instant,
     /// one bit per port; empty between calendar events.
     tx_pending: u64,
@@ -221,15 +267,6 @@ struct RouterState {
     /// Average contention latency at this router (latency-map metric).
     contention: RunningMean,
     series: Option<TimeSeries>,
-}
-
-#[derive(Debug)]
-struct NicState {
-    queue: VecDeque<Box<Packet>>,
-    credits: [i64; NUM_VCS],
-    link_busy_until: Time,
-    /// Propagation delay of the terminal attachment wire.
-    wire_ns: Time,
 }
 
 /// Cumulative fabric counters.
@@ -262,7 +299,8 @@ pub struct Fabric {
     topo: AnyTopology,
     cfg: NetworkConfig,
     routers: Vec<RouterState>,
-    nics: Vec<NicState>,
+    /// Each terminal's injection link.
+    nics: Vec<Link>,
     q: EventQueue<NetEvent>,
     deliveries: Vec<Delivery>,
     next_id: u64,
@@ -303,30 +341,27 @@ impl Fabric {
         for r in 0..nr {
             let rid = RouterId(r as u32);
             let ports = topo.num_ports(rid);
-            let mut credits = Vec::with_capacity(ports);
-            for p in 0..ports {
-                match topo.neighbor(rid, Port(p as u8)) {
-                    Some(Endpoint::Router(..)) => credits.push([INPUT_BUF_BYTES as i64; NUM_VCS]),
-                    // Terminals consume at processor speed; links to
-                    // nowhere never transmit anyway.
-                    _ => credits.push([i64::MAX / 2; NUM_VCS]),
-                }
-            }
             debug_assert!(
                 ports * NUM_VCS <= 64,
                 "input-lane occupancy mask needs ports * NUM_VCS <= 64"
             );
-            let wire_ns = (0..ports)
-                .map(|p| cfg.link_delay_ns(topo.link_class(rid, Port(p as u8))))
+            let out = (0..ports)
+                .map(|p| {
+                    let port = Port(p as u8);
+                    let credit = match topo.neighbor(rid, port) {
+                        Some(Endpoint::Router(..)) => INPUT_BUF_BYTES as i64,
+                        // Terminals consume at processor speed; links to
+                        // nowhere never transmit anyway.
+                        _ => i64::MAX / 2,
+                    };
+                    Link::new(credit, cfg.link_delay_ns(topo.link_class(rid, port)))
+                })
                 .collect();
             routers.push(RouterState {
                 in_q: (0..ports).map(|_| Default::default()).collect(),
                 in_occ: 0,
-                out_q: (0..ports).map(|_| VecDeque::new()).collect(),
+                out,
                 out_bytes: vec![0; ports],
-                wire_ns,
-                credits,
-                link_busy_until: vec![0; ports],
                 tx_pending: 0,
                 route_pending: false,
                 last_notify: vec![0; ports],
@@ -340,12 +375,7 @@ impl Fabric {
                 let node = NodeId(n as u32);
                 let wire_ns = cfg
                     .link_delay_ns(topo.link_class(topo.router_of(node), topo.terminal_port(node)));
-                NicState {
-                    queue: VecDeque::new(),
-                    credits: [INPUT_BUF_BYTES as i64; NUM_VCS],
-                    link_busy_until: 0,
-                    wire_ns,
-                }
+                Link::new(INPUT_BUF_BYTES as i64, wire_ns)
             })
             .collect();
         let table = RouteTable::build(&topo);
@@ -456,7 +486,7 @@ impl Fabric {
             }
             self.routers[r.idx()].in_occ &= !(1 << (p * NUM_VCS + vc));
         }
-        while let Some(pkt) = self.routers[r.idx()].out_q[p].pop_front() {
+        while let Some(pkt) = self.routers[r.idx()].out[p].queue.pop_front() {
             self.drop_boxed(pkt);
         }
         self.routers[r.idx()].out_bytes[p] = 0;
@@ -465,7 +495,7 @@ impl Fabric {
     /// Re-initialize the credits of output port `p` at `r` to a full
     /// downstream buffer (LinkUp retraining).
     fn reset_credits(&mut self, r: RouterId, p: usize) {
-        self.routers[r.idx()].credits[p] = [INPUT_BUF_BYTES as i64; NUM_VCS];
+        self.routers[r.idx()].out[p].credits = [INPUT_BUF_BYTES as i64; NUM_VCS];
     }
 
     /// Count and recycle a packet lost to a fault.
@@ -569,9 +599,8 @@ impl Fabric {
     /// schedules no event, so the clock is moved there explicitly.
     pub fn run_to_quiescence(&mut self, max_t: Time) -> Time {
         self.run_events(max_t, false);
-        let links = self.routers.iter().flat_map(|r| r.link_busy_until.iter());
-        let nics = self.nics.iter().map(|n| &n.link_busy_until);
-        if let Some(idle) = links.chain(nics).copied().filter(|&t| t <= max_t).max() {
+        let links = self.routers.iter().flat_map(|r| &r.out).chain(&self.nics);
+        if let Some(idle) = links.map(|l| l.busy_until).filter(|&t| t <= max_t).max() {
             self.clock = self.clock.max(idle);
         }
         self.clock
@@ -610,14 +639,14 @@ impl Fabric {
     /// empty nothing moves these packets again — they are the lanes of
     /// a stall.
     pub fn blocked_lanes(&self) -> Vec<String> {
-        let credit = |lane: String, q: &VecDeque<Box<Packet>>, credits: &[i64; NUM_VCS]| {
-            let head = q.front()?;
+        let credit = |lane: String, link: &Link| {
+            let head = link.queue.front()?;
             let vc = vc_of(head);
             Some(format!(
                 "{lane}: {} packets, head #{} waits for vc{vc} credit ({} of {} bytes)",
-                q.len(),
+                link.queue.len(),
                 head.id,
-                credits[vc],
+                link.credits[vc],
                 head.size
             ))
         };
@@ -639,17 +668,17 @@ impl Fabric {
                 }
             }
             lines.extend(
-                rs.out_q
+                rs.out
                     .iter()
                     .enumerate()
-                    .filter_map(|(p, q)| credit(format!("output r{r} p{p}"), q, &rs.credits[p])),
+                    .filter_map(|(p, link)| credit(format!("output r{r} p{p}"), link)),
             );
         }
         lines.extend(
             self.nics
                 .iter()
                 .enumerate()
-                .filter_map(|(n, nic)| credit(format!("nic n{n}"), &nic.queue, &nic.credits)),
+                .filter_map(|(n, nic)| credit(format!("nic n{n}"), nic)),
         );
         lines
     }
@@ -710,7 +739,7 @@ impl Fabric {
                 bytes,
             } => {
                 let rs = &mut self.routers[router.idx()];
-                rs.credits[port.idx()][vc as usize] += bytes as i64;
+                rs.out[port.idx()].credits[vc as usize] += bytes as i64;
                 rs.tx_pending |= 1 << port.idx();
                 self.service_tx(router);
             }
@@ -744,20 +773,12 @@ impl Fabric {
             self.sched(at, NetEvent::NicTx { node });
             return;
         }
-        if self.clock < nic.link_busy_until {
-            // While the link is busy and the queue holds a packet, a
-            // NicTx is pending at end-of-serialization.
+        // Held back: a busy link has a NicTx pending at
+        // end-of-serialization, a credit-short head a NicCredit.
+        let Some((mut pkt, ser)) = nic.send(self.clock, &self.cfg) else {
             return;
-        }
-        let vc = vc_of(head);
-        if nic.credits[vc] < head.size as i64 {
-            return; // NicCredit will retry
-        }
-        let mut pkt = nic.queue.pop_front().expect("head");
-        nic.credits[vc] -= pkt.size as i64;
+        };
         pkt.nic_depart = self.clock;
-        let ser = self.cfg.ser_ns(pkt.size);
-        nic.link_busy_until = self.clock + ser;
         let wire = nic.wire_ns;
         let (router, port) = self.table.nic_attach(node);
         self.sched(
@@ -913,10 +934,10 @@ impl Fabric {
     fn enqueue_out(&mut self, router: RouterId, out: Port, pkt: Box<Packet>) {
         let rs = &mut self.routers[router.idx()];
         let o = out.idx();
-        let busy_until = rs.link_busy_until[o];
-        let was_empty = rs.out_q[o].is_empty();
+        let busy_until = rs.out[o].busy_until;
+        let was_empty = rs.out[o].queue.is_empty();
         rs.out_bytes[o] += pkt.size;
-        rs.out_q[o].push_back(pkt);
+        rs.out[o].queue.push_back(pkt);
         if self.clock >= busy_until {
             rs.tx_pending |= 1 << o;
         } else if was_empty {
@@ -944,7 +965,7 @@ impl Fabric {
     /// back over the same physical wire the packet came in on, so it
     /// pays that wire's class delay.
     fn return_credit(&mut self, router: RouterId, p: usize, vc: usize, bytes: u32) {
-        let at = self.clock + self.routers[router.idx()].wire_ns[p];
+        let at = self.clock + self.routers[router.idx()].out[p].wire_ns;
         let vc = vc as u8;
         match self.table.neighbor(router, Port(p as u8)) {
             Some(Endpoint::Router(ur, up)) => self.sched(
@@ -985,47 +1006,30 @@ impl Fabric {
             // The queue was drained when the wire died and nothing is
             // admitted onto a dead port afterwards; a stray LinkFree or
             // credit on it is inert.
-            debug_assert!(self.routers[router.idx()].out_q[port.idx()].is_empty());
+            debug_assert!(self.routers[router.idx()].out[port.idx()].queue.is_empty());
             return;
         }
         let rs = &mut self.routers[router.idx()];
-        let Some(head) = rs.out_q[port.idx()].front() else {
+        // Held back: a busy link with a queued packet has a LinkFree
+        // pending, a credit-short head a Credit; either retries.
+        let Some((mut pkt, ser)) = rs.out[port.idx()].send(self.clock, &self.cfg) else {
             return;
         };
-        if self.clock < rs.link_busy_until[port.idx()] {
-            // While the link is busy and its queue holds a packet, a
-            // LinkFree is pending; it retries, so just back off.
-            return;
-        }
-        let neighbor = self.table.neighbor(router, port);
-        let vc = vc_of(head);
-        if let Some(Endpoint::Router(..)) = neighbor {
-            if rs.credits[port.idx()][vc] < head.size as i64 {
-                return; // a Credit event will retry
-            }
-        }
-        let mut pkt = rs.out_q[port.idx()].pop_front().expect("head");
         rs.out_bytes[port.idx()] -= pkt.size;
-        if matches!(neighbor, Some(Endpoint::Router(..))) {
-            rs.credits[port.idx()][vc] -= pkt.size as i64;
+        if !rs.out[port.idx()].queue.is_empty() {
+            self.sched(self.clock + ser, NetEvent::LinkFree { router, port });
         }
         let wait = self.clock - pkt.queued_at;
         pkt.path_latency += wait;
         self.sample_contention(router, wait);
-        let ser = self.cfg.ser_ns(pkt.size);
-        let rs = &mut self.routers[router.idx()];
-        rs.link_busy_until[port.idx()] = self.clock + ser;
-        if !rs.out_q[port.idx()].is_empty() {
-            self.sched(self.clock + ser, NetEvent::LinkFree { router, port });
-        }
         // Congestion monitoring: the CFD module fires when the output
         // wait crossed the threshold (only for monitored data packets —
         // control traffic is excluded).
         if pkt.is_data() {
             self.monitor_port(router, port, &mut pkt, wait);
         }
-        let wire = self.routers[router.idx()].wire_ns[port.idx()];
-        match neighbor {
+        let wire = self.routers[router.idx()].out[port.idx()].wire_ns;
+        match self.table.neighbor(router, port) {
             Some(Endpoint::Terminal(n)) => {
                 // Full packet must land before the node consumes it.
                 self.sched(
@@ -1068,7 +1072,7 @@ impl Fabric {
         if last != 0 && self.clock.saturating_sub(last) < COOLDOWN_NS {
             return;
         }
-        let flows = contending_flows(&rs.out_q[port.idx()], Some(pkt), MIN_SHARE, MAX_FLOWS);
+        let flows = contending_flows(&rs.out[port.idx()].queue, Some(pkt), MIN_SHARE, MAX_FLOWS);
         if flows.is_empty() {
             return;
         }
@@ -1188,7 +1192,7 @@ impl Fabric {
         }
         let nic = &mut self.nics[node.idx()];
         let was_empty = nic.queue.is_empty();
-        let busy_until = nic.link_busy_until;
+        let busy_until = nic.busy_until;
         nic.queue.push_back(packet);
         // A new head may leave once created and the link is free; a
         // packet behind the head gets its turn when the head leaves.
@@ -1209,5 +1213,67 @@ impl Fabric {
         if let Some(series) = rs.series.as_mut() {
             series.push(self.clock, us);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A link with `credit` bytes on every VC, queueing packets of the
+    /// given sizes on VC 2 (minimal routes), ids from 0.
+    fn link(credit: i64, sizes: &[u32]) -> Link {
+        let mut l = Link::new(credit, 10);
+        for (id, &size) in sizes.iter().enumerate() {
+            let route = RouteState::new(PathDescriptor::Minimal);
+            let (s, d) = (NodeId(0), NodeId(1));
+            let p = Packet::data(id as u64, s, d, size, 0, route, 0, 0, 0, true, false);
+            l.queue.push_back(Box::new(p));
+        }
+        l
+    }
+
+    #[test]
+    fn an_idle_wire_with_credit_sends_and_charges_the_heads_vc() {
+        let cfg = NetworkConfig::default();
+        let mut l = link(4096, &[1024, 512]);
+        let (p, ser) = l.send(100, &cfg).expect("idle wire, enough credit");
+        assert_eq!((p.id, ser, l.busy_until), (0, cfg.ser_ns(1024), 100 + ser));
+        assert_eq!(l.credits, [4096, 4096, 4096 - 1024]);
+        assert_eq!(l.queue.len(), 1);
+    }
+
+    #[test]
+    fn a_busy_wire_sends_nothing_and_touches_nothing() {
+        let cfg = NetworkConfig::default();
+        let mut l = link(4096, &[1024, 1024]);
+        let (_, ser) = l.send(0, &cfg).expect("first send");
+        assert!(l.send(ser - 1, &cfg).is_none());
+        assert_eq!((l.credits[2], l.queue.len(), l.busy_until), (3072, 1, ser));
+        assert!(l.send(ser, &cfg).is_some(), "free as serialization ends");
+    }
+
+    #[test]
+    fn a_head_short_of_credit_waits_for_its_own_vc() {
+        let cfg = NetworkConfig::default();
+        let mut l = link(1023, &[1024]);
+        // Another VC's credit does not release it.
+        l.credits[0] = i64::MAX / 2;
+        assert!(l.send(0, &cfg).is_none());
+        assert_eq!((l.credits[2], l.queue.len()), (1023, 1));
+        l.credits[2] += 1;
+        assert!(l.send(0, &cfg).is_some(), "exactly enough credit sends");
+        assert_eq!(l.credits[2], 0);
+    }
+
+    #[test]
+    fn a_terminal_facing_port_always_sends() {
+        let cfg = NetworkConfig::default();
+        let mut l = link(i64::MAX / 2, &[1024; 1000]);
+        let mut now = 0;
+        while let Some((_, ser)) = l.send(now, &cfg) {
+            now += ser;
+        }
+        assert!(l.queue.is_empty(), "an idle wire never waits for credit");
     }
 }

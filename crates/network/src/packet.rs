@@ -130,27 +130,13 @@ impl Packet {
     /// (destination-based notification, §3.2.2). The predictive header
     /// collected along the data packet's path is moved into the ACK.
     pub fn ack_for(data: &mut Packet, id: u64, now: Time, ack_bytes: u32) -> Self {
-        let latency = now.saturating_sub(data.nic_depart);
-        Self {
-            id,
-            src: data.dst,
-            dst: data.src,
-            size: ack_bytes,
-            created: now,
-            nic_depart: now,
-            route: RouteState::new(prdrb_topology::PathDescriptor::Minimal),
-            msp_index: 0,
-            path_latency: 0,
-            hops: 0,
-            kind: PacketKind::Ack {
-                data_latency: latency,
-                data_msp: data.msp_index,
-                from_router: None,
-            },
-            predictive: data.predictive.take(),
-            queued_at: now,
-            decided_port: None,
-        }
+        let kind = PacketKind::Ack {
+            data_latency: now.saturating_sub(data.nic_depart),
+            data_msp: data.msp_index,
+            from_router: None,
+        };
+        let header = data.predictive.take();
+        Self::control(id, data.dst, data.src, ack_bytes, now, kind, header)
     }
 
     /// A predictive ACK injected by a congested router (router-based
@@ -167,23 +153,38 @@ impl Packet {
         nominal_src: NodeId,
     ) -> Self {
         header.router = Some(router);
+        let kind = PacketKind::Ack {
+            data_latency: 0,
+            data_msp: 0,
+            from_router: Some(router),
+        };
+        let header = Some(header);
+        Self::control(id, nominal_src, to_source, ack_bytes, now, kind, header)
+    }
+
+    /// A control packet created at `now` on the minimal route.
+    fn control(
+        id: u64,
+        src: NodeId,
+        dst: NodeId,
+        size: u32,
+        now: Time,
+        kind: PacketKind,
+        predictive: Option<Box<PredictiveHeader>>,
+    ) -> Self {
         Self {
             id,
-            src: nominal_src,
-            dst: to_source,
-            size: ack_bytes,
+            src,
+            dst,
+            size,
             created: now,
             nic_depart: now,
             route: RouteState::new(prdrb_topology::PathDescriptor::Minimal),
             msp_index: 0,
             path_latency: 0,
             hops: 0,
-            kind: PacketKind::Ack {
-                data_latency: 0,
-                data_msp: 0,
-                from_router: Some(router),
-            },
-            predictive: Some(header),
+            kind,
+            predictive,
             queued_at: now,
             decided_port: None,
         }

@@ -56,11 +56,6 @@ impl Dragonfly {
         self.r
     }
 
-    /// Global ports (and terminals) per router.
-    pub fn global_ports(&self) -> u32 {
-        self.h
-    }
-
     /// Group and in-group index of a router.
     fn coords(&self, r: RouterId) -> (u32, u32) {
         (r.0 / self.r, r.0 % self.r)

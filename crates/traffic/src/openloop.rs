@@ -93,7 +93,7 @@ mod tests {
         let mut bytes = 0.0;
         let mut ns = 0.0;
         for _ in 0..n {
-            ns += exp_gap_ns(&mut rng, s.mean_gap_ns) as f64;
+            ns += exp_gap_ns(rng.unit(), s.mean_gap_ns) as f64;
             bytes += sizes.sample(&mut rng);
         }
         let emp_mbps = bytes * 8.0 / (ns * 1e-9) / 1e6;

@@ -15,13 +15,12 @@
 
 use prdrb_simcore::rng::Splitmix64;
 
-/// Exponential gap sampler: inter-arrival times of a Poisson process
-/// with the given mean, by inversion. The unit draw is clamped away
-/// from 0 so `ln` stays finite; gaps are floored at 1 ns (the
-/// simulator's time quantum).
-pub fn exp_gap_ns(rng: &mut Splitmix64, mean_ns: f64) -> u64 {
-    let u = rng.unit().max(1e-12);
-    (-u.ln() * mean_ns).max(1.0) as u64
+/// Exponential gap: an inter-arrival time of a Poisson process with
+/// the given mean, by inversion of the uniform draw `unit` in `[0, 1)`.
+/// The draw is clamped away from 0 so `ln` stays finite; gaps are
+/// floored at 1 ns (the simulator's time quantum).
+pub fn exp_gap_ns(unit: f64, mean_ns: f64) -> u64 {
+    (-unit.max(1e-12).ln() * mean_ns).max(1.0) as u64
 }
 
 /// Bounded Pareto flow-size distribution on `[lo, hi]` with shape
@@ -98,7 +97,7 @@ mod tests {
         let mut rng = Splitmix64::new(99);
         let mean = 5_000.0;
         let n = 200_000;
-        let sum: u64 = (0..n).map(|_| exp_gap_ns(&mut rng, mean)).sum();
+        let sum: u64 = (0..n).map(|_| exp_gap_ns(rng.unit(), mean)).sum();
         let emp = sum as f64 / n as f64;
         let err = (emp - mean).abs() / mean;
         assert!(err < 0.02, "empirical mean {emp} vs {mean} (err {err})");
@@ -107,12 +106,12 @@ mod tests {
     #[test]
     fn exp_gap_exact_sequence_per_seed() {
         let mut a = Splitmix64::new(31337);
-        let sa: Vec<u64> = (0..8).map(|_| exp_gap_ns(&mut a, 1000.0)).collect();
+        let sa: Vec<u64> = (0..8).map(|_| exp_gap_ns(a.unit(), 1000.0)).collect();
         let mut b = Splitmix64::new(31337);
-        let sb: Vec<u64> = (0..8).map(|_| exp_gap_ns(&mut b, 1000.0)).collect();
+        let sb: Vec<u64> = (0..8).map(|_| exp_gap_ns(b.unit(), 1000.0)).collect();
         assert_eq!(sa, sb);
         let mut c = Splitmix64::new(31338);
-        let sc: Vec<u64> = (0..8).map(|_| exp_gap_ns(&mut c, 1000.0)).collect();
+        let sc: Vec<u64> = (0..8).map(|_| exp_gap_ns(c.unit(), 1000.0)).collect();
         assert_ne!(sa, sc, "different seed, different gaps");
         assert!(sa.iter().all(|&g| g >= 1), "gaps floored at 1 ns");
     }
