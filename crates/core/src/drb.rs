@@ -62,7 +62,6 @@ struct FlowState {
 #[derive(Debug)]
 pub struct DrbPolicy {
     topo: AnyTopology,
-    kind: PolicyKind,
     cfg: DrbConfig,
     /// Save/lookup solutions in the predictive database (PR layer).
     predictive: bool,
@@ -108,7 +107,6 @@ impl DrbPolicy {
         let faults = FaultState::new(&topo);
         Self {
             topo,
-            kind,
             cfg,
             predictive: matches!(kind, PrDrb | PrFrDrb),
             watchdog: matches!(kind, FrDrb | PrFrDrb),
@@ -427,10 +425,6 @@ impl DrbPolicy {
 }
 
 impl RoutingPolicy for DrbPolicy {
-    fn name(&self) -> &'static str {
-        self.kind.label()
-    }
-
     fn needs_acks(&self) -> bool {
         true
     }
@@ -598,7 +592,7 @@ mod tests {
     use super::*;
     use crate::test_util::ack;
     use prdrb_simcore::time::MICROSECOND;
-    use prdrb_topology::{Endpoint, Mesh2D, Port, RouterId};
+    use prdrb_topology::{Mesh2D, RouterId};
 
     fn ack_with_flows(
         src_of_flow: u32,
@@ -642,7 +636,6 @@ mod tests {
             PolicyKind::PrFrDrb,
         ] {
             let p = drb(t.clone(), kind);
-            assert_eq!(p.name(), kind.label());
             let predictive = matches!(kind, PolicyKind::PrDrb | PolicyKind::PrFrDrb);
             let watchdog = matches!(kind, PolicyKind::FrDrb | PolicyKind::PrFrDrb);
             assert_eq!(p.notify_mode() != NotifyMode::Off, predictive, "{kind:?}");
@@ -844,10 +837,7 @@ mod tests {
 
     /// The failure of the wire between adjacent routers `a` and `b`.
     fn wire_down(topo: &AnyTopology, a: RouterId, b: RouterId) -> FaultEvent {
-        let port = (0..topo.num_ports(a) as u8)
-            .map(Port)
-            .find(|&p| matches!(topo.neighbor(a, p), Some(Endpoint::Router(nr, _)) if nr == b))
-            .expect("routers must be adjacent");
+        let port = topo.port_toward(a, b).expect("routers must be adjacent");
         FaultEvent::LinkDown { router: a, port }
     }
 

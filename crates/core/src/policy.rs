@@ -69,9 +69,6 @@ impl PolicyStats {
 
 /// A source routing policy.
 pub trait RoutingPolicy: std::fmt::Debug {
-    /// Short name for reports ("deterministic", "drb", "pr-drb", …).
-    fn name(&self) -> &'static str;
-
     /// Whether the fabric should generate destination ACKs.
     fn needs_acks(&self) -> bool {
         false
@@ -146,10 +143,6 @@ impl Deterministic {
 }
 
 impl RoutingPolicy for Deterministic {
-    fn name(&self) -> &'static str {
-        "deterministic"
-    }
-
     fn choose(
         &mut self,
         src: NodeId,
@@ -192,10 +185,6 @@ impl RandomMinimal {
 }
 
 impl RoutingPolicy for RandomMinimal {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
     fn choose(
         &mut self,
         src: NodeId,
@@ -245,10 +234,6 @@ impl AdaptivePerHop {
 }
 
 impl RoutingPolicy for AdaptivePerHop {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
     fn choose(
         &mut self,
         _src: NodeId,
@@ -285,10 +270,6 @@ impl CyclicPriority {
 }
 
 impl RoutingPolicy for CyclicPriority {
-    fn name(&self) -> &'static str {
-        "cyclic"
-    }
-
     fn choose(
         &mut self,
         src: NodeId,
@@ -363,10 +344,6 @@ impl Valiant {
 }
 
 impl RoutingPolicy for Valiant {
-    fn name(&self) -> &'static str {
-        "valiant"
-    }
-
     fn choose(
         &mut self,
         src: NodeId,
@@ -425,10 +402,6 @@ impl Ugal {
 }
 
 impl RoutingPolicy for Ugal {
-    fn name(&self) -> &'static str {
-        "ugal"
-    }
-
     fn needs_acks(&self) -> bool {
         true
     }
@@ -699,7 +672,6 @@ mod tests {
             PolicyKind::Ugal,
         ]) {
             let p = make_policy(kind, &topo, crate::config::DrbConfig::default());
-            assert_eq!(p.name(), kind.label());
             // UGAL needs ACKs without being DRB-family — its congestion
             // sensor is the ACK latency stream.
             assert_eq!(p.needs_acks(), acks.contains(&kind), "{}", kind.label());

@@ -380,7 +380,9 @@ fn series_fields(s: &TimeSeries) -> String {
 fn parse_series_fields(fields: &[&str]) -> Option<TimeSeries> {
     let bucket_ns: Time = fields.first()?.parse().ok()?;
     let n: usize = fields.get(1)?.parse().ok()?;
-    if bucket_ns == 0 || fields.len() != 2 + n {
+    // Two fields are present, so this cannot underflow; `2 + n` could
+    // overflow on a forged count.
+    if bucket_ns == 0 || fields.len() - 2 != n {
         return None;
     }
     let mut buckets = Vec::with_capacity(n);
@@ -578,7 +580,8 @@ pub fn report_from_csv(text: &str) -> Option<RunReport> {
     }
     let latency_map = LatencyMap::from_parts(values_us, (cols, rows), cell_of);
     let rn: usize = take("rseries")?.parse().ok()?;
-    let mut router_series = Vec::with_capacity(rn);
+    // `rn` is untrusted: the vector grows with the lines present.
+    let mut router_series = Vec::new();
     for i in 0..rn {
         let line = lines.next()?;
         let fields: Vec<&str> = line.split(',').collect();
@@ -959,6 +962,12 @@ mod tests {
         miss(&phases, "\nphases,1,5,6,7\n");
         miss(&phases, "\nphases,2,5,6\n");
         miss(&phases, "\nphases,1,5,x\n");
+        // Forged counts far beyond the lines present: a miss, not an
+        // overflow on `2 + n` or an abort on a huge allocation.
+        let series = format!("\nseries,{},", report.series.bucket_ns());
+        miss(&series, &format!("{series}{},", usize::MAX));
+        let rseries = format!("\nrseries,{}\n", report.router_series.len());
+        miss(&rseries, "\nrseries,1000000000000000\n");
         let phased = csv.replacen(&phases, "\nphases,2,5,6,7,8\n", 1);
         let back = report_from_csv(&phased).expect("a well-formed phases line parses");
         assert_eq!(back.phase_counts, vec![(5, 6), (7, 8)]);

@@ -1,44 +1,33 @@
 //! The simulation runner: co-simulates the network fabric with the
 //! traffic sources / trace player and the source routing policy.
 //!
-//! Two event streams are merged by time: the fabric's internal calendar
-//! and the host-side events (synthetic injections, compute wakeups,
-//! policy watchdog ticks). The fabric runs ahead only until its next
-//! delivery so ACKs reach the policy, and received messages unblock the
-//! player, at their true timestamps.
+//! A run has one calendar, the fabric's. Host work rides it as wakeups
+//! (a stream's next firing, a trace rank's end of computation), keyed
+//! after the fabric's work of their instant. [`Fabric::step`] hands the
+//! host each delivery and each wakeup at its own timestamp, so ACKs reach
+//! the policy, and received messages unblock the player, when they land.
+//! The policy's watchdog ticks and fault-plan events catch up before
+//! each.
 
 use crate::config::{SimConfig, Workload};
 use crate::player::{Player, SendOp};
 use crate::report::RunReport;
 use prdrb_core::{make_policy, RoutingPolicy};
 use prdrb_metrics::{LatencyMap, LatencyQuantiles};
-use prdrb_network::{Delivery, Fabric, Packet, PacketKind};
+use prdrb_network::{Delivery, Fabric, Packet, PacketKind, Step};
 use prdrb_simcore::rng::Splitmix64;
 use prdrb_simcore::stats::{RunningMean, TimeSeries};
 use prdrb_simcore::time::{interarrival_ns, ns_to_us, Time};
-use prdrb_simcore::{EventQueue, SimRng};
+use prdrb_simcore::SimRng;
 use prdrb_topology::{AnyTopology, NodeId, RouteState, RouterId, Topology};
 use prdrb_traffic::bursty::{phase_at, phase_start_ns};
 use prdrb_traffic::{exp_gap_ns, PhaseSpec, TrafficPattern};
 use std::collections::HashMap;
 
-/// Host-side event kinds, ordered (time, kind, id) for determinism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ext {
-    /// Synthetic stream `id` injects.
-    Stream(u32),
-    /// Player rank `id` wakes from computation.
-    Wake(u32),
-}
-
-/// Calendar key reproducing the old `(Time, Ext)` binary-heap order:
-/// streams before wakes at the same instant, each by ascending id.
-fn ext_key(e: Ext) -> u64 {
-    match e {
-        Ext::Stream(id) => id as u64,
-        Ext::Wake(id) => 1 << 32 | id as u64,
-    }
-}
+/// Wakeup tokens order the host's work at one instant: streams before
+/// trace ranks, each by ascending id. Stream `i` wakes with token `i`,
+/// rank `r` with `RANK | r`.
+const RANK: u64 = 1 << 32;
 
 #[derive(Debug)]
 enum StreamKind {
@@ -87,7 +76,6 @@ pub struct Simulation {
     /// schedule, or the one-phase constant schedules its flows lower to.
     phases: Vec<PhaseSpec>,
     streams: Vec<Stream>,
-    ext: EventQueue<Ext>,
     player: Option<Player>,
     /// Outstanding message metadata: id → (tag).
     msg_tags: HashMap<u64, u32>,
@@ -100,9 +88,7 @@ pub struct Simulation {
     /// Index of the next fault-plan event to hand to the policy: the
     /// same plan the fabric replays, at the same simulated times.
     fault_cursor: usize,
-    /// Reusable buffers: deliveries swapped out of the fabric per tick
-    /// and the send list filled by the trace player per wakeup.
-    delivery_buf: Vec<Delivery>,
+    /// Reusable send list, filled by the trace player per wakeup.
     send_buf: Vec<SendOp>,
     /// Phase attribution (scheduled streams only): the global phase in
     /// force, the policy's `(reuse_applications, expansions)` already
@@ -128,7 +114,6 @@ impl Simulation {
         let mut sim = Self {
             phases: Vec::new(),
             streams: Vec::new(),
-            ext: EventQueue::new(),
             player: None,
             msg_tags: HashMap::new(),
             next_msg: 1,
@@ -138,7 +123,6 @@ impl Simulation {
             quantiles: LatencyQuantiles::new(),
             next_tick: policy.tick_interval(),
             fault_cursor: 0,
-            delivery_buf: Vec::new(),
             send_buf: Vec::new(),
             phase_cursor: None,
             phase_counted: (0, 0),
@@ -214,72 +198,44 @@ impl Simulation {
                 }
             }
         }
-        // Seed external events: streams start with a small deterministic
-        // stagger; all player ranks start at t = 0.
-        for (i, _) in self.streams.iter().enumerate() {
-            let jitter = (i as Time * 131) % 997;
-            let e = Ext::Stream(i as u32);
-            self.ext.schedule_keyed(jitter, ext_key(e), e);
+        // Seed the host's wakeups: streams start with a small
+        // deterministic stagger; all player ranks start at t = 0.
+        for i in 0..self.streams.len() as u64 {
+            self.fabric.wake_at((i * 131) % 997, i);
         }
-        if let Some(p) = &self.player {
-            for r in 0..p.num_ranks() as u32 {
-                let e = Ext::Wake(r);
-                self.ext.schedule_keyed(0, ext_key(e), e);
-            }
+        let ranks = self.player.as_ref().map_or(0, |p| p.num_ranks() as u64);
+        for r in 0..ranks {
+            self.fabric.wake_at(0, RANK | r);
         }
     }
 
     /// Run to completion and produce the report.
     pub fn run(mut self) -> RunReport {
-        let max = self.cfg.max_ns;
-        let mut truncated = false;
-        loop {
-            let t_ext = self.ext.peek_time();
-            let t_fabric = self.fabric.next_event_time();
-            let target = match (t_ext, t_fabric) {
-                (None, None) => break,
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (Some(a), Some(b)) => a.min(b),
-            };
-            if target > max {
-                truncated = self.player.as_ref().map(|p| !p.all_done()).unwrap_or(false);
-                break;
-            }
-            // Let the fabric catch up, stopping at any delivery so the
-            // host reacts at the true timestamp.
-            //
-            // The horizon handed to the fabric is the next *external*
-            // event, not `target`: the fabric never consults host state
-            // mid-run, and deliveries stop the advance on their own, so
-            // the whole host-quiet gap is safe fabric time. When the
-            // external queue is empty (the drain phase) the fabric-event
-            // target is kept so an idle clamp cannot inflate the fabric
-            // clock — and with it the reported `end_ns` — past the last
-            // real event.
-            let horizon = match t_ext {
-                Some(t) => t.min(max),
-                None => target,
-            };
-            if self.fabric.run_until_delivery(horizon) {
-                self.pump_deliveries_at_time();
-                continue;
-            }
-            // No deliveries before `target`: fire the host events there.
-            self.tick_policy(target);
-            while let Some(entry) = self.ext.pop_before(target) {
-                match entry.event {
-                    Ext::Stream(i) => self.fire_stream(i as usize, entry.time),
-                    Ext::Wake(r) => self.advance_rank(r, entry.time),
+        while let Some(step) = self.fabric.step(self.cfg.max_ns) {
+            match step {
+                Step::Delivered(d) => {
+                    self.tick_policy(d.at);
+                    self.handle_delivery(d);
+                }
+                Step::Wake { at, token } => {
+                    self.tick_policy(at);
+                    match token.checked_sub(RANK) {
+                        None => self.fire_stream(token as usize, at),
+                        Some(r) => self.advance_rank(r as u32, at),
+                    }
                 }
             }
         }
+        // Nothing is due by `max_ns`: an event still pending means the
+        // run was cut there.
+        let truncated = self.player.as_ref().is_some_and(|p| !p.all_done())
+            && self.fabric.next_event_time().is_some();
         self.finish(truncated)
     }
 
     /// Hand every fault-plan event with `at <= now` to the policy at the
     /// event's own timestamp. Called from
-    /// [`Self::tick_policy`], i.e. before host events fire at `now` and
+    /// [`Self::tick_policy`], i.e. before each wakeup fires at `now` and
     /// before each delivery is handed to the policy.
     fn apply_faults_through(&mut self, now: Time) {
         while self.fault_cursor < self.cfg.faults.events().len() {
@@ -331,13 +287,12 @@ impl Simulation {
             (g, p.mbps, dst)
         };
         self.note_phase(g);
-        let e = Ext::Stream(i as u32);
         let Some(dst) = dst else {
             // Quiet phase: sleep to the next boundary, or to the end of
             // the injection window if that comes first.
             let wake = phase_start_ns(&self.phases[body], g + 1);
-            self.ext
-                .schedule_keyed(wake.min(self.cfg.duration_ns), ext_key(e), e);
+            self.fabric
+                .wake_at(wake.min(self.cfg.duration_ns), i as u64);
             return;
         };
         if dst != src {
@@ -349,7 +304,7 @@ impl Simulation {
         // D/D/1 queue that never builds up).
         let mean = interarrival_ns(bytes as u64, mbps) as f64;
         let gap = exp_gap_ns(self.rng.unit(), mean);
-        self.ext.schedule_keyed(now + gap, ext_key(e), e);
+        self.fabric.wake_at(now + gap, i as u64);
     }
 
     /// One firing of an open-loop stream: the flow size and the next
@@ -374,8 +329,7 @@ impl Simulation {
         if dst != src {
             self.inject_message(src, dst, bytes.max(1), 0, now);
         }
-        let e = Ext::Stream(i as u32);
-        self.ext.schedule_keyed(now + gap, ext_key(e), e);
+        self.fabric.wake_at(now + gap, i as u64);
     }
 
     /// Record that global phase `g` is in force. On a boundary crossing
@@ -406,47 +360,17 @@ impl Simulation {
         self.phase_counts[g].1 += now.1 - exp0;
     }
 
-    /// Drain every pending delivery into the policy / player, then hand
-    /// the packet boxes back to the fabric's pool.
-    fn pump_deliveries(&mut self) {
-        let mut deliveries = std::mem::take(&mut self.delivery_buf);
-        self.fabric.take_deliveries(&mut deliveries);
-        for d in deliveries.drain(..) {
-            self.handle_delivery(d);
-        }
-        self.delivery_buf = deliveries;
-    }
-
-    /// Like [`Self::pump_deliveries`], but advances the policy watchdog
-    /// to each delivery's timestamp first, so ticks and faults due by
-    /// then reach the policy before the delivery does.
-    fn pump_deliveries_at_time(&mut self) {
-        let mut deliveries = std::mem::take(&mut self.delivery_buf);
-        self.fabric.take_deliveries(&mut deliveries);
-        for d in deliveries.drain(..) {
-            self.tick_policy(d.at);
-            self.handle_delivery(d);
-        }
-        self.delivery_buf = deliveries;
-    }
-
     fn advance_rank(&mut self, rank: u32, now: Time) {
         let mut sends = std::mem::take(&mut self.send_buf);
         sends.clear();
-        let wake = match self.player.as_mut() {
-            Some(p) => p.advance(rank, now, &mut sends),
-            None => {
-                self.send_buf = sends;
-                return;
-            }
-        };
+        let player = self.player.as_mut().expect("only trace runs have ranks");
+        let wake = player.advance(rank, now, &mut sends);
         for s in sends.drain(..) {
             self.inject_message(NodeId(s.src), NodeId(s.dst), s.bytes.max(1), s.tag, now);
         }
         self.send_buf = sends;
         if let Some(t) = wake {
-            let e = Ext::Wake(rank);
-            self.ext.schedule_keyed(t, ext_key(e), e);
+            self.fabric.wake_at(t, RANK | rank as u64);
         }
     }
 
@@ -572,9 +496,9 @@ impl Simulation {
     }
 
     fn finish(mut self, truncated: bool) -> RunReport {
-        // Drain leftover control traffic for final accounting.
+        // Nothing is due by `max_ns`; move the clock on to the moment
+        // the last link fell idle.
         self.fabric.run_to_quiescence(self.cfg.max_ns);
-        self.pump_deliveries();
         // The last phase's deltas include the drain's ACK-driven
         // policy activity — flush them now that everything settled.
         self.flush_phase_counts();
@@ -604,11 +528,11 @@ impl Simulation {
         RunReport {
             quantiles: self.quantiles.clone(),
             label: if self.cfg.label.is_empty() {
-                format!("{} on {}", self.policy.name(), self.topo.label())
+                format!("{} on {}", self.cfg.policy.label(), self.topo.label())
             } else {
                 self.cfg.label.clone()
             },
-            policy: self.policy.name().into(),
+            policy: self.cfg.policy.label().into(),
             topology: self.topo.label(),
             global_avg_latency_us: global,
             series: self.series,
@@ -633,7 +557,7 @@ impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("label", &self.cfg.label)
-            .field("policy", &self.policy.name())
+            .field("policy", &self.cfg.policy.label())
             .field("messages", &self.messages)
             .finish()
     }

@@ -12,10 +12,10 @@
 //!   downstream router receives the header after the wire + header time
 //!   and may forward while the tail still serializes, but the full packet
 //!   size is reserved downstream on arrival (§2.1.2);
-//! * one sending rule on every wire: a [`Link`] is the sending end of a
+//! * one sending rule on every wire: a `Link` is the sending end of a
 //!   wire — a NIC's injection link or a router output port — holding the
 //!   queue, the per-VC credits, the wire's busy horizon and its
-//!   propagation delay, and [`Link::send`] is the only place a packet
+//!   propagation delay, and `Link::send` is the only place a packet
 //!   leaves a queue onto a wire. Terminal-facing ports hold unbounded
 //!   credit (`i64::MAX / 2`), so the credit check never holds them back;
 //! * the monitoring modules of the PR-DRB router (Fig 3.19): Latency
@@ -40,6 +40,11 @@
 //! keeps each entity's order of operations exactly as the content keys
 //! (`event_key`) would have popped them, and the work of different
 //! entities at one instant commutes.
+//!
+//! The calendar is also the host's: [`Fabric::wake_at`] schedules a
+//! host wakeup, keyed after every fabric event of its instant, and
+//! [`Fabric::step`] runs the fabric until a delivery or a wakeup is due
+//! and hands it over. A run has one calendar.
 //!
 //! Deadlock freedom: multi-step paths switch to a higher-numbered virtual
 //! channel at each intermediate node (the escape-channel-per-segment
@@ -85,7 +90,7 @@ const MAX_HOST_ID: u64 = 1 << 27;
 
 /// A packet handed to the host (data at its destination, ACK at the
 /// original source).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct Delivery {
     /// Arrival time (tail fully received).
     pub at: Time,
@@ -93,9 +98,24 @@ pub struct Delivery {
     pub packet: Box<Packet>,
 }
 
+/// What [`Fabric::step`] stopped at.
+#[derive(Debug, PartialEq)]
+pub enum Step {
+    /// A packet reached its host.
+    Delivered(Delivery),
+    /// A wakeup scheduled with [`Fabric::wake_at`] came due.
+    Wake {
+        /// The instant it was scheduled for.
+        at: Time,
+        /// The token it was scheduled with.
+        token: u64,
+    },
+}
+
 /// A calendar event. Each one advances simulated time: every kind is
 /// scheduled strictly after the instant that scheduled it, except
-/// [`NetEvent::NicTx`] for a packet injected at the current instant.
+/// [`NetEvent::NicTx`] for a packet injected at the current instant and
+/// a host [`NetEvent::Wake`].
 #[derive(Debug, PartialEq, Eq)]
 enum NetEvent {
     /// Packet header reaches a router input port.
@@ -122,6 +142,8 @@ enum NetEvent {
     NicTx { node: NodeId },
     /// Full packet received by a terminal.
     Deliver { node: NodeId, packet: Box<Packet> },
+    /// A host wakeup (see [`Fabric::wake_at`]).
+    Wake { token: u64 },
 }
 
 /// 29-bit packet-id signature for event keys: the two id-class bits
@@ -141,9 +163,11 @@ fn id_sig(id: u64) -> u64 {
 /// packet-carrying events — packet identity), so the residual
 /// insertion-order tie-break can never change simulation results.
 ///
-/// Layout: kind (3 bits) | router-or-node (24) | port (8) | vc/id (29).
-/// Kinds pop in the order Arrive, RouteTick, LinkFree, Credit,
-/// NicCredit, NicTx, Deliver. Same-instant follow-ups are not events:
+/// Layout: kind (3 bits) | router-or-node (24) | port (8) | vc/id (29),
+/// or kind | token for a wakeup. Kinds pop in the order Arrive,
+/// RouteTick, LinkFree, Credit, NicCredit, NicTx, Deliver, Wake: the
+/// host wakes after the fabric's work of the instant, in token order.
+/// Same-instant follow-ups are not events:
 /// they run inline right after their cause, which is where their keys
 /// placed them when they were events (see the module doc).
 fn event_key(ev: &NetEvent) -> u64 {
@@ -171,6 +195,7 @@ fn event_key(ev: &NetEvent) -> u64 {
         NetEvent::Deliver { node, ref packet } => {
             6 << KIND | (node.0 as u64) << ENTITY | id_sig(packet.id)
         }
+        NetEvent::Wake { token } => 7 << KIND | token,
     }
 }
 
@@ -303,6 +328,9 @@ pub struct Fabric {
     nics: Vec<Link>,
     q: EventQueue<NetEvent>,
     deliveries: Vec<Delivery>,
+    /// A popped host wakeup `(at, token)` not yet handed over; like a
+    /// pending delivery it stops [`Self::step`]'s event loop.
+    woken: Option<(Time, u64)>,
     next_id: u64,
     clock: Time,
     /// Per-run memo of every static routing decision.
@@ -387,6 +415,7 @@ impl Fabric {
             nics,
             q: EventQueue::with_kind(cfg.queue, 1 << 12),
             deliveries: Vec::new(),
+            woken: None,
             next_id: 1,
             clock: 0,
             table,
@@ -520,7 +549,7 @@ impl Fabric {
     #[inline]
     fn sched(&mut self, at: Time, ev: NetEvent) {
         debug_assert!(
-            at > self.clock || matches!(ev, NetEvent::NicTx { .. }),
+            at > self.clock || matches!(ev, NetEvent::NicTx { .. } | NetEvent::Wake { .. }),
             "same-instant work runs inline, but {ev:?} was scheduled at {at}"
         );
         let key = event_key(&ev);
@@ -545,14 +574,22 @@ impl Fabric {
         self.q.peek_time()
     }
 
-    /// The one event loop every `run_*` entry point shares: pop each
-    /// event with time ≤ `until`, apply the faults due by then and
-    /// dispatch it. With `stop_at_delivery` it stops as soon as a
-    /// delivery is pending. Returns the number of events processed.
+    /// Schedule a host wakeup at `at` (not in the fabric's past).
+    /// [`Self::step`] hands it back after every fabric event of that
+    /// instant; wakeups at one instant come back in `token` order.
+    pub fn wake_at(&mut self, at: Time, token: u64) {
+        debug_assert!(token < 1 << 61, "wakeup tokens fit below the kind bits");
+        self.sched(at, NetEvent::Wake { token });
+    }
+
+    /// The one event loop every entry point shares: pop each event with
+    /// time ≤ `until`, apply the faults due by then and dispatch it.
+    /// With `stop` it stops as soon as a delivery or a wakeup is
+    /// pending. Returns the number of events processed.
     #[inline]
-    fn run_events(&mut self, until: Time, stop_at_delivery: bool) -> u64 {
+    fn run_events(&mut self, until: Time, stop: bool) -> u64 {
         let mut n = 0;
-        while !stop_at_delivery || self.deliveries.is_empty() {
+        while !stop || (self.deliveries.is_empty() && self.woken.is_none()) {
             let Some(entry) = self.q.pop_before(until) else {
                 break;
             };
@@ -573,23 +610,18 @@ impl Fabric {
         n
     }
 
-    /// Process events until either a delivery occurs or `until` is
-    /// reached. Returns true when at least one delivery is pending.
-    ///
-    /// The host loop uses this to react to ACKs and received messages at
-    /// their actual timestamps (the trace player must unblock receives
-    /// promptly).
-    pub fn run_until_delivery(&mut self, until: Time) -> bool {
+    /// Run events with time ≤ `until` until a delivery or a host wakeup
+    /// is due, and hand it over; `None` once nothing is due by `until`
+    /// (the clock stays at the last event). The host loop calls this so
+    /// ACKs reach the policy, received messages unblock the trace
+    /// player, and sources fire, each at its own timestamp.
+    pub fn step(&mut self, until: Time) -> Option<Step> {
         self.run_events(until, true);
-        if self.deliveries.is_empty() {
-            // No event ≤ `until` remains, so time passes to `until`;
-            // faults scheduled in the quiet stretch take effect now.
-            self.apply_faults_through(until);
-            self.clock = self
-                .clock
-                .max(until.min(self.q.peek_time().unwrap_or(until)));
+        if !self.deliveries.is_empty() {
+            return Some(Step::Delivered(self.deliveries.remove(0)));
         }
-        !self.deliveries.is_empty()
+        let (at, token) = self.woken.take()?;
+        Some(Step::Wake { at, token })
     }
 
     /// Drain the network completely (or until `max_t`). Returns the time
@@ -606,10 +638,10 @@ impl Fabric {
         self.clock
     }
 
-    /// Swap the accumulated deliveries into `out` (cleared first). The
-    /// host loop reuses one buffer across ticks instead of allocating a
-    /// fresh `Vec` per drain; pair with [`Self::recycle`] to return the
-    /// packet boxes once processed.
+    /// Swap the deliveries accumulated by [`Self::run_until`] or
+    /// [`Self::run_to_quiescence`] into `out` (cleared first), so a
+    /// caller reuses one buffer across drains; pair with
+    /// [`Self::recycle`] to return the packet boxes once processed.
     pub fn take_deliveries(&mut self, out: &mut Vec<Delivery>) {
         out.clear();
         std::mem::swap(out, &mut self.deliveries);
@@ -749,6 +781,7 @@ impl Fabric {
             }
             NetEvent::NicTx { node } => self.nic_tx(node),
             NetEvent::Deliver { node, packet } => self.deliver(node, packet),
+            NetEvent::Wake { token } => self.woken = Some((self.clock, token)),
         }
     }
 
@@ -1264,6 +1297,85 @@ mod tests {
         l.credits[2] += 1;
         assert!(l.send(0, &cfg).is_some(), "exactly enough credit sends");
         assert_eq!(l.credits[2], 0);
+    }
+
+    /// Inject one packet `src` → `dst` created at `at`.
+    fn inject(f: &mut Fabric, src: u32, dst: u32, at: Time) {
+        let route = RouteState::new(PathDescriptor::Minimal);
+        let id = f.alloc_id();
+        let (s, d) = (NodeId(src), NodeId(dst));
+        f.inject(Packet::data(
+            id, s, d, 1024, at, route, 0, id, 0, true, false,
+        ));
+    }
+
+    fn mesh() -> Fabric {
+        Fabric::new(AnyTopology::mesh8x8(), NetworkConfig::default())
+    }
+
+    fn woke(at: Time, token: u64) -> Option<Step> {
+        Some(Step::Wake { at, token })
+    }
+
+    #[test]
+    fn a_wakeup_comes_back_after_the_fabric_work_of_its_instant() {
+        let mut f = mesh();
+        inject(&mut f, 0, 63, 0);
+        f.run_to_quiescence(Time::MAX / 4);
+        let mut out = Vec::new();
+        f.take_deliveries(&mut out);
+        let at = out[0].at;
+        // A wakeup at a delivery's instant comes back after it.
+        let mut f = mesh();
+        inject(&mut f, 0, 63, 0);
+        f.wake_at(at, 3);
+        assert!(matches!(f.step(Time::MAX), Some(Step::Delivered(d)) if d.at == at));
+        assert_eq!(f.step(Time::MAX), woke(at, 3));
+        // One scheduled at the current instant comes back after the NIC
+        // sent a packet injected then.
+        inject(&mut f, 5, 9, at);
+        f.wake_at(at, 1);
+        assert_eq!(f.step(Time::MAX), woke(at, 1));
+        assert!(f.nics[5].queue.is_empty(), "the NIC sent first");
+    }
+
+    #[test]
+    fn wakeups_at_one_instant_come_back_in_token_order() {
+        for tokens in [[7, 1 << 32, 0, 3], [0, 3, 7, 1 << 32]] {
+            let mut f = mesh();
+            tokens.iter().for_each(|&t| f.wake_at(1_000, t));
+            let back: Vec<_> = std::iter::from_fn(|| f.step(1_000).map(Some)).collect();
+            assert_eq!(back, [0, 3, 7, 1 << 32].map(|t| woke(1_000, t)));
+        }
+    }
+
+    #[test]
+    fn step_returns_none_and_keeps_the_clock_when_nothing_is_due() {
+        let mut f = mesh();
+        assert!(f.step(Time::MAX).is_none());
+        assert_eq!(f.now(), 0);
+        // A packet created at 10 µs waits in its NIC until then.
+        inject(&mut f, 0, 63, 10_000);
+        f.wake_at(400, 0);
+        assert_eq!(f.step(Time::MAX), woke(400, 0));
+        let events = f.events_processed();
+        assert!(f.step(9_999).is_none());
+        assert_eq!((f.now(), f.events_processed()), (400, events));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "same-instant work runs inline")]
+    fn only_nic_turns_and_wakeups_may_be_scheduled_at_the_current_instant() {
+        let mut f = mesh();
+        f.wake_at(700, 0);
+        assert_eq!(f.step(Time::MAX), woke(700, 0));
+        f.sched(
+            700,
+            NetEvent::RouteTick {
+                router: RouterId(0),
+            },
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod packet;
 pub mod pool;
 
 pub use config::{MonitorConfig, NetworkConfig, NotifyMode};
-pub use fabric::{Delivery, Fabric, FabricStats, NUM_VCS};
+pub use fabric::{Delivery, Fabric, FabricStats, Step, NUM_VCS};
 pub use monitor::{contending_flows, dedup_sources, Contender};
 pub use packet::{FlowPair, Packet, PacketKind, PredictiveHeader};
 pub use pool::PacketPool;
@@ -32,8 +32,8 @@ mod fabric_tests {
     use super::*;
     use prdrb_simcore::time::{Time, MILLISECOND};
     use prdrb_topology::{
-        AnyTopology, Endpoint, FaultEvent, FaultPlan, Mesh2D, NodeId, PathDescriptor, Port,
-        RouteState, RouterId, TimedFault, Topology,
+        AnyTopology, FaultEvent, FaultPlan, Mesh2D, NodeId, PathDescriptor, RouteState, RouterId,
+        TimedFault, Topology,
     };
 
     fn data(
@@ -69,9 +69,7 @@ mod fabric_tests {
         }
     }
 
-    /// Pull the pending deliveries through the buffer-reusing API (the
-    /// only delivery accessor — tests own the buffer like the engine
-    /// hot loop does).
+    /// Pull the pending deliveries through the buffer-reusing API.
     fn taken(f: &mut Fabric) -> Vec<Delivery> {
         let mut out = Vec::new();
         f.take_deliveries(&mut out);
@@ -415,18 +413,6 @@ mod fabric_tests {
         assert_eq!(taken(&mut f).len(), 1);
     }
 
-    /// The port on `a` facing adjacent router `b`.
-    fn port_toward(topo: &AnyTopology, a: RouterId, b: RouterId) -> Port {
-        for p in 0..topo.num_ports(a) as u8 {
-            if let Some(Endpoint::Router(nr, _)) = topo.neighbor(a, Port(p)) {
-                if nr == b {
-                    return Port(p);
-                }
-            }
-        }
-        panic!("{a} and {b} are not adjacent");
-    }
-
     #[test]
     fn empty_fault_plan_is_identical_to_no_plan() {
         let run = |with_plan: bool| {
@@ -464,7 +450,7 @@ mod fabric_tests {
             at: 300_000,
             fault: FaultEvent::LinkDown {
                 router: a,
-                port: port_toward(&topo, a, b),
+                port: topo.port_toward(a, b).unwrap(),
             },
         }]);
         let mut f = Fabric::with_faults(topo, quiet_cfg(), plan);
@@ -490,7 +476,7 @@ mod fabric_tests {
         let topo = AnyTopology::mesh8x8();
         let m = Mesh2D::new(8, 8);
         let (a, b) = (m.at(1, 0), m.at(2, 0));
-        let p = port_toward(&topo, a, b);
+        let p = topo.port_toward(a, b).unwrap();
         let plan = FaultPlan::new(vec![
             TimedFault {
                 at: 100_000,
@@ -558,7 +544,7 @@ mod fabric_tests {
             at: 0,
             fault: FaultEvent::LinkDown {
                 router: a,
-                port: port_toward(&topo, a, b),
+                port: topo.port_toward(a, b).unwrap(),
             },
         }]);
         let mut f = Fabric::with_faults(topo, quiet_cfg(), plan);

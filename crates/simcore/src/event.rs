@@ -93,16 +93,16 @@ struct Wheel<E> {
     /// One occupancy bit per slot, per level.
     occupied: [u64; LEVELS],
     /// Events at or before the cursor tick, sorted *descending* by
-    /// `(time, seq)` so the minimum pops from the back. Invariant: every
+    /// `(time, key, seq)` so the minimum pops from the back. Invariant: every
     /// pending event quantizing at or before `cur_tick` lives here, and
     /// everything still in `slots`/`overflow` is strictly later — so the
     /// back of `active` is always the global minimum.
     active: Vec<EventEntry<E>>,
     /// Cursor: the level-0 tick the wheel has advanced to. Only moves
     /// forward. Peeking may advance it past times at which events are
-    /// later scheduled (the runner peeks the fabric, then injects host
-    /// events at earlier timestamps); `insert` routes those into
-    /// `active`, preserving order.
+    /// later scheduled (a peek, then a schedule at an earlier
+    /// timestamp); `insert` routes those into `active`, preserving
+    /// order.
     cur_tick: u64,
     /// Events beyond the top-level horizon; re-examined at every refill
     /// so they re-enter the wheel as soon as they fit.
@@ -268,11 +268,6 @@ impl<E: Eq> Wheel<E> {
         self.active.last().map(|e| e.time)
     }
 
-    fn pop(&mut self) -> Option<EventEntry<E>> {
-        self.refill();
-        self.active.pop()
-    }
-
     /// Pop the next event only when it fires at or before `limit` — one
     /// refill instead of the peek-then-pop pair.
     fn pop_before(&mut self, limit: Time) -> Option<EventEntry<E>> {
@@ -325,24 +320,9 @@ pub struct EventQueue<E: Eq> {
     popped: u64,
 }
 
-impl<E: Eq> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<E: Eq> EventQueue<E> {
-    /// An empty calendar at time zero, on the reference heap backend.
-    pub fn new() -> Self {
-        Self::with_kind(QueueKind::Heap, 0)
-    }
-
-    /// Pre-size the heap backend for an expected event population.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::with_kind(QueueKind::Heap, cap)
-    }
-
-    /// An empty calendar on the chosen backend.
+    /// An empty calendar at time zero on the chosen backend; `cap`
+    /// pre-sizes the heap backend for an expected event population.
     pub fn with_kind(kind: QueueKind, cap: usize) -> Self {
         let backend = match kind {
             QueueKind::Heap => Backend::Heap(BinaryHeap::with_capacity(cap)),
@@ -353,14 +333,6 @@ impl<E: Eq> EventQueue<E> {
             next_seq: 0,
             now: 0,
             popped: 0,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match self.backend {
-            Backend::Heap(_) => QueueKind::Heap,
-            Backend::Wheel(_) => QueueKind::Wheel,
         }
     }
 
@@ -423,13 +395,7 @@ impl<E: Eq> EventQueue<E> {
 
     /// Pop the next event, advancing `now`.
     pub fn pop(&mut self) -> Option<EventEntry<E>> {
-        let entry = match &mut self.backend {
-            Backend::Heap(h) => h.pop().map(|Reverse(e)| e)?,
-            Backend::Wheel(w) => w.pop()?,
-        };
-        self.now = entry.time;
-        self.popped += 1;
-        Some(entry)
+        self.pop_before(Time::MAX)
     }
 
     /// Pop the next event only when it fires at or before `limit`.
@@ -590,7 +556,7 @@ mod tests {
     #[should_panic(expected = "scheduled in the past")]
     #[cfg(debug_assertions)]
     fn past_scheduling_panics_in_debug() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_kind(QueueKind::Heap, 0);
         q.schedule(100, ());
         q.pop();
         q.schedule(50, ());
@@ -600,7 +566,7 @@ mod tests {
     #[should_panic(expected = "overflows the clock")]
     #[cfg(debug_assertions)]
     fn overflowing_delay_panics_in_debug() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_kind(QueueKind::Heap, 0);
         q.schedule(100, ());
         q.pop();
         q.schedule_in(Time::MAX, ());
@@ -667,9 +633,9 @@ mod tests {
 
     #[test]
     fn schedule_behind_peeked_cursor_still_pops_in_order() {
-        // The runner peeks the fabric's next event time and then injects
-        // host events at *earlier* timestamps; the wheel must accept
-        // them behind its advanced cursor.
+        // A caller may peek the next event time and then schedule at
+        // an *earlier* timestamp; the wheel must accept such events
+        // behind its advanced cursor.
         for kind in KINDS {
             let mut q = EventQueue::with_kind(kind, 0);
             q.schedule(100_000, "far");

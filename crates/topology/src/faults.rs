@@ -273,18 +273,6 @@ mod tests {
         AnyTopology::mesh8x8()
     }
 
-    /// The port on `a`'s router facing `b`'s router (adjacent routers).
-    fn port_toward(topo: &AnyTopology, a: RouterId, b: RouterId) -> Port {
-        for p in 0..topo.num_ports(a) as u8 {
-            if let Some(Endpoint::Router(nr, _)) = topo.neighbor(a, Port(p)) {
-                if nr == b {
-                    return Port(p);
-                }
-            }
-        }
-        panic!("{a} and {b} are not adjacent");
-    }
-
     #[test]
     fn fresh_state_is_all_live() {
         let topo = mesh();
@@ -304,7 +292,10 @@ mod tests {
         let topo = mesh();
         let m = Mesh2D::new(8, 8);
         let (a, b) = (m.at(0, 0), m.at(1, 0));
-        let (pa, pb) = (port_toward(&topo, a, b), port_toward(&topo, b, a));
+        let (pa, pb) = (
+            topo.port_toward(a, b).unwrap(),
+            topo.port_toward(b, a).unwrap(),
+        );
         let mut f = FaultState::new(&topo);
         f.apply(
             &topo,
@@ -343,14 +334,14 @@ mod tests {
         }
         // Link-up on a dead router's port is ignored.
         let nb = m.at(4, 3);
-        let p = port_toward(&topo, r, nb);
+        let p = topo.port_toward(r, nb).unwrap();
         f.apply(&topo, &FaultEvent::LinkUp { router: r, port: p });
         assert!(f.link_dead(r, p));
         f.apply(
             &topo,
             &FaultEvent::LinkUp {
                 router: nb,
-                port: port_toward(&topo, nb, r),
+                port: topo.port_toward(nb, r).unwrap(),
             },
         );
         assert!(f.link_dead(r, p), "named from the live side too");
@@ -368,7 +359,7 @@ mod tests {
             &topo,
             &FaultEvent::LinkDown {
                 router: a,
-                port: port_toward(&topo, a, b),
+                port: topo.port_toward(a, b).unwrap(),
             },
         );
         assert!(!route_survives(

@@ -178,4 +178,41 @@ impl AnyTopology {
     pub fn dragonfly72() -> Self {
         AnyTopology::Dragonfly(Dragonfly::new(9, 4, 2))
     }
+
+    /// The port on router `a` whose wire leads to router `b` (the
+    /// lowest one, were there several), or `None` when the two are not
+    /// adjacent.
+    pub fn port_toward(&self, a: RouterId, b: RouterId) -> Option<Port> {
+        (0..self.num_ports(a) as u8)
+            .map(Port)
+            .find(|&p| matches!(self.neighbor(a, p), Some(Endpoint::Router(r, _)) if r == b))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn port_toward_finds_the_wire_between_adjacent_routers_only() {
+        // Router a, a router adjacent to it and one that is not: mesh
+        // (0,0), (1,0) and (1,1); fat-tree leaf 0, level-1 switch 16 and
+        // leaf 1; dragonfly router 0, whose global wires reach groups 1
+        // and 2 only, router 7 (group 1) and router 20 (group 5).
+        let cases = [
+            (AnyTopology::mesh8x8(), [0, 1, 9]),
+            (AnyTopology::fat_tree_64(), [0, 16, 1]),
+            (AnyTopology::dragonfly72(), [0, 7, 20]),
+        ];
+        for (topo, [a, b, far]) in cases.map(|(t, r)| (t, r.map(RouterId))) {
+            let l = topo.label();
+            let p = topo.port_toward(a, b).expect("adjacent routers");
+            let Some(Endpoint::Router(nb, back)) = topo.neighbor(a, p) else {
+                panic!("{l}: {p} leads to no router");
+            };
+            assert_eq!(nb, b, "{l}");
+            assert_eq!(topo.port_toward(b, a), Some(back), "{l}");
+            assert_eq!(topo.port_toward(a, far), None, "{l}");
+        }
+    }
 }
