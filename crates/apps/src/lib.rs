@@ -30,5 +30,5 @@ pub use commmatrix::CommMatrix;
 pub use generators::{
     grid2d, grid3d, lammps, nas_ft, nas_lu, nas_mg, pop, smg2000, sweep3d, LammpsProblem, NasClass,
 };
-pub use phases::{analyze_phases, analyze_phases_with, Phase, PhaseReport};
+pub use phases::{analyze_phases, Phase, PhaseReport};
 pub use trace::{Rank, Trace, TraceEvent};

@@ -12,13 +12,15 @@
 //! 2. fingerprint each global segment by hashing its communication
 //!    structure across ranks (call type, peer, byte volume — not timing);
 //! 3. count distinct fingerprints (total phases) and how often each
-//!    repeats (weights). Phases repeating at least `relevant_min` times
-//!    are *relevant* — those are the ones PR-DRB can learn from.
+//!    repeats (weights). Phases repeating at least [`RELEVANT_MIN`]
+//!    times are *relevant* — those are the ones PR-DRB can learn from.
 
 use crate::trace::{Trace, TraceEvent};
-use std::collections::hash_map::DefaultHasher;
+use prdrb_simcore::hash::StableHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+
+/// Minimum weight for a phase to count as relevant.
+pub const RELEVANT_MIN: u64 = 2;
 
 /// One detected phase class.
 #[derive(Debug, Clone)]
@@ -36,8 +38,6 @@ pub struct Phase {
 pub struct PhaseReport {
     /// All distinct phases.
     pub phases: Vec<Phase>,
-    /// Minimum weight for a phase to count as relevant.
-    pub relevant_min: u64,
 }
 
 impl PhaseReport {
@@ -46,11 +46,11 @@ impl PhaseReport {
         self.phases.len()
     }
 
-    /// Phases repeated at least `relevant_min` times (column 3).
+    /// Phases repeated at least [`RELEVANT_MIN`] times (column 3).
     pub fn relevant_phases(&self) -> usize {
         self.phases
             .iter()
-            .filter(|p| p.weight >= self.relevant_min)
+            .filter(|p| p.weight >= RELEVANT_MIN)
             .count()
     }
 
@@ -58,43 +58,45 @@ impl PhaseReport {
     pub fn total_weight(&self) -> u64 {
         self.phases
             .iter()
-            .filter(|p| p.weight >= self.relevant_min)
+            .filter(|p| p.weight >= RELEVANT_MIN)
             .map(|p| p.weight)
             .sum()
     }
 }
 
-/// Fingerprint of one event (structure only — no timing).
-fn hash_event(rank: usize, e: &TraceEvent, h: &mut DefaultHasher) {
+/// Fingerprint of one event (structure only — no timing): a kind tag,
+/// then the event's fields, each widened to `u64`.
+fn hash_event(rank: usize, e: &TraceEvent, h: &mut StableHasher) {
+    let rank = rank as u64;
+    let mut put = |tag: u8, fields: &[u64]| {
+        h.write_u8(tag);
+        fields.iter().for_each(|&f| h.write_u64(f));
+    };
     match *e {
         TraceEvent::Compute { .. } => {} // timing-free
         TraceEvent::Send { dst, bytes, .. } | TraceEvent::Isend { dst, bytes, .. } => {
-            (0u8, rank, dst, bytes).hash(h)
+            put(0, &[rank, dst.into(), bytes.into()])
         }
-        TraceEvent::Recv { src, .. } | TraceEvent::Irecv { src, .. } => (1u8, rank, src).hash(h),
-        TraceEvent::Wait | TraceEvent::Waitall => (2u8, rank).hash(h),
-        TraceEvent::Allreduce { bytes } => (3u8, bytes).hash(h),
-        TraceEvent::Reduce { root, bytes } => (4u8, root, bytes).hash(h),
-        TraceEvent::Bcast { root, bytes } => (5u8, root, bytes).hash(h),
-        TraceEvent::Barrier => (6u8,).hash(h),
+        TraceEvent::Recv { src, .. } | TraceEvent::Irecv { src, .. } => put(1, &[rank, src.into()]),
+        TraceEvent::Wait | TraceEvent::Waitall => put(2, &[rank]),
+        TraceEvent::Allreduce { bytes } => put(3, &[bytes.into()]),
+        TraceEvent::Reduce { root, bytes } => put(4, &[root.into(), bytes.into()]),
+        TraceEvent::Bcast { root, bytes } => put(5, &[root.into(), bytes.into()]),
+        TraceEvent::Barrier => put(6, &[]),
     }
 }
 
 /// Analyze a trace (with collectives still present) into phases.
-///
-/// `relevant_min` is the repetition threshold for a phase to be
-/// considered relevant (2 by default in [`analyze_phases`]).
-pub fn analyze_phases_with(trace: &Trace, relevant_min: u64) -> PhaseReport {
+pub fn analyze_phases(trace: &Trace) -> PhaseReport {
     // Walk all ranks in lockstep between collective boundaries. Ranks
     // may interleave differently, but the segment *content* per rank
     // between collective k and k+1 is well defined.
     let mut cursors: Vec<usize> = vec![0; trace.num_ranks()];
     let mut counts: HashMap<u64, (u64, usize)> = HashMap::new();
     loop {
-        let mut h = DefaultHasher::new();
+        let mut h = StableHasher::new();
         let mut messages = 0usize;
         let mut any = false;
-        let mut collective_seen = false;
         for (rank, evs) in trace.ranks.iter().enumerate() {
             let c = &mut cursors[rank];
             while *c < evs.len() {
@@ -103,7 +105,6 @@ pub fn analyze_phases_with(trace: &Trace, relevant_min: u64) -> PhaseReport {
                 any = true;
                 if e.is_collective() {
                     hash_event(rank, e, &mut h);
-                    collective_seen = true;
                     break; // segment boundary for this rank
                 }
                 hash_event(rank, e, &mut h);
@@ -115,7 +116,6 @@ pub fn analyze_phases_with(trace: &Trace, relevant_min: u64) -> PhaseReport {
         if !any {
             break;
         }
-        let _ = collective_seen;
         let sig = h.finish();
         let entry = counts.entry(sig).or_insert((0, messages));
         entry.0 += 1;
@@ -129,15 +129,7 @@ pub fn analyze_phases_with(trace: &Trace, relevant_min: u64) -> PhaseReport {
         })
         .collect();
     phases.sort_by(|a, b| b.weight.cmp(&a.weight).then(a.signature.cmp(&b.signature)));
-    PhaseReport {
-        phases,
-        relevant_min,
-    }
-}
-
-/// Analyze with the default relevance threshold (weight ≥ 2).
-pub fn analyze_phases(trace: &Trace) -> PhaseReport {
-    analyze_phases_with(trace, 2)
+    PhaseReport { phases }
 }
 
 #[cfg(test)]

@@ -65,8 +65,6 @@ pub struct DrbPolicy {
     cfg: DrbConfig,
     /// Save/lookup solutions in the predictive database (PR layer).
     predictive: bool,
-    /// Run the `WATCHDOG_NS` ACK watchdog (FR layer).
-    watchdog: bool,
     /// Number of terminals — the stride of the dense per-flow table.
     nodes: usize,
     /// Per-flow state, indexed `src.idx() * nodes + dst.idx()`. Dense
@@ -85,6 +83,9 @@ pub struct DrbPolicy {
     /// applied in order. New alternative-path candidates are filtered
     /// against it.
     faults: FaultState,
+    /// The next scan of the `WATCHDOG_NS` ACK watchdog, every
+    /// `WATCHDOG_NS / 2`; `None` without the FR layer.
+    next_scan: Option<Time>,
     expansions: u64,
     shrinks: u64,
     watchdog_fires: u64,
@@ -109,7 +110,6 @@ impl DrbPolicy {
             topo,
             cfg,
             predictive: matches!(kind, PrDrb | PrFrDrb),
-            watchdog: matches!(kind, FrDrb | PrFrDrb),
             nodes,
             flows: std::iter::repeat_with(|| None)
                 .take(nodes * nodes)
@@ -119,6 +119,7 @@ impl DrbPolicy {
                 .take(nodes)
                 .collect(),
             faults,
+            next_scan: matches!(kind, FrDrb | PrFrDrb).then_some(WATCHDOG_NS / 2),
             expansions: 0,
             shrinks: 0,
             watchdog_fires: 0,
@@ -487,32 +488,28 @@ impl RoutingPolicy for DrbPolicy {
     }
 
     fn tick(&mut self, now: Time) {
-        if !self.watchdog {
-            return;
-        }
         // FR-DRB: an ACK overdue on an active flow is a congestion sign
-        // (§4.8.4) — react without waiting for the notification. The scan
-        // walks flows in creation order (`react` never creates flows, so
-        // `active` is stable across the loop).
-        for k in 0..self.active.len() {
-            let (src, dst) = self.active[k];
-            let i = self.fidx(src, dst);
-            let overdue = self.flows[i].as_ref().is_some_and(|fs| {
-                fs.outstanding > 0
-                    && now.saturating_sub(fs.last_send.max(fs.last_ack)) > WATCHDOG_NS
-            });
-            if overdue {
-                self.watchdog_fires += 1;
-                self.react(src, dst, now);
-                if let Some(fs) = self.flows[i].as_mut() {
-                    fs.last_ack = now; // re-arm instead of firing every tick
+        // (§4.8.4) — react without waiting for the notification. Each
+        // scan walks flows in creation order (`react` never creates
+        // flows, so `active` is stable across the loop).
+        while let Some(now) = self.next_scan.filter(|&t| t <= now) {
+            self.next_scan = Some(now + WATCHDOG_NS / 2);
+            for k in 0..self.active.len() {
+                let (src, dst) = self.active[k];
+                let i = self.fidx(src, dst);
+                let overdue = self.flows[i].as_ref().is_some_and(|fs| {
+                    fs.outstanding > 0
+                        && now.saturating_sub(fs.last_send.max(fs.last_ack)) > WATCHDOG_NS
+                });
+                if overdue {
+                    self.watchdog_fires += 1;
+                    self.react(src, dst, now);
+                    if let Some(fs) = self.flows[i].as_mut() {
+                        fs.last_ack = now; // re-arm instead of firing every scan
+                    }
                 }
             }
         }
-    }
-
-    fn tick_interval(&self) -> Option<Time> {
-        self.watchdog.then_some(WATCHDOG_NS / 2)
     }
 
     fn on_fault(&mut self, fault: &FaultEvent, now: Time) {
@@ -635,11 +632,13 @@ mod tests {
             PolicyKind::FrDrb,
             PolicyKind::PrFrDrb,
         ] {
-            let p = drb(t.clone(), kind);
+            let mut p = drb(t.clone(), kind);
             let predictive = matches!(kind, PolicyKind::PrDrb | PolicyKind::PrFrDrb);
             let watchdog = matches!(kind, PolicyKind::FrDrb | PolicyKind::PrFrDrb);
             assert_eq!(p.notify_mode() != NotifyMode::Off, predictive, "{kind:?}");
-            assert_eq!(p.tick_interval().is_some(), watchdog, "{kind:?}");
+            let _ = p.choose(NodeId(0), NodeId(63), 0, &mut SimRng::new(1));
+            p.tick(3 * WATCHDOG_NS);
+            assert_eq!(p.stats().watchdog_fires > 0, watchdog, "{kind:?}");
         }
     }
 
@@ -786,7 +785,6 @@ mod tests {
         let mut p = drb(AnyTopology::mesh8x8(), PolicyKind::FrDrb);
         let mut rng = SimRng::new(5);
         let _ = p.choose(NodeId(0), NodeId(63), 0, &mut rng);
-        assert_eq!(p.tick_interval(), Some(WATCHDOG_NS / 2));
         p.tick(WATCHDOG_NS);
         assert_eq!(p.stats().watchdog_fires, 0, "not overdue yet");
         p.tick(2 * WATCHDOG_NS);
@@ -799,6 +797,35 @@ mod tests {
         // Re-armed: the next tick shortly after does not refire.
         p.tick(2 * WATCHDOG_NS + MICROSECOND);
         assert_eq!(p.stats().watchdog_fires, 1);
+    }
+
+    #[test]
+    fn one_tick_catches_up_every_scan_due() {
+        let until = 1_000 * MICROSECOND;
+        let run = |ticks: &mut dyn Iterator<Item = Time>| {
+            let mut p = drb(AnyTopology::mesh8x8(), PolicyKind::PrFrDrb);
+            let mut rng = SimRng::new(3);
+            let flows = (0..12).map(|i| (NodeId(i), NodeId(63 - i)));
+            for (s, d) in flows.clone() {
+                let _ = p.choose(s, d, s.0 as Time * 7 * MICROSECOND, &mut rng);
+            }
+            ticks.for_each(|t| p.tick(t));
+            (
+                p.stats(),
+                flows.map(|(s, d)| p.open_paths(s, d)).collect::<Vec<_>>(),
+            )
+        };
+        let once = run(&mut std::iter::once(until));
+        assert!(once.0.watchdog_fires > 12, "scans re-fire");
+        let mut scans = (1..)
+            .map(|k| k * WATCHDOG_NS / 2)
+            .take_while(|&t| t <= until);
+        assert_eq!(once, run(&mut scans));
+        // Calls between scan times change nothing either.
+        let odd = (1..)
+            .map(|k| k * 7 * MICROSECOND)
+            .take_while(|&t| t <= until);
+        assert_eq!(once, run(&mut odd.chain([until])));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use prdrb_topology::{AltPathProvider, AnyTopology, FaultEvent, NodeId, PathDescr
 use std::collections::HashMap;
 
 /// Counters a policy exposes for the evaluation figures.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PolicyStats {
     /// Path-opening operations (metapath expansions).
     pub expansions: u64,
@@ -94,24 +94,22 @@ pub trait RoutingPolicy: std::fmt::Debug {
         let _ = (ack, now);
     }
 
-    /// Periodic tick (FR-DRB watchdog). Called every `tick_interval`.
+    /// Catch periodic work (the FR-DRB watchdog) up to `now`: every scan
+    /// due by `now` runs at its own scan time. The host calls this
+    /// before each delivery or wakeup it handles at `now`.
     fn tick(&mut self, now: Time) {
         let _ = now;
     }
 
     /// A link or router failed or recovered: `fault` is the plan event
-    /// taking effect at `now`, handed over in plan order. Oblivious
+    /// the fabric applied at `now`, handed over once, in plan order, and
+    /// before any periodic work up to `now` ([`Self::tick`]). Oblivious
     /// baselines keep their fixed choices — the fabric's
     /// escape-to-minimal divert is their only survival mechanism — but
     /// adaptive policies keep their own fault view and invalidate
     /// whatever they learned over paths that no longer exist.
     fn on_fault(&mut self, fault: &FaultEvent, now: Time) {
         let _ = (fault, now);
-    }
-
-    /// Requested tick period, if any.
-    fn tick_interval(&self) -> Option<Time> {
-        None
     }
 
     /// Evaluation counters.

@@ -4,10 +4,11 @@
 //! A run has one calendar, the fabric's. Host work rides it as wakeups
 //! (a stream's next firing, a trace rank's end of computation), keyed
 //! after the fabric's work of their instant. [`Fabric::step`] hands the
-//! host each delivery and each wakeup at its own timestamp, so ACKs reach
-//! the policy, and received messages unblock the player, when they land.
-//! The policy's watchdog ticks and fault-plan events catch up before
-//! each.
+//! host each applied fault, each delivery and each wakeup at its own
+//! timestamp, so faults and ACKs reach the policy, and received
+//! messages unblock the player, when they land. The host keeps no clock
+//! of its own: before each delivery or wakeup the policy catches its
+//! periodic work (the FR-DRB watchdog) up to that instant.
 
 use crate::config::{SimConfig, Workload};
 use crate::player::{Player, SendOp};
@@ -84,10 +85,6 @@ pub struct Simulation {
     dest_means: Vec<RunningMean>,
     series: TimeSeries,
     quantiles: LatencyQuantiles,
-    next_tick: Option<Time>,
-    /// Index of the next fault-plan event to hand to the policy: the
-    /// same plan the fabric replays, at the same simulated times.
-    fault_cursor: usize,
     /// Reusable send list, filled by the trace player per wakeup.
     send_buf: Vec<SendOp>,
     /// Phase attribution (scheduled streams only): the global phase in
@@ -121,8 +118,6 @@ impl Simulation {
             dest_means: vec![RunningMean::new(); topo.num_terminals()],
             series: TimeSeries::new(cfg.series_bucket_ns),
             quantiles: LatencyQuantiles::new(),
-            next_tick: policy.tick_interval(),
-            fault_cursor: 0,
             send_buf: Vec::new(),
             phase_cursor: None,
             phase_counted: (0, 0),
@@ -213,12 +208,15 @@ impl Simulation {
     pub fn run(mut self) -> RunReport {
         while let Some(step) = self.fabric.step(self.cfg.max_ns) {
             match step {
+                // Faults up to an instant come before the periodic work up
+                // to it, so a fault does not tick.
+                Step::Fault(tf) => self.policy.on_fault(&tf.fault, tf.at),
                 Step::Delivered(d) => {
-                    self.tick_policy(d.at);
+                    self.policy.tick(d.at);
                     self.handle_delivery(d);
                 }
                 Step::Wake { at, token } => {
-                    self.tick_policy(at);
+                    self.policy.tick(at);
                     match token.checked_sub(RANK) {
                         None => self.fire_stream(token as usize, at),
                         Some(r) => self.advance_rank(r as u32, at),
@@ -231,35 +229,6 @@ impl Simulation {
         let truncated = self.player.as_ref().is_some_and(|p| !p.all_done())
             && self.fabric.next_event_time().is_some();
         self.finish(truncated)
-    }
-
-    /// Hand every fault-plan event with `at <= now` to the policy at the
-    /// event's own timestamp. Called from
-    /// [`Self::tick_policy`], i.e. before each wakeup fires at `now` and
-    /// before each delivery is handed to the policy.
-    fn apply_faults_through(&mut self, now: Time) {
-        while self.fault_cursor < self.cfg.faults.events().len() {
-            let tf = self.cfg.faults.events()[self.fault_cursor];
-            if tf.at > now {
-                break;
-            }
-            self.fault_cursor += 1;
-            self.policy.on_fault(&tf.fault, tf.at);
-        }
-    }
-
-    fn tick_policy(&mut self, now: Time) {
-        self.apply_faults_through(now);
-        let Some(iv) = self.policy.tick_interval() else {
-            return;
-        };
-        while let Some(t) = self.next_tick {
-            if t > now {
-                break;
-            }
-            self.policy.tick(t);
-            self.next_tick = Some(t + iv);
-        }
     }
 
     /// One firing of a stream: inject per the phase in force, then

@@ -43,8 +43,10 @@
 //!
 //! The calendar is also the host's: [`Fabric::wake_at`] schedules a
 //! host wakeup, keyed after every fabric event of its instant, and
-//! [`Fabric::step`] runs the fabric until a delivery or a wakeup is due
-//! and hands it over. A run has one calendar.
+//! [`Fabric::step`] runs the fabric until a fault, a delivery or a
+//! wakeup is due and hands it over. A run has one calendar, and the
+//! fabric is the fault plan's one reader: the host learns of each plan
+//! event as a [`Step::Fault`] once the fabric has applied it.
 //!
 //! Deadlock freedom: multi-step paths switch to a higher-numbered virtual
 //! channel at each intermediate node (the escape-channel-per-segment
@@ -57,14 +59,14 @@ use crate::config::{
     MIN_SHARE, OUTPUT_BUF_BYTES, ROUTING_DELAY_NS,
 };
 use crate::monitor::{contending_flows, dedup_sources};
-use crate::packet::{Packet, PacketKind};
+use crate::packet::{FlowPair, Packet, PacketKind};
 use crate::pool::PacketPool;
 use prdrb_simcore::stats::{RunningMean, TimeSeries};
 use prdrb_simcore::time::{ns_to_us, Time};
 use prdrb_simcore::EventQueue;
 use prdrb_topology::{
     AnyTopology, Endpoint, FaultEvent, FaultPlan, FaultState, NodeId, PathDescriptor, Port,
-    RouteState, RouteTable, RouterId, Topology,
+    RouteState, RouteTable, RouterId, TimedFault, Topology,
 };
 use std::collections::VecDeque;
 
@@ -101,6 +103,9 @@ pub struct Delivery {
 /// What [`Fabric::step`] stopped at.
 #[derive(Debug, PartialEq)]
 pub enum Step {
+    /// The fabric applied this fault-plan event. Handed over once per
+    /// plan event, in plan order, before any delivery or wakeup.
+    Fault(TimedFault),
     /// A packet reached its host.
     Delivered(Delivery),
     /// A wakeup scheduled with [`Fabric::wake_at`] came due.
@@ -339,6 +344,8 @@ pub struct Fabric {
     pool: PacketPool,
     /// Scratch for adaptive candidate ports (avoids a per-hop Vec).
     cand_scratch: Vec<Port>,
+    /// Scratch for a notification's contending flows.
+    flow_scratch: Vec<FlowPair>,
     /// Scratch for notified sources (router-based scheme).
     src_scratch: Vec<NodeId>,
     /// Timed fault schedule (usually empty). Applied lazily: every
@@ -347,6 +354,9 @@ pub struct Fabric {
     fault_plan: FaultPlan,
     /// Index of the next unapplied plan event.
     fault_cursor: usize,
+    /// Index of the next applied plan event not yet handed to the host;
+    /// like a pending delivery it stops [`Self::step`]'s event loop.
+    fault_handed: usize,
     /// Materialized dead-link / dead-router view at the current time.
     faults: FaultState,
     /// Cumulative counters.
@@ -421,9 +431,11 @@ impl Fabric {
             table,
             pool: PacketPool::new(),
             cand_scratch: Vec::with_capacity(8),
+            flow_scratch: Vec::new(),
             src_scratch: Vec::with_capacity(8),
             fault_plan,
             fault_cursor: 0,
+            fault_handed: 0,
             faults,
             stats: FabricStats::default(),
         }
@@ -584,12 +596,16 @@ impl Fabric {
 
     /// The one event loop every entry point shares: pop each event with
     /// time ≤ `until`, apply the faults due by then and dispatch it.
-    /// With `stop` it stops as soon as a delivery or a wakeup is
-    /// pending. Returns the number of events processed.
+    /// With `stop` it stops as soon as a fault, a delivery or a wakeup
+    /// is pending. Returns the number of events processed.
     #[inline]
     fn run_events(&mut self, until: Time, stop: bool) -> u64 {
         let mut n = 0;
-        while !stop || (self.deliveries.is_empty() && self.woken.is_none()) {
+        while !stop
+            || (self.deliveries.is_empty()
+                && self.woken.is_none()
+                && self.fault_handed == self.fault_cursor)
+        {
             let Some(entry) = self.q.pop_before(until) else {
                 break;
             };
@@ -610,13 +626,18 @@ impl Fabric {
         n
     }
 
-    /// Run events with time ≤ `until` until a delivery or a host wakeup
-    /// is due, and hand it over; `None` once nothing is due by `until`
-    /// (the clock stays at the last event). The host loop calls this so
-    /// ACKs reach the policy, received messages unblock the trace
-    /// player, and sources fire, each at its own timestamp.
+    /// Run events with time ≤ `until` until a fault, a delivery or a
+    /// host wakeup is due, and hand it over; `None` once nothing is due
+    /// by `until` (the clock stays at the last event). The host loop
+    /// calls this so faults and ACKs reach the policy, received
+    /// messages unblock the trace player, and sources fire, each at its
+    /// own timestamp. A fault applied before an event comes first.
     pub fn step(&mut self, until: Time) -> Option<Step> {
         self.run_events(until, true);
+        if self.fault_handed < self.fault_cursor {
+            self.fault_handed += 1;
+            return Some(Step::Fault(self.fault_plan.events()[self.fault_handed - 1]));
+        }
         if !self.deliveries.is_empty() {
             return Some(Step::Delivered(self.deliveries.remove(0)));
         }
@@ -1111,7 +1132,8 @@ impl Fabric {
         }
         rs.last_notify[port.idx()] = self.clock;
         self.stats.notifications += 1;
-        let mut pairs = self.pool.flow_vec();
+        let mut pairs = std::mem::take(&mut self.flow_scratch);
+        pairs.clear();
         pairs.extend(flows.iter().map(|c| c.flow));
         match mon.mode {
             NotifyMode::Destination => {
@@ -1150,7 +1172,7 @@ impl Fabric {
             }
             NotifyMode::Off => unreachable!(),
         }
-        self.pool.free_flow_vec(pairs);
+        self.flow_scratch = pairs;
     }
 
     /// Inject a control packet directly from a router (predictive ACK).
@@ -1361,6 +1383,46 @@ mod tests {
         let events = f.events_processed();
         assert!(f.step(9_999).is_none());
         assert_eq!((f.now(), f.events_processed()), (400, events));
+    }
+
+    #[test]
+    fn step_hands_each_applied_fault_over_once_in_plan_order() {
+        const GAP: Time = 1_000;
+        let topo = AnyTopology::mesh8x8();
+        let mut events = FaultPlan::seeded(&topo, 11, 6, 20_000, 200_000)
+            .events()
+            .to_vec();
+        // Past the calendar's last event: never applied, never handed.
+        events.push(TimedFault {
+            at: 50_000_000,
+            ..events[0]
+        });
+        let plan = FaultPlan::new(events);
+        let mut f = Fabric::with_faults(topo, NetworkConfig::default(), plan.clone());
+        for i in 0..300 {
+            f.wake_at(i * GAP, i);
+            inject(&mut f, (i % 64) as u32, ((i * 29 + 5) % 64) as u32, i * GAP);
+        }
+        let mut handed = Vec::new();
+        while let Some(step) = f.step(Time::MAX) {
+            let at = match step {
+                // No later than the first event at or after `at`: a
+                // wakeup waits on every multiple of `GAP`.
+                Step::Fault(tf) => {
+                    assert!((tf.at..=tf.at.next_multiple_of(GAP)).contains(&f.now()));
+                    handed.push(tf);
+                    continue;
+                }
+                Step::Delivered(d) => d.at,
+                Step::Wake { at, .. } => at,
+            };
+            let due = plan.events().partition_point(|tf| tf.at <= at);
+            assert!(
+                handed.len() >= due,
+                "work at {at} came back before a fault due by then"
+            );
+        }
+        assert_eq!(handed, plan.events()[..plan.events().len() - 1]);
     }
 
     #[test]

@@ -13,16 +13,15 @@
 //! overwritten with the new packet value before re-entering the fabric,
 //! and headers hand out empty (cleared) flow vectors.
 
-use crate::packet::{FlowPair, Packet, PredictiveHeader};
+use crate::packet::{Packet, PredictiveHeader};
 
 /// Free-list caps: bound worst-case retained memory (a few MiB) without
 /// limiting steady-state reuse — in-flight populations at thesis scale
 /// are far below these.
 const MAX_PACKETS: usize = 1 << 14;
 const MAX_HEADERS: usize = 1 << 12;
-const MAX_FLOW_VECS: usize = 1 << 12;
 
-/// Recycling arena for packets, predictive headers and flow lists.
+/// Recycling arena for packets and predictive headers.
 // The boxes ARE the resource being pooled: the fabric circulates
 // `Box<Packet>`/`Box<PredictiveHeader>`, so the free lists must retain
 // the allocations themselves, not the values.
@@ -31,7 +30,6 @@ const MAX_FLOW_VECS: usize = 1 << 12;
 pub struct PacketPool {
     packets: Vec<Box<Packet>>,
     headers: Vec<Box<PredictiveHeader>>,
-    flow_vecs: Vec<Vec<FlowPair>>,
     /// Boxes handed out (hit or miss).
     pub allocs: u64,
     /// Boxes served from the free list.
@@ -78,7 +76,7 @@ impl PacketPool {
             }
             None => Box::new(PredictiveHeader {
                 router: None,
-                flows: self.flow_vec(),
+                flows: Vec::new(),
             }),
         }
     }
@@ -88,19 +86,6 @@ impl PacketPool {
         h.flows.clear();
         if self.headers.len() < MAX_HEADERS {
             self.headers.push(h);
-        }
-    }
-
-    /// An empty scratch flow list.
-    pub fn flow_vec(&mut self) -> Vec<FlowPair> {
-        self.flow_vecs.pop().unwrap_or_default()
-    }
-
-    /// Return a scratch flow list.
-    pub fn free_flow_vec(&mut self, mut v: Vec<FlowPair>) {
-        v.clear();
-        if self.flow_vecs.len() < MAX_FLOW_VECS {
-            self.flow_vecs.push(v);
         }
     }
 }

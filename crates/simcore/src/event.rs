@@ -230,23 +230,10 @@ impl<E: Eq> Wheel<E> {
         // cursor's level-0 slot may still hold events for that same tick
         // from before the crossing. The cursor never passes an occupied
         // slot, so that slot can only contain cursor-tick events — fold
-        // them in so one tick never spans both stores.
-        let s0 = (self.cur_tick & SLOT_MASK) as usize;
-        if self.occupied[0] & (1 << s0) != 0 && !self.active.is_empty() {
-            self.occupied[0] &= !(1 << s0);
-            debug_assert!(self.scratch.is_empty());
-            std::mem::swap(&mut self.slots[s0], &mut self.scratch);
-            self.in_slots -= self.scratch.len();
-            let mut pending = std::mem::take(&mut self.scratch);
-            for e in pending.drain(..) {
-                debug_assert_eq!(e.time >> GRANULARITY_BITS, self.cur_tick);
-                let key = (e.time, e.key, e.seq);
-                let pos = self
-                    .active
-                    .partition_point(|x| (x.time, x.key, x.seq) > key);
-                self.active.insert(pos, e);
-            }
-            self.scratch = pending;
+        // them in (`insert` merges them into `active`) so one tick never
+        // spans both stores.
+        if !self.active.is_empty() {
+            self.cascade(0, (self.cur_tick & SLOT_MASK) as usize);
         }
     }
 
