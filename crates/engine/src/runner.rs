@@ -465,11 +465,14 @@ impl Simulation {
     }
 
     fn finish(mut self, truncated: bool) -> RunReport {
-        // Nothing is due by `max_ns`; move the clock on to the moment
-        // the last link fell idle.
+        // Nothing is due by `max_ns` (`step` returned `None`), so this
+        // runs no event: it only moves the clock on to the moment the
+        // last link fell idle.
+        let events = self.fabric.events_processed();
         self.fabric.run_to_quiescence(self.cfg.max_ns);
-        // The last phase's deltas include the drain's ACK-driven
-        // policy activity — flush them now that everything settled.
+        debug_assert_eq!(self.fabric.events_processed(), events);
+        // Every ACK reached the policy inside the step loop; attribute
+        // the last phase's counters now that the run is over.
         self.flush_phase_counts();
         self.check_not_stalled(truncated);
         let global = {

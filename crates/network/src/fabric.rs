@@ -14,10 +14,11 @@
 //!   size is reserved downstream on arrival (§2.1.2);
 //! * one sending rule on every wire: a `Link` is the sending end of a
 //!   wire — a NIC's injection link or a router output port — holding the
-//!   queue, the per-VC credits, the wire's busy horizon and its
-//!   propagation delay, and `Link::send` is the only place a packet
-//!   leaves a queue onto a wire. Terminal-facing ports hold unbounded
-//!   credit (`i64::MAX / 2`), so the credit check never holds them back;
+//!   queue, the per-VC credits, the credit still on its way back, the
+//!   wire's busy horizon and its propagation delay, and `Link::send` is
+//!   the only place a packet leaves a queue onto a wire. Terminal-facing
+//!   ports hold unbounded credit (`i64::MAX / 2`), so the credit check
+//!   never holds them back;
 //! * the monitoring modules of the PR-DRB router (Fig 3.19): Latency
 //!   Update accumulates queuing delay in the packet header (Eq 3.3),
 //!   Contending-Flows Detection fires when an output-queue wait crosses
@@ -26,16 +27,20 @@
 //!
 //! Event model: the calendar holds only events that advance simulated
 //! time — a header reaching a router, a routing stage coming due, a link
-//! finishing serialization, a credit or a NIC's turn to inject, a packet
-//! landing at a terminal. Work that follows at the same instant runs
-//! inline instead: a router's transmit attempts are a port mask
-//! (`RouterState::tx_pending`) serviced lowest port first, a transmit
-//! that frees output space runs the routing stage at once, and a NIC
-//! credit tries the NIC queue at once. An event that would find nothing
-//! to do is not scheduled: a link-free event exists only while its
-//! output queue holds a packet, and a NIC injection event only while the
-//! NIC queue does. Every effect that crosses from one router or NIC to
-//! another pays a positive delay (wire, header, routing), so a
+//! finishing serialization, a credit a waiting head needs or a NIC's
+//! turn to inject, a packet landing at a terminal. Work that follows at
+//! the same instant runs inline instead: a router's transmit attempts
+//! are a port mask (`RouterState::tx_pending`) serviced lowest port
+//! first, a transmit that frees output space runs the routing stage at
+//! once, and a NIC credit tries the NIC queue at once. An event that
+//! would find nothing to do is not scheduled: a link-free event exists
+//! only while its output queue holds a packet, and a NIC injection event
+//! only while the NIC queue does. Returned credit rides the sending
+//! `Link` as `(arrival, VC, bytes)` and is counted when a send needs it,
+//! if its credit event would have popped by then; a credit event is
+//! scheduled only for a head short of credit, at the arrival of the
+//! return that covers it. Every effect that crosses from one router or
+//! NIC to another pays a positive delay (wire, header, routing), so a
 //! same-instant cascade touches one entity only; running it inline
 //! keeps each entity's order of operations exactly as the content keys
 //! (`event_key`) would have popped them, and the work of different
@@ -119,8 +124,9 @@ pub enum Step {
 
 /// A calendar event. Each one advances simulated time: every kind is
 /// scheduled strictly after the instant that scheduled it, except
-/// [`NetEvent::NicTx`] for a packet injected at the current instant and
-/// a host [`NetEvent::Wake`].
+/// [`NetEvent::NicTx`] for a packet injected at the current instant, a
+/// host [`NetEvent::Wake`], and a credit event for a return landing now
+/// that pops after the event being dispatched.
 #[derive(Debug, PartialEq, Eq)]
 enum NetEvent {
     /// Packet header reaches a router input port.
@@ -133,15 +139,17 @@ enum NetEvent {
     RouteTick { router: RouterId },
     /// An output link finished serializing and its queue holds a packet.
     LinkFree { router: RouterId, port: Port },
-    /// Credit returned to a router's output port for a downstream VC.
+    /// The credit a router output port's head waits for lands on `vc`.
+    /// Scheduled only for a head short of credit, at the arrival of the
+    /// return that covers it; the credit itself rides the `Link`.
     Credit {
         router: RouterId,
         port: Port,
         vc: u8,
-        bytes: u32,
     },
-    /// Credit returned to a NIC.
-    NicCredit { node: NodeId, vc: u8, bytes: u32 },
+    /// The credit a NIC queue's head waits for lands on `vc` (as
+    /// [`NetEvent::Credit`]).
+    NicCredit { node: NodeId, vc: u8 },
     /// A NIC queue's head may leave: its creation time came, or the
     /// NIC link finished serializing.
     NicTx { node: NodeId },
@@ -161,6 +169,10 @@ fn id_sig(id: u64) -> u64 {
     ((id >> 62) << 27) | (id & (MAX_HOST_ID - 1))
 }
 
+/// Bit offset of the VC in a credit event's key: the keys of one link's
+/// credit events differ only there.
+const KEY_VC: u32 = 27;
+
 /// Content-derived calendar key: a total priority over same-instant
 /// events, making the pop order independent of insertion order (and so
 /// of the calendar backend). Any two same-time events with
@@ -179,7 +191,7 @@ fn event_key(ev: &NetEvent) -> u64 {
     const KIND: u32 = 61;
     const ENTITY: u32 = 37;
     const PORT: u32 = 29;
-    const VC: u32 = 27;
+    const VC: u32 = KEY_VC;
     match *ev {
         NetEvent::Arrive {
             router,
@@ -190,10 +202,10 @@ fn event_key(ev: &NetEvent) -> u64 {
         NetEvent::LinkFree { router, port } => {
             2 << KIND | (router.0 as u64) << ENTITY | (port.0 as u64) << PORT
         }
-        NetEvent::Credit {
-            router, port, vc, ..
-        } => 3 << KIND | (router.0 as u64) << ENTITY | (port.0 as u64) << PORT | (vc as u64) << VC,
-        NetEvent::NicCredit { node, vc, .. } => {
+        NetEvent::Credit { router, port, vc } => {
+            3 << KIND | (router.0 as u64) << ENTITY | (port.0 as u64) << PORT | (vc as u64) << VC
+        }
+        NetEvent::NicCredit { node, vc } => {
             4 << KIND | (node.0 as u64) << ENTITY | (vc as u64) << VC
         }
         NetEvent::NicTx { node } => 5 << KIND | (node.0 as u64) << ENTITY,
@@ -230,6 +242,41 @@ fn vc_of(pkt: &Packet) -> usize {
     (pkt.route.header_id as usize).min(NUM_VCS - 1)
 }
 
+/// Credit on its way back to a [`Link`] from the downstream input
+/// buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Return {
+    /// When it lands at the sender.
+    at: Time,
+    vc: u8,
+    bytes: u32,
+}
+
+/// How a credit-short head learns that its credit landed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CreditWait {
+    /// No head waits on a credit event.
+    Idle,
+    /// A credit event is scheduled at the return that covers the head.
+    Scheduled,
+    /// No return in flight covers the head: the one that does schedules
+    /// the credit event as it is queued.
+    Starved,
+}
+
+/// What [`Link::send`] did with the head of the queue.
+#[derive(Debug)]
+enum Tx {
+    /// It left: the packet and its serialization time.
+    Sent(Box<Packet>, Time),
+    /// It waits for the return landing at this time on this VC: the
+    /// caller schedules that credit event.
+    Wake(Time, u8),
+    /// Nothing to do: the queue is empty, the wire busy, or the head's
+    /// credit event already arranged.
+    Held,
+}
+
 /// The sending end of a wire: a NIC's injection link or a router
 /// output port.
 #[derive(Debug)]
@@ -239,6 +286,15 @@ struct Link {
     /// Credits toward the downstream input buffer per VC; `i64::MAX / 2`
     /// marks a terminal-facing port (infinite sink).
     credits: [i64; NUM_VCS],
+    /// Credit returned and not yet counted in `credits`, in `(at, vc)`
+    /// order — the order its credit events pop in. The wire delay is
+    /// fixed, so returns arrive in order and a new one sorts last among
+    /// those not landed.
+    returns: VecDeque<Return>,
+    /// Calendar key of this link's credit event on VC 0; VC `v` adds
+    /// `v << KEY_VC`.
+    credit_key: u64,
+    wait: CreditWait,
     /// The wire serializes the last packet sent until this instant.
     busy_until: Time,
     /// Propagation delay of the wire — the base `WIRE_DELAY_NS` plus the
@@ -248,10 +304,13 @@ struct Link {
 }
 
 impl Link {
-    fn new(credit: i64, wire_ns: Time) -> Self {
+    fn new(credit: i64, wire_ns: Time, credit_key: u64) -> Self {
         Self {
             queue: VecDeque::new(),
             credits: [credit; NUM_VCS],
+            returns: VecDeque::new(),
+            credit_key,
+            wait: CreditWait::Idle,
             busy_until: 0,
             wire_ns,
         }
@@ -259,21 +318,114 @@ impl Link {
 
     /// Virtual cut-through with credit-based flow control (§2.1.3): the
     /// head leaves once the wire is idle and its VC holds credit for the
-    /// whole packet. Sending pops the head, charges its size to its VC,
-    /// holds the wire for the serialization time and returns the packet
-    /// with that time. `None` leaves the link untouched: the queue is
-    /// empty, the wire busy, or the head's VC short of credit.
-    fn send(&mut self, now: Time, cfg: &NetworkConfig) -> Option<(Box<Packet>, Time)> {
-        let head = self.queue.front()?;
-        let vc = vc_of(head);
-        if now < self.busy_until || self.credits[vc] < head.size as i64 {
-            return None;
+    /// whole packet. Sending pops the head, charges its size to its VC
+    /// and holds the wire for the serialization time. The event being
+    /// dispatched is `(now, key)`; a head short of credit first counts
+    /// the returns whose credit events pop by then, and if still short
+    /// asks for the credit event of the return that covers it.
+    fn send(&mut self, now: Time, key: u64, cfg: &NetworkConfig) -> Tx {
+        let Some(head) = self.queue.front() else {
+            return Tx::Held;
+        };
+        let (vc, size) = (vc_of(head), head.size as i64);
+        if now < self.busy_until {
+            return Tx::Held;
+        }
+        if self.credits[vc] < size {
+            self.fold(now, key);
+            if self.credits[vc] < size {
+                return self.wait_for(vc, size);
+            }
         }
         let pkt = self.queue.pop_front().expect("head");
-        self.credits[vc] -= pkt.size as i64;
+        self.credits[vc] -= size;
         let ser = cfg.ser_ns(pkt.size);
         self.busy_until = now + ser;
-        Some((pkt, ser))
+        Tx::Sent(pkt, ser)
+    }
+
+    /// Count every return whose credit event pops by the event
+    /// `(now, key)`: those landed before `now`, and those landing at
+    /// `now` on a VC whose credit event key is at most `key`.
+    fn fold(&mut self, now: Time, key: u64) {
+        while let Some(&r) = self.returns.front() {
+            if r.at > now || (r.at == now && self.credit_key | (r.vc as u64) << KEY_VC > key) {
+                break;
+            }
+            self.credits[r.vc as usize] += r.bytes as i64;
+            self.returns.pop_front();
+        }
+    }
+
+    /// The head needs `size` bytes on `vc` and the landed credit falls
+    /// short: name the return that covers it, or mark the link starved.
+    fn wait_for(&mut self, vc: usize, size: i64) -> Tx {
+        if self.wait != CreditWait::Idle {
+            return Tx::Held;
+        }
+        let mut credit = self.credits[vc];
+        for r in self.returns.iter().filter(|r| r.vc as usize == vc) {
+            credit += r.bytes as i64;
+            if credit >= size {
+                self.wait = CreditWait::Scheduled;
+                return Tx::Wake(r.at, r.vc);
+            }
+        }
+        self.wait = CreditWait::Starved;
+        Tx::Held
+    }
+
+    /// Queue `bytes` of credit landing at `at` on `vc`, at instant `now`.
+    /// Returns landed before `now` are counted first, so the queue holds
+    /// only the last wire delay's worth. True when this return covers a
+    /// starved head: its credit event is then due at `at`.
+    fn push_return(&mut self, now: Time, at: Time, vc: usize, bytes: u32) -> bool {
+        while let Some(r) = self.returns.front().filter(|r| r.at < now).copied() {
+            self.credits[r.vc as usize] += r.bytes as i64;
+            self.returns.pop_front();
+        }
+        // Returns landing with this one on a higher VC sort after it;
+        // one on the same VC shares its credit event, so they merge.
+        let pos = self
+            .returns
+            .iter()
+            .rposition(|r| (r.at, r.vc as usize) <= (at, vc))
+            .map_or(0, |i| i + 1);
+        match pos.checked_sub(1).and_then(|i| self.returns.get_mut(i)) {
+            Some(r) if (r.at, r.vc as usize) == (at, vc) => r.bytes += bytes,
+            _ => self.returns.insert(
+                pos,
+                Return {
+                    at,
+                    vc: vc as u8,
+                    bytes,
+                },
+            ),
+        }
+        if self.wait != CreditWait::Starved {
+            return false;
+        }
+        let Some(head) = self.queue.front() else {
+            self.wait = CreditWait::Idle;
+            return false;
+        };
+        if vc_of(head) != vc || self.credit_in(vc) < head.size as i64 {
+            return false;
+        }
+        self.wait = CreditWait::Scheduled;
+        true
+    }
+
+    /// Credit on `vc`, counted and still returning.
+    fn credit_in(&self, vc: usize) -> i64 {
+        let returning = self.returns.iter().filter(|r| r.vc as usize == vc);
+        self.credits[vc] + returning.map(|r| r.bytes as i64).sum::<i64>()
+    }
+
+    /// Take every queued packet off the link (a fault strands them).
+    fn drain(&mut self) -> VecDeque<Box<Packet>> {
+        self.wait = CreditWait::Idle;
+        std::mem::take(&mut self.queue)
     }
 }
 
@@ -338,6 +490,9 @@ pub struct Fabric {
     woken: Option<(Time, u64)>,
     next_id: u64,
     clock: Time,
+    /// Calendar key of the event being dispatched: with `clock`, where
+    /// the fabric stands in the calendar's `(time, key)` order.
+    key: u64,
     /// Per-run memo of every static routing decision.
     table: RouteTable,
     /// Recycles packet boxes and predictive headers.
@@ -392,7 +547,13 @@ impl Fabric {
                         // nowhere never transmit anyway.
                         _ => i64::MAX / 2,
                     };
-                    Link::new(credit, cfg.link_delay_ns(topo.link_class(rid, port)))
+                    let wire_ns = cfg.link_delay_ns(topo.link_class(rid, port));
+                    let credit_ev = NetEvent::Credit {
+                        router: rid,
+                        port,
+                        vc: 0,
+                    };
+                    Link::new(credit, wire_ns, event_key(&credit_ev))
                 })
                 .collect();
             routers.push(RouterState {
@@ -413,7 +574,8 @@ impl Fabric {
                 let node = NodeId(n as u32);
                 let wire_ns = cfg
                     .link_delay_ns(topo.link_class(topo.router_of(node), topo.terminal_port(node)));
-                Link::new(INPUT_BUF_BYTES as i64, wire_ns)
+                let credit_ev = NetEvent::NicCredit { node, vc: 0 };
+                Link::new(INPUT_BUF_BYTES as i64, wire_ns, event_key(&credit_ev))
             })
             .collect();
         let table = RouteTable::build(&topo);
@@ -428,6 +590,7 @@ impl Fabric {
             woken: None,
             next_id: 1,
             clock: 0,
+            key: 0,
             table,
             pool: PacketPool::new(),
             cand_scratch: Vec::with_capacity(8),
@@ -468,7 +631,7 @@ impl Fabric {
                 break;
             }
             self.fault_cursor += 1;
-            self.apply_fault(&tf.fault);
+            self.apply_fault(tf);
         }
     }
 
@@ -478,8 +641,10 @@ impl Fabric {
     /// a recovered wire has its sender-side credits re-initialized to a
     /// full buffer — link retraining resets flow control, and the
     /// receive queue is guaranteed empty because arrivals on a dead
-    /// wire were dropped and counted.
-    fn apply_fault(&mut self, fault: &FaultEvent) {
+    /// wire were dropped and counted. A dead router strands the NICs
+    /// attached to it, so their queues drain too.
+    fn apply_fault(&mut self, tf: TimedFault) {
+        let fault = &tf.fault;
         match *fault {
             FaultEvent::LinkDown { router, port } => {
                 self.faults.apply(&self.topo, fault);
@@ -493,8 +658,8 @@ impl Fabric {
                 self.faults.apply(&self.topo, fault);
                 if was_dead && !self.faults.link_dead(router, port) {
                     if let Some(Endpoint::Router(nr, np)) = self.table.neighbor(router, port) {
-                        self.reset_credits(router, port.idx());
-                        self.reset_credits(nr, np.idx());
+                        self.reset_credits(router, port.idx(), tf.at);
+                        self.reset_credits(nr, np.idx(), tf.at);
                     }
                 }
             }
@@ -505,10 +670,10 @@ impl Fabric {
                     self.drain_port(router, p);
                 }
                 for p in 0..ports {
-                    if let Some(Endpoint::Router(nr, np)) =
-                        self.table.neighbor(router, Port(p as u8))
-                    {
-                        self.drain_port(nr, np.idx());
+                    match self.table.neighbor(router, Port(p as u8)) {
+                        Some(Endpoint::Router(nr, np)) => self.drain_port(nr, np.idx()),
+                        Some(Endpoint::Terminal(node)) => self.drain_nic(node),
+                        None => {}
                     }
                 }
             }
@@ -527,16 +692,27 @@ impl Fabric {
             }
             self.routers[r.idx()].in_occ &= !(1 << (p * NUM_VCS + vc));
         }
-        while let Some(pkt) = self.routers[r.idx()].out[p].queue.pop_front() {
+        for pkt in self.routers[r.idx()].out[p].drain() {
             self.drop_boxed(pkt);
         }
         self.routers[r.idx()].out_bytes[p] = 0;
     }
 
+    /// Drop every packet queued at NIC `node`.
+    fn drain_nic(&mut self, node: NodeId) {
+        for pkt in self.nics[node.idx()].drain() {
+            self.drop_boxed(pkt);
+        }
+    }
+
     /// Re-initialize the credits of output port `p` at `r` to a full
-    /// downstream buffer (LinkUp retraining).
-    fn reset_credits(&mut self, r: RouterId, p: usize) {
-        self.routers[r.idx()].out[p].credits = [INPUT_BUF_BYTES as i64; NUM_VCS];
+    /// downstream buffer (LinkUp retraining at `at`). Returns landed
+    /// before `at` are void; later ones still count on top, as their
+    /// credit events would have after the reset.
+    fn reset_credits(&mut self, r: RouterId, p: usize, at: Time) {
+        let link = &mut self.routers[r.idx()].out[p];
+        link.credits = [INPUT_BUF_BYTES as i64; NUM_VCS];
+        link.returns.retain(|ret| ret.at >= at);
     }
 
     /// Count and recycle a packet lost to a fault.
@@ -560,11 +736,16 @@ impl Fabric {
     /// Schedule a fabric event at its content-derived calendar key.
     #[inline]
     fn sched(&mut self, at: Time, ev: NetEvent) {
+        let key = event_key(&ev);
         debug_assert!(
-            at > self.clock || matches!(ev, NetEvent::NicTx { .. } | NetEvent::Wake { .. }),
+            at > self.clock
+                || match ev {
+                    NetEvent::NicTx { .. } | NetEvent::Wake { .. } => true,
+                    NetEvent::Credit { .. } | NetEvent::NicCredit { .. } => key > self.key,
+                    _ => false,
+                },
             "same-instant work runs inline, but {ev:?} was scheduled at {at}"
         );
-        let key = event_key(&ev);
         self.q.schedule_keyed(at, key, ev);
     }
 
@@ -611,6 +792,7 @@ impl Fabric {
             };
             self.apply_faults_through(entry.time);
             self.clock = entry.time;
+            self.key = entry.key;
             self.dispatch(entry.event);
             n += 1;
         }
@@ -688,18 +870,24 @@ impl Fabric {
     /// One line per non-empty queue, naming what its head packet waits
     /// for: a router input lane `(router, port, VC)` waits for room in
     /// its output queue, and a router output queue or a NIC queue waits
-    /// for credit on the head's downstream VC. Once the calendar is
-    /// empty nothing moves these packets again — they are the lanes of
-    /// a stall.
+    /// for credit on the head's downstream VC — the credit landed, and
+    /// the bytes still returning. Once the calendar is empty nothing
+    /// moves these packets again — they are the lanes of a stall.
     pub fn blocked_lanes(&self) -> Vec<String> {
         let credit = |lane: String, link: &Link| {
             let head = link.queue.front()?;
             let vc = vc_of(head);
+            let returning = link.returns.iter().filter(|r| r.vc as usize == vc);
+            let in_flight: i64 = returning
+                .filter(|r| r.at > self.clock)
+                .map(|r| r.bytes as i64)
+                .sum();
             Some(format!(
-                "{lane}: {} packets, head #{} waits for vc{vc} credit ({} of {} bytes)",
+                "{lane}: {} packets, head #{} waits for vc{vc} credit ({} of {} bytes, \
+                 {in_flight} in flight)",
                 link.queue.len(),
                 head.id,
-                link.credits[vc],
+                link.credit_in(vc) - in_flight,
                 head.size
             ))
         };
@@ -785,19 +973,14 @@ impl Fabric {
                 self.routers[router.idx()].tx_pending |= 1 << port.idx();
                 self.service_tx(router);
             }
-            NetEvent::Credit {
-                router,
-                port,
-                vc,
-                bytes,
-            } => {
+            NetEvent::Credit { router, port, .. } => {
                 let rs = &mut self.routers[router.idx()];
-                rs.out[port.idx()].credits[vc as usize] += bytes as i64;
+                rs.out[port.idx()].wait = CreditWait::Idle;
                 rs.tx_pending |= 1 << port.idx();
                 self.service_tx(router);
             }
-            NetEvent::NicCredit { node, vc, bytes } => {
-                self.nics[node.idx()].credits[vc as usize] += bytes as i64;
+            NetEvent::NicCredit { node, .. } => {
+                self.nics[node.idx()].wait = CreditWait::Idle;
                 self.nic_tx(node);
             }
             NetEvent::NicTx { node } => self.nic_tx(node),
@@ -809,11 +992,9 @@ impl Fabric {
     fn nic_tx(&mut self, node: NodeId) {
         if self.faults.any() && self.faults.router_dead(self.table.nic_attach(node).0) {
             // The attach router is gone: the NIC can reach nothing.
-            // Drain the queue, counting every packet as dropped (future
-            // injections drain the same way at their own NicTx).
-            while let Some(pkt) = self.nics[node.idx()].queue.pop_front() {
-                self.drop_boxed(pkt);
-            }
+            // Its queue drained as the router died; a later injection
+            // drains the same way at its own NicTx.
+            self.drain_nic(node);
             return;
         }
         let nic = &mut self.nics[node.idx()];
@@ -828,9 +1009,12 @@ impl Fabric {
             return;
         }
         // Held back: a busy link has a NicTx pending at
-        // end-of-serialization, a credit-short head a NicCredit.
-        let Some((mut pkt, ser)) = nic.send(self.clock, &self.cfg) else {
-            return;
+        // end-of-serialization, a credit-short head a NicCredit at the
+        // return that covers it (or the return that will).
+        let (mut pkt, ser) = match nic.send(self.clock, self.key, &self.cfg) {
+            Tx::Sent(pkt, ser) => (pkt, ser),
+            Tx::Wake(at, vc) => return self.sched(at, NetEvent::NicCredit { node, vc }),
+            Tx::Held => return,
         };
         pkt.nic_depart = self.clock;
         let wire = nic.wire_ns;
@@ -1017,24 +1201,29 @@ impl Fabric {
     /// Return `bytes` of credit for the freed slot of input lane
     /// `(p, vc)` at `router` to whoever feeds it. The credit travels
     /// back over the same physical wire the packet came in on, so it
-    /// pays that wire's class delay.
+    /// pays that wire's class delay. It rides the sender's `Link`, and
+    /// is an event only when it covers a head that found no covering
+    /// return in flight.
     fn return_credit(&mut self, router: RouterId, p: usize, vc: usize, bytes: u32) {
-        let at = self.clock + self.routers[router.idx()].out[p].wire_ns;
-        let vc = vc as u8;
-        match self.table.neighbor(router, Port(p as u8)) {
-            Some(Endpoint::Router(ur, up)) => self.sched(
-                at,
-                NetEvent::Credit {
-                    router: ur,
-                    port: up,
-                    vc,
-                    bytes,
-                },
-            ),
-            Some(Endpoint::Terminal(node)) => {
-                self.sched(at, NetEvent::NicCredit { node, vc, bytes })
+        let now = self.clock;
+        let at = now + self.routers[router.idx()].out[p].wire_ns;
+        let ev = match self.table.neighbor(router, Port(p as u8)) {
+            Some(Endpoint::Router(ur, up)) => {
+                let link = &mut self.routers[ur.idx()].out[up.idx()];
+                link.push_return(now, at, vc, bytes)
+                    .then_some(NetEvent::Credit {
+                        router: ur,
+                        port: up,
+                        vc: vc as u8,
+                    })
             }
-            None => {}
+            Some(Endpoint::Terminal(node)) => self.nics[node.idx()]
+                .push_return(now, at, vc, bytes)
+                .then_some(NetEvent::NicCredit { node, vc: vc as u8 }),
+            None => None,
+        };
+        if let Some(ev) = ev {
+            self.sched(at, ev);
         }
     }
 
@@ -1065,9 +1254,12 @@ impl Fabric {
         }
         let rs = &mut self.routers[router.idx()];
         // Held back: a busy link with a queued packet has a LinkFree
-        // pending, a credit-short head a Credit; either retries.
-        let Some((mut pkt, ser)) = rs.out[port.idx()].send(self.clock, &self.cfg) else {
-            return;
+        // pending, a credit-short head a Credit at the return that
+        // covers it (or the return that will); either retries.
+        let (mut pkt, ser) = match rs.out[port.idx()].send(self.clock, self.key, &self.cfg) {
+            Tx::Sent(pkt, ser) => (pkt, ser),
+            Tx::Wake(at, vc) => return self.sched(at, NetEvent::Credit { router, port, vc }),
+            Tx::Held => return,
         };
         rs.out_bytes[port.idx()] -= pkt.size;
         if !rs.out[port.idx()].queue.is_empty() {
@@ -1275,10 +1467,19 @@ impl Fabric {
 mod tests {
     use super::*;
 
+    /// The credit event key of the test links: router 0, port 1.
+    fn credit_key(vc: u8) -> u64 {
+        event_key(&NetEvent::Credit {
+            router: RouterId(0),
+            port: Port(1),
+            vc,
+        })
+    }
+
     /// A link with `credit` bytes on every VC, queueing packets of the
     /// given sizes on VC 2 (minimal routes), ids from 0.
     fn link(credit: i64, sizes: &[u32]) -> Link {
-        let mut l = Link::new(credit, 10);
+        let mut l = Link::new(credit, 10, credit_key(0));
         for (id, &size) in sizes.iter().enumerate() {
             let route = RouteState::new(PathDescriptor::Minimal);
             let (s, d) = (NodeId(0), NodeId(1));
@@ -1288,11 +1489,19 @@ mod tests {
         l
     }
 
+    /// The packet a send let leave, if any.
+    fn sent(tx: Tx) -> Option<(Box<Packet>, Time)> {
+        match tx {
+            Tx::Sent(pkt, ser) => Some((pkt, ser)),
+            Tx::Wake(..) | Tx::Held => None,
+        }
+    }
+
     #[test]
     fn an_idle_wire_with_credit_sends_and_charges_the_heads_vc() {
         let cfg = NetworkConfig::default();
         let mut l = link(4096, &[1024, 512]);
-        let (p, ser) = l.send(100, &cfg).expect("idle wire, enough credit");
+        let (p, ser) = sent(l.send(100, 0, &cfg)).expect("idle wire, enough credit");
         assert_eq!((p.id, ser, l.busy_until), (0, cfg.ser_ns(1024), 100 + ser));
         assert_eq!(l.credits, [4096, 4096, 4096 - 1024]);
         assert_eq!(l.queue.len(), 1);
@@ -1302,10 +1511,13 @@ mod tests {
     fn a_busy_wire_sends_nothing_and_touches_nothing() {
         let cfg = NetworkConfig::default();
         let mut l = link(4096, &[1024, 1024]);
-        let (_, ser) = l.send(0, &cfg).expect("first send");
-        assert!(l.send(ser - 1, &cfg).is_none());
+        let (_, ser) = sent(l.send(0, 0, &cfg)).expect("first send");
+        assert!(matches!(l.send(ser - 1, 0, &cfg), Tx::Held));
         assert_eq!((l.credits[2], l.queue.len(), l.busy_until), (3072, 1, ser));
-        assert!(l.send(ser, &cfg).is_some(), "free as serialization ends");
+        assert!(
+            sent(l.send(ser, 0, &cfg)).is_some(),
+            "free as serialization ends"
+        );
     }
 
     #[test]
@@ -1314,11 +1526,69 @@ mod tests {
         let mut l = link(1023, &[1024]);
         // Another VC's credit does not release it.
         l.credits[0] = i64::MAX / 2;
-        assert!(l.send(0, &cfg).is_none());
-        assert_eq!((l.credits[2], l.queue.len()), (1023, 1));
+        assert!(matches!(l.send(0, 0, &cfg), Tx::Held));
+        assert_eq!(
+            (l.credits[2], l.queue.len(), l.wait),
+            (1023, 1, CreditWait::Starved)
+        );
         l.credits[2] += 1;
-        assert!(l.send(0, &cfg).is_some(), "exactly enough credit sends");
+        assert!(
+            sent(l.send(0, 0, &cfg)).is_some(),
+            "exactly enough credit sends"
+        );
         assert_eq!(l.credits[2], 0);
+    }
+
+    #[test]
+    fn a_return_counts_once_its_credit_event_would_have_popped() {
+        let cfg = NetworkConfig::default();
+        let mut l = link(0, &[1024]);
+        assert!(!l.push_return(0, 500, 2, 1024), "no head is starved yet");
+        // Before the return's own key at its instant, it has not landed:
+        // the head asks for that credit event instead.
+        let before = credit_key(2) - 1;
+        assert!(matches!(l.send(500, before, &cfg), Tx::Wake(500, 2)));
+        assert_eq!((l.credits[2], l.wait), (0, CreditWait::Scheduled));
+        // A second attempt while the event is pending schedules nothing.
+        assert!(matches!(l.send(500, before, &cfg), Tx::Held));
+        l.wait = CreditWait::Idle; // what the credit event does first
+        assert!(sent(l.send(500, credit_key(2), &cfg)).is_some());
+        assert!(l.returns.is_empty());
+    }
+
+    #[test]
+    fn a_starved_head_is_woken_by_the_return_that_covers_it() {
+        let cfg = NetworkConfig::default();
+        let mut l = link(256, &[1024]);
+        l.push_return(0, 100, 2, 256);
+        assert!(matches!(l.send(0, 0, &cfg), Tx::Held));
+        assert_eq!(l.wait, CreditWait::Starved);
+        // Another VC's return does not cover it; 256 + 256 + 512 does.
+        assert!(!l.push_return(40, 140, 0, 4096));
+        assert!(!l.push_return(50, 150, 2, 256));
+        assert!(l.push_return(60, 160, 2, 512));
+        assert_eq!(l.wait, CreditWait::Scheduled);
+        // Returns landed before the push instant were counted on the way.
+        assert_eq!(l.credits[2], 256);
+    }
+
+    #[test]
+    fn returns_keep_their_credit_events_pop_order() {
+        let mut l = link(0, &[]);
+        l.push_return(0, 100, 2, 64);
+        l.push_return(0, 100, 0, 64);
+        l.push_return(0, 100, 2, 64);
+        l.push_return(0, 100, 1, 64);
+        l.push_return(0, 130, 0, 64);
+        let order: Vec<_> = l.returns.iter().map(|r| (r.at, r.vc, r.bytes)).collect();
+        assert_eq!(
+            order,
+            [(100, 0, 64), (100, 1, 64), (100, 2, 128), (130, 0, 64)],
+            "same-instant returns sort by VC, and one VC's merge"
+        );
+        // At 100 under the VC-1 credit event, VCs 0 and 1 have landed.
+        l.fold(100, credit_key(1));
+        assert_eq!((l.credits, l.returns.len()), ([64, 64, 0], 2));
     }
 
     /// Inject one packet `src` → `dst` created at `at`.
@@ -1425,13 +1695,48 @@ mod tests {
         assert_eq!(handed, plan.events()[..plan.events().len() - 1]);
     }
 
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "same-instant work runs inline")]
-    fn only_nic_turns_and_wakeups_may_be_scheduled_at_the_current_instant() {
+    /// A mesh fabric dispatching a credit event of router 5 at 700 ns.
+    fn at_credit_event() -> Fabric {
         let mut f = mesh();
         f.wake_at(700, 0);
         assert_eq!(f.step(Time::MAX), woke(700, 0));
+        f.key = event_key(&NetEvent::Credit {
+            router: RouterId(5),
+            port: Port(2),
+            vc: 1,
+        });
+        f
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn only_nic_turns_wakeups_and_later_keyed_credits_may_be_scheduled_now() {
+        let mut f = at_credit_event();
+        inject(&mut f, 0, 9, 700);
+        f.wake_at(700, 1);
+        let (router, port) = (RouterId(5), Port(2));
+        f.sched(
+            700,
+            NetEvent::Credit {
+                router,
+                port,
+                vc: 2,
+            },
+        );
+        f.sched(
+            700,
+            NetEvent::NicCredit {
+                node: NodeId(0),
+                vc: 0,
+            },
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "same-instant work runs inline")]
+    fn a_routing_stage_may_not_be_scheduled_now() {
+        let mut f = at_credit_event();
         f.sched(
             700,
             NetEvent::RouteTick {
@@ -1441,11 +1746,109 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "same-instant work runs inline")]
+    fn a_credit_keyed_before_the_current_event_may_not_be_scheduled_now() {
+        let mut f = at_credit_event();
+        let (router, port) = (RouterId(5), Port(2));
+        f.sched(
+            700,
+            NetEvent::Credit {
+                router,
+                port,
+                vc: 0,
+            },
+        );
+    }
+
+    #[test]
+    fn blocked_lanes_count_the_credit_still_in_flight() {
+        let mut f = mesh();
+        inject(&mut f, 0, 9, 0);
+        let nic = &mut f.nics[0];
+        nic.credits[2] = 0;
+        nic.push_return(0, 0, 2, 256);
+        nic.push_return(0, 500, 2, 512);
+        nic.push_return(0, 500, 1, 4096);
+        assert_eq!(
+            f.blocked_lanes(),
+            ["nic n0: 1 packets, head #1 waits for vc2 credit (256 of 1024 bytes, 512 in flight)"]
+        );
+    }
+
+    #[test]
+    fn link_retraining_keeps_the_returns_landing_from_its_instant_on() {
+        let mut f = mesh();
+        let p = f
+            .topo
+            .port_toward(RouterId(0), RouterId(1))
+            .expect("adjacent");
+        let link = &mut f.routers[0].out[p.idx()];
+        link.credits[2] = 0;
+        link.push_return(0, 400, 2, 64);
+        link.push_return(0, 500, 2, 128);
+        link.push_return(0, 600, 1, 256);
+        // A LinkUp at 500 ns: the return of 400 ns had landed before
+        // the reset, those of 500 and 600 ns land after it.
+        f.reset_credits(RouterId(0), p.idx(), 500);
+        let link = &f.routers[0].out[p.idx()];
+        assert_eq!(link.credits, [INPUT_BUF_BYTES as i64; NUM_VCS]);
+        let kept: Vec<_> = link.returns.iter().map(|r| (r.at, r.bytes)).collect();
+        assert_eq!(kept, [(500, 128), (600, 256)]);
+    }
+
+    #[test]
+    fn a_credit_bound_schedule_delivers_as_with_one_event_per_return() {
+        // Nodes 0 and 1 send six rounds of 16 KiB to node 63, node 0 also
+        // to node 61, over spine wires of 300 µs: a round trip on them
+        // outlasts the 64 KiB a buffer holds, so heads wait for credit
+        // and the returns pace the deliveries.
+        let mut cfg = NetworkConfig {
+            acks_enabled: false,
+            ..Default::default()
+        };
+        cfg.wire_class_extra_ns[prdrb_topology::LINK_CLASS_GLOBAL as usize] = 300_000;
+        let mut f = Fabric::new(AnyTopology::fat_tree_64(), cfg);
+        for seq in 0..6 {
+            for (src, dst) in [(0, 63), (1, 63), (0, 61)] {
+                let id = f.alloc_id();
+                let route = RouteState::new(PathDescriptor::Minimal);
+                let (s, d) = (NodeId(src), NodeId(dst));
+                let p = Packet::data(id, s, d, 16 * 1024, 0, route, 0, 1, seq, seq == 5, false);
+                f.inject(p);
+            }
+        }
+        // `run_events` without the fault plan, counting credit events.
+        let mut credit_events = 0;
+        while let Some(entry) = f.q.pop_before(Time::MAX) {
+            let credit = matches!(
+                entry.event,
+                NetEvent::Credit { .. } | NetEvent::NicCredit { .. }
+            );
+            credit_events += u32::from(credit);
+            (f.clock, f.key) = (entry.time, entry.key);
+            f.dispatch(entry.event);
+        }
+        assert!(credit_events > 0, "some head waited for credit");
+        let got: Vec<(u64, Time)> = f.deliveries.iter().map(|d| (d.packet.id, d.at)).collect();
+        // Recorded when every credit return was a calendar event.
+        #[rustfmt::skip]
+        let want = [
+            (1, 665_956), (2, 731_492), (3, 797_028), (5, 862_564),
+            (4, 1_266_048), (8, 1_331_584), (6, 1_397_120), (11, 1_462_656),
+            (7, 1_866_140), (14, 1_931_676), (9, 1_997_212), (17, 2_062_748),
+            (10, 2_466_232), (12, 2_531_768), (13, 2_597_304), (15, 2_662_840),
+            (16, 3_066_324), (18, 3_131_860),
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn a_terminal_facing_port_always_sends() {
         let cfg = NetworkConfig::default();
         let mut l = link(i64::MAX / 2, &[1024; 1000]);
         let mut now = 0;
-        while let Some((_, ser)) = l.send(now, &cfg) {
+        while let Some((_, ser)) = sent(l.send(now, 0, &cfg)) {
             now += ser;
         }
         assert!(l.queue.is_empty(), "an idle wire never waits for credit");

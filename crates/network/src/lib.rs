@@ -534,6 +534,30 @@ mod fabric_tests {
     }
 
     #[test]
+    fn a_dead_router_drops_the_queues_of_its_nics_at_once() {
+        // Two neighbours flood node (1,0): by 3 ms node 0's NIC head
+        // waits for credit, and its attach router dies then. No credit
+        // comes back, so the NIC's queue must drain at the fault.
+        let topo = AnyTopology::mesh8x8();
+        let m = Mesh2D::new(8, 8);
+        let plan = FaultPlan::new(vec![TimedFault {
+            at: 3 * MILLISECOND,
+            fault: FaultEvent::RouterDown { router: m.at(0, 0) },
+        }]);
+        let mut f = Fabric::with_faults(topo, quiet_cfg(), plan);
+        let dst = m.node_at(1, 0).0;
+        for src in [m.node_at(0, 0).0, m.node_at(2, 0).0] {
+            for _ in 0..1000 {
+                data(&mut f, src, dst, 0, PathDescriptor::Minimal, false);
+            }
+        }
+        f.run_to_quiescence(100 * MILLISECOND);
+        let s = f.stats;
+        assert!(s.dropped_data > 0);
+        assert_eq!(s.offered_data, s.accepted_data + s.dropped_data);
+    }
+
+    #[test]
     fn diverted_msp_escapes_to_minimal_around_a_dead_wire() {
         let topo = AnyTopology::mesh8x8();
         let m = Mesh2D::new(8, 8);

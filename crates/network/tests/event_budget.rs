@@ -2,11 +2,12 @@
 //! advance simulated time. Same-instant work (transmit attempts, the
 //! routing stage a transmit frees, the NIC retry a credit allows) runs
 //! inline, and no event is scheduled that would find nothing to do.
+//! Returned credit rides the sending link, so a credit is an event only
+//! when a head short of credit waits for it.
 //!
 //! On a quiet fabric a packet therefore costs one NIC injection event,
-//! three events per router hop — the header's arrival, the routing
-//! stage 40 ns later, and the credit its freed input slot sends
-//! upstream — and its delivery.
+//! two events per router hop — the header's arrival and the routing
+//! stage 40 ns later — and its delivery.
 
 use prdrb_network::{Fabric, NetworkConfig, Packet};
 use prdrb_simcore::time::MILLISECOND;
@@ -61,7 +62,7 @@ fn send_message(f: &mut Fabric, src: u32, dst: u32, k: u32) -> u16 {
 }
 
 #[test]
-fn lone_packet_costs_three_events_per_hop() {
+fn lone_packet_costs_two_events_per_hop() {
     // Same leaf switch (one router), and across the top of the tree
     // (leaf, middle, top, middle, leaf).
     for (dst, want_hops) in [(1, 1), (63, 5)] {
@@ -70,8 +71,8 @@ fn lone_packet_costs_three_events_per_hop() {
         assert_eq!(hops, want_hops, "0 -> {dst}");
         assert_eq!(
             f.events_processed(),
-            2 + 3 * u64::from(hops),
-            "0 -> {dst}: NicTx + (Arrive, RouteTick, credit) per hop + Deliver"
+            2 + 2 * u64::from(hops),
+            "0 -> {dst}: NicTx + (Arrive, RouteTick) per hop + Deliver"
         );
     }
 }
@@ -88,8 +89,44 @@ fn message_fragments_cost_one_nic_event_each() {
     assert_eq!(hops, 5);
     assert_eq!(
         f.events_processed(),
-        u64::from(K) * (2 + 3 * u64::from(hops))
+        u64::from(K) * (2 + 2 * u64::from(hops))
     );
+}
+
+#[test]
+fn only_heads_that_wait_for_credit_cost_a_credit_event() {
+    // Four leaves send 20 packets of 16 KiB each to node 63 at once.
+    // The last hop drains one packet per 65.5 µs, so input buffers
+    // (four such packets per VC) fill back up the tree and heads wait
+    // for credit. 400 returns cross the 5-hop paths; only 65 of them
+    // are events, woken heads. (With one credit event per return the
+    // run took 1470 events.)
+    const K: u32 = 20;
+    let mut f = quiet_fat_tree();
+    for src in [0, 4, 8, 12] {
+        for seq in 0..K {
+            let id = f.alloc_id();
+            f.inject(Packet::data(
+                id,
+                NodeId(src),
+                NodeId(63),
+                16 * 1024,
+                0,
+                RouteState::new(PathDescriptor::Minimal),
+                0,
+                u64::from(src),
+                seq,
+                seq + 1 == K,
+                false,
+            ));
+        }
+    }
+    let end = f.run_to_quiescence(MILLISECOND * 100);
+    let mut out = Vec::new();
+    f.take_deliveries(&mut out);
+    assert_eq!(out.len() as u32, 4 * K);
+    assert_eq!(end, 5_243_300, "the last hop was busy throughout");
+    assert_eq!(f.events_processed(), 1135);
 }
 
 #[test]
